@@ -25,12 +25,6 @@ from .zeta import (
     zeta_from_mds_basis,
 )
 
-# Generators of the order-16 matrix group whose invariant ring is spanned by
-# w8 and w12; documentation-level constants, the checkers themselves only
-# use exact integral substitutions.
-G8_SIGMA_1 = "((1-i)/2) * [[1, -1], [1, 1]]"
-G8_SIGMA_2 = "[[-i, 0], [0, 1]]"
-
 _BOUNDS = {
     "I": lambda n: 2 * (n // 8) + 2,
     "II": lambda n: 4 * (n // 24) + 4,

@@ -178,11 +178,10 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
     p_basis = zeta.zeta_from_mds_basis(enum, q, dimension=code.k)
     p_chinen = zeta.zeta_from_chinen(enum, q, dimension=code.k)
     dual_code = linear_code.dual(code)
-    p_dual = None
+    dual_dist = p_dual = None
     if not dual_code.is_zero and q**dual_code.k <= budget:
-        dual_enum = enumerator.from_distribution(
-            linear_code.weight_distribution(dual_code, budget), q=q
-        )
+        dual_dist = linear_code.weight_distribution(dual_code, budget)
+        dual_enum = enumerator.from_distribution(dual_dist, q=q)
         if dual_enum.min_distance is not None and dual_enum.min_distance >= 2:
             try:
                 p_dual = zeta.zeta_from_mds_basis(dual_enum, q, dimension=dual_code.k)
@@ -205,7 +204,8 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
                 zeta.functional_dual(p_basis).coeffs == p_dual.coeffs,
             )
         )
-    if linear_code.is_formally_self_dual(code, budget):
+    # q^k = q^(n-k) only when 2k = n, and then the dual fits the budget too
+    if 2 * code.k == code.n and dist == dual_dist:
         out["formally_self_dual"] = True
         checks.append(
             _check("self_reciprocal", zeta.self_reciprocal_check(p_basis))
@@ -294,7 +294,7 @@ def _cmd_grs(args, config: RunConfig) -> dict:
     )
     code = ag.grs_code(spec, alphas, multipliers, args.k)
     summary, dist = _code_summary(code, budget)
-    closed = enumerator.mds_enumerator(n, n - args.k + 1, args.q) if args.k < n else None
+    closed = enumerator._mds_coeffs(n, n + 1 - args.k, args.q) if args.k < n else None
     enum = enumerator.from_distribution(dist, q=args.q)
     p = zeta.zeta_from_mds_basis(enum, args.q, dimension=args.k)
     checks = [
@@ -306,7 +306,7 @@ def _cmd_grs(args, config: RunConfig) -> dict:
             1,
             _check(
                 "distribution_matches_closed_form",
-                [int(c) for c in closed.coeffs] == list(dist.counts),
+                [int(c) for c in closed] == list(dist.counts),
             ),
         )
     return {
@@ -403,8 +403,11 @@ def _emit(payload: dict, config: RunConfig) -> None:
     else:
         text = _render_text(payload) + "\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {config.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -487,6 +490,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_args(args)
         payload = args.func(args, config)
+        _emit(payload, config)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -496,7 +500,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal invariant violations
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(payload, config)
     return EXIT_OK
 
 

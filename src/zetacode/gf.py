@@ -207,16 +207,18 @@ class _Tables:
 
     def __init__(self, spec: FieldSpec):
         p, m, q = spec.p, spec.m, spec.q
-        if m == 1:
-            idx = np.arange(q, dtype=np.int64)
-            self.add = ((idx[:, None] + idx[None, :]) % q).astype(np.int32)
-            self.neg = ((-idx) % q).astype(np.int32)
+        idx = np.arange(q, dtype=np.int32)
+        if p == 2:
+            # digit-wise addition mod 2 of little-endian bits is XOR
+            self.add = idx[:, None] ^ idx[None, :]
+            self.neg = idx
         else:
-            dig = np.array([_digits(i, p, m) for i in range(q)], dtype=np.int16)
-            w = np.array([p**j for j in range(m)], dtype=np.int64)
-            sums = (dig[:, None, :] + dig[None, :, :]) % p
-            self.add = (sums.astype(np.int64) @ w).astype(np.int32)
-            self.neg = (((-dig) % p).astype(np.int64) @ w).astype(np.int32)
+            self.add = np.zeros((q, q), dtype=np.int32)
+            self.neg = np.zeros(q, dtype=np.int32)
+            for j in range(m):
+                d = idx // p**j % p
+                self.add += (d[:, None] + d[None, :]) % p * p**j
+                self.neg += -d % p * p**j
 
         gen = _find_generator(spec)
         order = q - 1

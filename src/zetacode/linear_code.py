@@ -1,12 +1,10 @@
 """Linear codes over GF(q): generator matrices, duals, and exhaustive
 weight and distance statistics.
 
-Codeword enumeration walks message vectors in lexicographic index order,
-in fixed-size chunks whose partial counts are merged by summation, so the
-result is deterministic and the working set stays small.  The distance
-distribution is computed by literal enumeration of ordered codeword pairs;
-it is deliberately kept independent of the weight enumeration so the two
-can serve as cross-checking oracles.
+Codewords come from one generator of message-lex blocks, at one field
+addition per word and coordinate, with counts merged per block: results
+are deterministic and the working set small.  The distance distribution
+shares the generator; it checks weight counting, not enumeration.
 """
 
 from __future__ import annotations
@@ -52,9 +50,6 @@ class Matrix:
             raise ValueError("ragged rows")
         flat = tuple(FieldElement(spec, int(v)) for r in rows for v in r)
         return cls(spec, nrows, ncols, flat)
-
-    def entry(self, r: int, c: int) -> FieldElement:
-        return self.entries[r * self.cols + c]
 
     def index_rows(self) -> list[list[int]]:
         return [
@@ -174,47 +169,54 @@ def _require_regular(code: LinearCode, what: str) -> None:
         raise ValueError(f"{what} is not defined for the zero code")
 
 
+def _codeword_blocks(code: LinearCode, budget: int):
+    """Yield the q^k codewords in message-lex order, as (rows, n) blocks:
+    the words of the last t digits (q^t <= _CHUNK), built by doubling, plus
+    one offset row sum_j c_j G[j] of the first k - t digits.  Entries use
+    the narrowest unsigned dtype; in characteristic 2, index addition is XOR."""
+    q, k, n = code.spec.q, code.k, code.n
+    if q**k > budget:
+        raise BudgetExceededError(f"q^k = {q**k} exceeds budget {budget}")
+    tab = code.spec.tables
+    dtype = np.min_scalar_type(q - 1)
+    G = code.gen.index_array()
+    mult = tab.mul[np.arange(q)[:, None, None], G[None, :, :]].astype(dtype)  # (q, k, n)
+    if code.spec.p == 2:
+        add = np.bitwise_xor
+    else:  # a take on the flat table is about twice as fast as tab.add[a, b]
+        flat = tab.add.astype(dtype).ravel()
+        wide = np.min_scalar_type(q * q - 1)
+
+        def add(small, big):
+            return np.take(flat, small.astype(wide) * q + big)
+
+    t = next(t for t in range(k, -1, -1) if q**t <= _CHUNK)
+    low = np.zeros((1, n), dtype=dtype)
+    for j in range(k - 1, k - 1 - t, -1):
+        low = add(mult[:, j, None, :], low[None, :, :]).reshape(-1, n)
+
+    def blocks(j, offset):
+        if j == k - t:
+            yield add(offset, low) if offset.any() else low
+        else:
+            for row in mult[:, j]:
+                yield from blocks(j + 1, add(offset, row))
+
+    yield from blocks(0, np.zeros(n, dtype=dtype))
+
+
 def _codeword_matrix(code: LinearCode, budget: int) -> np.ndarray:
     """All q^k codewords as an (q^k, n) index array, message-lex order."""
-    q, k, n = code.spec.q, code.k, code.n
-    total = q**k
-    if total > budget:
-        raise BudgetExceededError(f"q^k = {total} exceeds budget {budget}")
-    tab = code.spec.tables
-    G = code.gen.index_array()
-    place = np.array([q ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    out = np.zeros((total, n), dtype=np.int32)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        nums = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros((hi - lo, n), dtype=np.int32)
-        for j in range(k):
-            digit = (nums // place[j]) % q
-            acc = tab.add[acc, tab.mul[digit[:, None], G[j][None, :]]]
-        out[lo:hi] = acc
-    return out
+    return np.concatenate(list(_codeword_blocks(code, budget)))
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact weight counts by full enumeration of the q^k codewords."""
     _require_regular(code, "the weight distribution")
-    q, k, n = code.spec.q, code.k, code.n
-    total = q**k
-    if total > budget:
-        raise BudgetExceededError(f"q^k = {total} exceeds budget {budget}")
-    tab = code.spec.tables
-    G = code.gen.index_array()
-    place = np.array([q ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+    n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        nums = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros((hi - lo, n), dtype=np.int32)
-        for j in range(k):
-            digit = (nums // place[j]) % q
-            acc = tab.add[acc, tab.mul[digit[:, None], G[j][None, :]]]
-        w = np.count_nonzero(acc, axis=1)
-        counts += np.bincount(w, minlength=n + 1)
+    for block in _codeword_blocks(code, budget):
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
     return WeightDistribution(n, tuple(int(c) for c in counts))
 
 
@@ -298,7 +300,8 @@ def puncture_degenerate(code: LinearCode) -> LinearCode:
     return LinearCode(Matrix.from_indices(code.spec, rows))
 
 
-def _gram_is_zero(code: LinearCode) -> bool:
+def is_self_orthogonal(code: LinearCode) -> bool:
+    _require_regular(code, "self-orthogonality")
     spec = code.spec
     rows = code.gen.index_rows()
     for u in rows:
@@ -311,11 +314,6 @@ def _gram_is_zero(code: LinearCode) -> bool:
     return True
 
 
-def is_self_orthogonal(code: LinearCode) -> bool:
-    _require_regular(code, "self-orthogonality")
-    return _gram_is_zero(code)
-
-
 def is_self_dual(code: LinearCode) -> bool:
     _require_regular(code, "self-duality")
     if 2 * code.k != code.n:
@@ -324,12 +322,12 @@ def is_self_dual(code: LinearCode) -> bool:
 
 
 def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
-    """Equal weight distributions of the code and its dual."""
+    """Equal weight distributions of the code and its dual; unless 2k = n
+    their totals q^k and q^(n-k) differ, and nothing is enumerated."""
     _require_regular(code, "formal self-duality")
-    d = dual(code)
-    if d.is_zero:
+    if 2 * code.k != code.n:
         return False
-    return weight_distribution(code, budget) == weight_distribution(d, budget)
+    return weight_distribution(code, budget) == weight_distribution(dual(code), budget)
 
 
 # -- matrix text format -------------------------------------------------
@@ -356,7 +354,6 @@ def parse_matrix_text(text: str) -> LinearCode:
     if n < 1 or k < 1:
         raise ValueError(f"line 1: need n >= 1 and k >= 1, got n={n} k={k}")
     rows = []
-    ln = 1
     for r in range(k):
         ln = r + 2
         if ln - 1 >= len(lines):

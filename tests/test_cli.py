@@ -125,6 +125,27 @@ def test_grs_command_explicit_points(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_grs_command_k1(capsys):
+    payload = run_json(capsys, ["grs", "--q", "5", "--k", "1"])
+    assert payload["distribution"] == [1, 0, 0, 0, 0, 4]
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["distribution_matches_closed_form"] is True
+    assert all(checks.values())
+
+
+def test_zeta_long_low_rate_code_not_formally_self_dual(capsys, tmp_path):
+    # binary [64,6]: the simplex columns 1..63 plus a repeated column; its
+    # 2^58-word dual is over budget, so no dual-side check runs
+    cols = list(range(1, 64)) + [1]
+    rows = [" ".join(str(c >> i & 1) for c in cols) for i in range(6)]
+    p = tmp_path / "c64.txt"
+    p.write_text("2 64 6\n" + "\n".join(rows) + "\n")
+    payload = run_json(capsys, ["zeta", str(p)])
+    assert (payload["n"], payload["k"], payload["d"]) == (64, 6, 32)
+    assert payload["formally_self_dual"] is False
+    assert all(c["passed"] for c in payload["checks"])
+
+
 def test_classify_command_ternary(capsys, tmp_path):
     p = tmp_path / "tetra_enum.txt"
     p.write_text("4 1 0 0 8 0\n")
@@ -200,6 +221,14 @@ def test_out_file(tmp_path, capsys, hamming_file):
     rc, stdout = run(capsys, ["wdist", hamming_file, "--out", str(out)])
     assert rc == 0 and stdout == ""
     assert json.loads(out.read_text())["d"] == 4
+
+
+def test_unwritable_out_file(capsys, hamming_file):
+    rc, stdout, err = run_with_err(
+        capsys, ["wdist", hamming_file, "--out", "/nonexistent/report.json"]
+    )
+    assert rc == 1 and stdout == ""
+    assert "cannot write /nonexistent/report.json" in err
 
 
 def test_text_format(capsys, hamming_file):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from zetacode.gf import (
     DEFAULT_ORDER_CAP,
     GF,
     FieldElement,
+    _digits,
     add,
     elements,
     extension_field,
@@ -45,6 +47,18 @@ def test_gf4_arithmetic():
 def test_gf5_inverse():
     f = GF(5)
     assert f.element(3).inverse().index == 2
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 256, 1024])
+def test_add_and_neg_tables_are_digitwise(q):
+    spec = GF(q)
+    p, m = spec.p, spec.m
+    dig = np.array([_digits(i, p, m) for i in range(q)], dtype=np.int64)
+    place = p ** np.arange(m)
+    tab = spec.tables
+    for a in range(q):
+        assert (tab.add[a] == (dig[a] + dig) % p @ place).all()
+    assert (tab.neg == (-dig) % p @ place).all()
 
 
 def test_elements_order_and_identities():

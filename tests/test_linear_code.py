@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+
+from conftest import make_random_code
 
 from zetacode.gf import GF
 from zetacode.linear_code import (
+    _CHUNK,
     BudgetExceededError,
     LinearCode,
     Matrix,
     WeightDistribution,
+    _codeword_matrix,
     distance_distribution,
     dual,
     format_matrix_text,
@@ -109,6 +116,59 @@ def test_distance_equals_weight_on_corpus(unit_corpus):
 def test_counts_sum_to_qk(unit_corpus):
     for c in unit_corpus:
         assert weight_distribution(c).total() == c.spec.q**c.k
+
+
+def reference_codewords(c: LinearCode):
+    """Every codeword in message-lex order, by plain FieldSpec index
+    arithmetic: the word of each message extends the stored partial sum
+    of the message prefix it shares with the previous message."""
+    spec, q = c.spec, c.spec.q
+    add = [[spec.add_idx(a, b) for b in range(q)] for a in range(q)]
+    multiples = [
+        [[spec.mul_idx(coef, g) for g in row] for coef in range(q)]
+        for row in c.gen.index_rows()
+    ]
+    partial = [[0] * c.n]  # partial[j]: sum over the first j message digits
+    previous = None
+    for msg in itertools.product(range(q), repeat=c.k):
+        start = 0 if previous is None else next(j for j in range(c.k) if msg[j] != previous[j])
+        del partial[start + 1 :]
+        for j in range(start, c.k):
+            partial.append([add[a][b] for a, b in zip(partial[j], multiples[j][msg[j]])])
+        previous = msg
+        yield partial[-1]
+
+
+def reference_distribution(words, n: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    for w in words:
+        counts[n - w.count(0)] += 1
+    return tuple(counts)
+
+
+def test_kernel_matches_reference_on_corpus(unit_corpus):
+    for c in unit_corpus:
+        words = list(reference_codewords(c))
+        assert _codeword_matrix(c, 2**12).tolist() == words
+        assert weight_distribution(c).counts == reference_distribution(words, c.n)
+
+
+def assert_kernel_matches_reference(q, n, k):
+    c = make_random_code(random.Random(q * 100 + n), q, n, k)
+    expected = reference_distribution(reference_codewords(c), n)
+    assert weight_distribution(c).counts == expected
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 20, 17), (3, 14, 11)])
+def test_kernel_matches_reference_with_split_message_digits(q, n, k):
+    assert q**k > _CHUNK  # more than one block: low and high digits split
+    assert_kernel_matches_reference(q, n, k)
+
+
+@pytest.mark.parametrize("q", [243, 256, 512])
+def test_kernel_matches_reference_at_dtype_boundary(q):
+    # uint8 entries up to GF(256), uint16 from GF(512)
+    assert_kernel_matches_reference(q, 3, 2)
 
 
 def test_budget_enforced():
