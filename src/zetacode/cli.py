@@ -6,9 +6,10 @@ Output is deterministic: rationals are rendered as exact "p/q" strings and
 every float is printed with 17 significant digits, so identical inputs
 produce byte-identical reports.
 
-Exit codes: 0 ok, 1 invalid input, 2 enumeration budget exceeded,
-3 internal invariant violation.  The environment variable ZETACODE_BUDGET
-overrides the default codeword budget; --budget overrides both.
+Exit codes: 0 ok, 1 invalid input (usage errors included), 2 enumeration
+budget exceeded, 3 internal invariant violation.  The environment variable
+ZETACODE_BUDGET overrides the default codeword budget; --budget overrides
+both.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class RunConfig:
                         f"ZETACODE_BUDGET is not an integer: {raw!r}"
                     ) from None
         return cls(budget=budget, tol=args.tol, format=args.format, out=args.out)
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _read_text(path: str) -> str:
@@ -126,18 +123,9 @@ def _cmd_dual(args, config: RunConfig) -> dict:
         "self_orthogonal": linear_code.is_self_orthogonal(code),
     }
     spec = code.spec
-    g_rows = code.gen.index_rows()
-    h_rows = dualc.gen.index_rows()
-    orthogonal = True
-    for u in g_rows:
-        for v in h_rows:
-            s = 0
-            for a, b in zip(u, v):
-                s = spec.add_idx(s, spec.mul_idx(a, b))
-            if s:
-                orthogonal = False
+    gram = linear_code._gram(spec, code.gen.array, dualc.gen.array)
     checks = [
-        _check("generator_times_dual_transpose_is_zero", orthogonal),
+        _check("generator_times_dual_transpose_is_zero", not gram.any()),
         _check("dual_dimension_is_n_minus_k", dualc.k == code.n - code.k),
     ]
     if not dualc.is_zero and code.spec.q ** dualc.k <= budget:
@@ -171,6 +159,11 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
             f"punctured {code.n - punctured.n} identically-zero coordinate(s)"
         )
         code = punctured
+    if code.k == code.n:
+        raise ValueError(
+            f"the zeta polynomial is undefined for the full space GF({code.spec.q})^{code.n}: "
+            "its dual is the zero code"
+        )
     summary, dist = _code_summary(code, budget)
     out.update(summary)
     q = code.spec.q
@@ -233,16 +226,7 @@ def _cmd_rh(args, config: RunConfig) -> dict:
         "command": "rh",
         "q": args.q,
         "coefficients": [str(c) for c in coeffs],
-        "rh": {
-            "holds": verdict.holds,
-            "tolerance": _fmt_float(verdict.tolerance),
-            "max_deviation": _fmt_float(verdict.max_deviation),
-            "roots": [
-                {"re": _fmt_float(z.real), "im": _fmt_float(z.imag)}
-                for z in verdict.roots
-            ],
-            "residuals": [_fmt_float(r) for r in verdict.residuals],
-        },
+        "rh": zeta.rh_payload(verdict),
         "checks": [_check("roots_on_circle", verdict.holds)],
     }
 
@@ -342,7 +326,7 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
         "curve": list((q,) + curve.coefficient_indices()),
         "rational_points": n1,
         "curve_zeta": list(cz.coeffs),
-        "curve_rh_max_deviation": _fmt_float(verdict.max_deviation),
+        "curve_rh_max_deviation": zeta._fmt_float(verdict.max_deviation),
         **summary,
     }
     if d == n - args.k:
@@ -355,6 +339,8 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
 def _cmd_curve_zeta(args, config: RunConfig) -> dict:
     cz = ag.zeta_from_point_counts(args.q, args.genus, args.counts)
     verdict = ag.curve_rh(cz, config.tol)
+    rh = zeta.rh_payload(verdict)
+    del rh["residuals"]  # not part of the curve-zeta report schema
     return {
         "schema": SCHEMA,
         "command": "curve-zeta",
@@ -362,15 +348,7 @@ def _cmd_curve_zeta(args, config: RunConfig) -> dict:
         "genus": args.genus,
         "counts": list(args.counts),
         "coefficients": list(cz.coeffs),
-        "rh": {
-            "holds": verdict.holds,
-            "tolerance": _fmt_float(verdict.tolerance),
-            "max_deviation": _fmt_float(verdict.max_deviation),
-            "roots": [
-                {"re": _fmt_float(z.real), "im": _fmt_float(z.imag)}
-                for z in verdict.roots
-            ],
-        },
+        "rh": rh,
         "checks": [
             _check("functional_equation", True),  # enforced by construction
             _check("roots_on_circle", verdict.holds),
@@ -412,8 +390,16 @@ def _emit(payload: dict, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid input), keeping 2 for the budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="zetacode",
         description="Exact weight-enumerator, zeta-polynomial and AG-code analyses.",
     )

@@ -223,7 +223,7 @@ class _Tables:
         gen = _find_generator(spec)
         order = q - 1
         exp = np.zeros(order, dtype=np.int32)
-        log = np.full(q, -1, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int32)
         x = 1
         for i in range(order):
             exp[i] = x
@@ -237,7 +237,7 @@ class _Tables:
         mul = exp[(log[:, None] + log[None, :]) % order]
         mul[0, :] = 0
         mul[:, 0] = 0
-        self.mul = mul.astype(np.int32)
+        self.mul = mul
 
         inv = np.zeros(q, dtype=np.int32)
         inv[exp] = exp[(order - np.arange(order)) % order]

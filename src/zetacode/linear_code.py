@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, FieldElement, FieldSpec
+from .gf import GF, FieldSpec
 
 DEFAULT_BUDGET = 2**24
 _CHUNK = 1 << 16
@@ -23,74 +23,74 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its codeword budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """A dense row-major matrix over one field."""
+    """A dense matrix over one field: a read-only (rows, cols) int64 array
+    of element indices."""
 
     spec: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple[FieldElement, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if e.spec != self.spec:
-                raise ValueError("matrix entry from a different field")
+        arr = np.array(self.array, dtype=np.int64)
+        if arr.ndim != 2:
+            raise ValueError(f"matrix needs a 2-D index array, got {arr.ndim}-D")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.spec.q):
+            raise ValueError(f"matrix index out of range for GF({self.spec.q})")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, rows_of_indices) -> "Matrix":
         rows = [list(r) for r in rows_of_indices]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(FieldElement(spec, int(v)) for r in rows for v in r)
-        return cls(spec, nrows, ncols, flat)
+        try:
+            arr = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        except OverflowError:
+            raise ValueError(f"matrix index out of range for GF({spec.q})") from None
+        return cls(spec, arr)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
 
     def index_rows(self) -> list[list[int]]:
-        return [
-            [self.entries[r * self.cols + c].index for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
-
-    def index_array(self) -> np.ndarray:
-        a = np.fromiter(
-            (e.index for e in self.entries), dtype=np.int64, count=len(self.entries)
-        )
-        return a.reshape(self.rows, self.cols)
+        return self.array.tolist()
 
 
 def rref(mat: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row-echelon form over GF(q); returns (rref, rank, pivot cols)."""
-    spec = mat.spec
-    rows = mat.index_rows()
-    nrows, ncols = mat.rows, mat.cols
+    """Reduced row-echelon form over GF(q); returns (rref, rank, pivot cols).
+
+    One pass per column: the first nonzero row at or below the current
+    rank is swapped up and scaled to a leading 1, and every other row with
+    a nonzero entry in the column subtracts its multiple, as table gathers
+    over whole rows."""
+    tab = mat.spec.tables
+    a = np.array(mat.array)
+    nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv_p = spec.inv_idx(rows[r][c])
-        if inv_p != 1:
-            rows[r] = [spec.mul_idx(inv_p, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [
-                    spec.sub_idx(vi, spec.mul_idx(f, vr))
-                    for vi, vr in zip(rows[i], rows[r])
-                ]
+        a[[r, r + below[0]]] = a[[r + below[0], r]]
+        a[r] = tab.mul[tab.inv[a[r, c]], a[r]]
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        # row_i - f_i row_r = row_i + (-f_i) row_r
+        a[others] = tab.add[a[others], tab.mul[tab.neg[a[others, c]][:, None], a[r]]]
         pivots.append(c)
         r += 1
-    return Matrix.from_indices(spec, rows), r, tuple(pivots)
+    return Matrix(mat.spec, a), r, tuple(pivots)
 
 
 class LinearCode:
@@ -122,7 +122,7 @@ class LinearCode:
     def zero(cls, spec: FieldSpec, n: int) -> "LinearCode":
         code = object.__new__(cls)
         code.spec = spec
-        code.gen = Matrix(spec, 0, n, ())
+        code.gen = Matrix(spec, np.zeros((0, n), dtype=np.int64))
         code.n = n
         code.k = 0
         code._rref = code.gen
@@ -179,7 +179,7 @@ def _codeword_blocks(code: LinearCode, budget: int):
         raise BudgetExceededError(f"q^k = {q**k} exceeds budget {budget}")
     tab = code.spec.tables
     dtype = np.min_scalar_type(q - 1)
-    G = code.gen.index_array()
+    G = code.gen.array
     mult = tab.mul[np.arange(q)[:, None, None], G[None, :, :]].astype(dtype)  # (q, k, n)
     if code.spec.p == 2:
         add = np.bitwise_xor
@@ -260,65 +260,63 @@ def genus(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """The dual code; the full space dualizes to the zero code and back."""
-    spec, n = code.spec, code.n
+    """The dual code; the full space dualizes to the zero code and back.
+
+    From the RREF [I | A] (up to column order) the dual is [-A^T | I]: one
+    row per free column, with a 1 there and -A^T on the pivot columns."""
+    spec, n, k = code.spec, code.n, code.k
     if code.is_zero:
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return LinearCode(Matrix.from_indices(spec, ident))
-    if code.k == n:
+        return LinearCode(Matrix(spec, np.eye(n, dtype=np.int64)))
+    if k == n:
         return LinearCode.zero(spec, n)
-    red = code._rref.index_rows()
-    pivots = code._pivots
-    free = [c for c in range(n) if c not in set(pivots)]
-    rows = []
-    for f in free:
-        h = [0] * n
-        h[f] = 1
-        for i, p in enumerate(pivots):
-            h[p] = spec.neg_idx(red[i][f])
-        rows.append(h)
-    return LinearCode(Matrix.from_indices(spec, rows))
+    pivots = list(code._pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    h = np.zeros((n - k, n), dtype=np.int64)
+    h[np.arange(n - k), free] = 1
+    h[:, pivots] = spec.tables.neg[code._rref.array[:, free]].T
+    return LinearCode(Matrix(spec, h))
 
 
 def is_degenerate(code: LinearCode) -> bool:
     """True when some coordinate is zero on every codeword."""
     _require_regular(code, "degeneracy")
-    return bool((code.gen.index_array() == 0).all(axis=0).any())
+    return not code.gen.array.any(axis=0).all()
 
 
 def puncture_degenerate(code: LinearCode) -> LinearCode:
     """Delete every identically-zero coordinate; no-op when there is none."""
     if code.is_zero:
         raise ValueError("cannot puncture the zero code")
-    arr = code.gen.index_array()
-    keep = [c for c in range(code.n) if arr[:, c].any()]
-    if len(keep) == code.n:
+    arr = code.gen.array
+    keep = arr.any(axis=0)
+    if keep.all():
         return code
-    if not keep:
+    if not keep.any():
         raise ValueError("cannot puncture a code with no nonzero coordinate")
-    rows = [[int(arr[r, c]) for c in keep] for r in range(code.k)]
-    return LinearCode(Matrix.from_indices(code.spec, rows))
+    return LinearCode(Matrix(code.spec, arr[:, keep]))
+
+
+def _gram(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product A B^T over GF(q) of two index arrays with equal column
+    counts: entry (i, j) is the inner product of row i of A and row j of B."""
+    tab = spec.tables
+    acc = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for c in range(a.shape[1]):
+        acc = tab.add[acc, tab.mul[a[:, c, None], b[None, :, c]]]
+    return acc
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
     _require_regular(code, "self-orthogonality")
-    spec = code.spec
-    rows = code.gen.index_rows()
-    for u in rows:
-        for v in rows:
-            s = 0
-            for a, b in zip(u, v):
-                s = spec.add_idx(s, spec.mul_idx(a, b))
-            if s != 0:
-                return False
-    return True
+    g = code.gen.array
+    return not _gram(code.spec, g, g).any()
 
 
 def is_self_dual(code: LinearCode) -> bool:
     _require_regular(code, "self-duality")
     if 2 * code.k != code.n:
         return False
-    return code._rref.index_rows() == dual(code)._rref.index_rows()
+    return np.array_equal(code._rref.array, dual(code)._rref.array)
 
 
 def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

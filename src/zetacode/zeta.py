@@ -359,6 +359,20 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def rh_payload(verdict: RhVerdict) -> dict:
+    """JSON-ready RH verdict, every float as a 17-digit string."""
+    return {
+        "holds": verdict.holds,
+        "tolerance": _fmt_float(verdict.tolerance),
+        "max_deviation": _fmt_float(verdict.max_deviation),
+        "roots": [
+            {"re": _fmt_float(z.real), "im": _fmt_float(z.imag)}
+            for z in verdict.roots
+        ],
+        "residuals": [_fmt_float(r) for r in verdict.residuals],
+    }
+
+
 def zeta_report(p: ZetaPolynomial, tol: float = 1e-8) -> dict:
     """JSON-ready summary: exact coefficients, parameters, and RH verdict."""
     verdict = riemann_hypothesis(p, tol)
@@ -373,14 +387,5 @@ def zeta_report(p: ZetaPolynomial, tol: float = 1e-8) -> dict:
         "g_dual": p.g_dual,
         "p_at_one": str(p.evaluate(1)),
         "p_at_one_is_one": p.evaluate(1) == 1,
-        "rh": {
-            "holds": verdict.holds,
-            "tolerance": _fmt_float(verdict.tolerance),
-            "max_deviation": _fmt_float(verdict.max_deviation),
-            "roots": [
-                {"re": _fmt_float(z.real), "im": _fmt_float(z.imag)}
-                for z in verdict.roots
-            ],
-            "residuals": [_fmt_float(r) for r in verdict.residuals],
-        },
+        "rh": rh_payload(verdict),
     }

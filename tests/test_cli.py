@@ -183,6 +183,26 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code", [(["wdist"], 1), (["mds", "4", "x", "3"], 1), (["frob"], 1), (["--help"], 0)]
+)
+def test_usage_errors_exit_invalid_input(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "usage: zetacode" in (captured.err if code else captured.out)
+
+
+def test_zeta_full_space_code_names_zero_dual(capsys, tmp_path):
+    p = tmp_path / "full.txt"
+    p.write_text("3 2 2\n1 0\n0 1\n")
+    rc, out, err = run_with_err(capsys, ["zeta", str(p)])
+    assert rc == 1 and out == ""
+    assert "undefined for the full space GF(3)^2" in err and "zero code" in err
+    assert "puncture" not in err
+
+
 def test_exit_code_missing_file(capsys):
     rc, _ = run(capsys, ["wdist", "/nonexistent/matrix.txt"])
     assert rc == 1

@@ -11,6 +11,7 @@ from zetacode.gf import (
     GF,
     FieldElement,
     _digits,
+    _raw_mul,
     add,
     elements,
     extension_field,
@@ -59,6 +60,18 @@ def test_add_and_neg_tables_are_digitwise(q):
     for a in range(q):
         assert (tab.add[a] == (dig[a] + dig) % p @ place).all()
     assert (tab.neg == (-dig) % p @ place).all()
+
+
+@pytest.mark.parametrize("q", [8, 9, 1024])
+def test_mul_table_matches_raw_product(q):
+    spec = GF(q)
+    mul = spec.tables.mul
+    assert mul.dtype == np.int32
+    rng = random.Random(q)
+    pairs = [(a, b) for a in (0, 1, q - 1) for b in range(q)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert mul[a, b] == _raw_mul(spec, a, b)
 
 
 def test_elements_order_and_identities():

@@ -3,6 +3,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from conftest import make_random_code
@@ -15,6 +18,7 @@ from zetacode.linear_code import (
     Matrix,
     WeightDistribution,
     _codeword_matrix,
+    _gram,
     distance_distribution,
     dual,
     format_matrix_text,
@@ -75,6 +79,84 @@ def test_rref_rank_deficient():
 def test_rref_tetra_rank():
     _, rank, _ = rref(Matrix.from_indices(F3, TETRA))
     assert rank == 2
+
+
+def reference_rref(spec, rows):
+    """Gauss-Jordan elimination row by row with FieldSpec index arithmetic:
+    (reduced rows, rank, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv_p = spec.inv_idx(rows[r][c])
+        rows[r] = [spec.mul_idx(inv_p, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [spec.sub_idx(vi, spec.mul_idx(f, vr)) for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, r, tuple(pivots)
+
+
+def assert_rref_matches_reference(spec, rows):
+    red, rank, pivots = rref(Matrix.from_indices(spec, rows))
+    assert (red.index_rows(), rank, pivots) == reference_rref(spec, rows)
+
+
+def test_rref_matches_reference_on_corpus(unit_corpus):
+    for c in unit_corpus:
+        assert_rref_matches_reference(c.spec, c.gen.index_rows())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
+def test_rref_matches_reference_on_random_matrices(q):
+    spec = GF(q)
+    rng = random.Random(q)
+    full_rank = 0
+    for _ in range(30):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 13)
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        assert_rref_matches_reference(spec, rows)
+        full_rank += rref(Matrix.from_indices(spec, rows))[1] == nrows
+        # rank-deficient: append row + f * (first row) for each row, zero out a column
+        combo = []
+        for row in rows:
+            f = rng.randrange(q)
+            combo.append([spec.add_idx(spec.mul_idx(f, a), b) for a, b in zip(rows[0], row)])
+        deficient = [[0] + row[1:] for row in rows + combo]
+        assert_rref_matches_reference(spec, deficient)
+        _, rank, _ = rref(Matrix.from_indices(spec, deficient))
+        assert rank < len(deficient)
+    assert full_rank >= 10
+
+
+def test_matrix_from_indices_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_indices(F2, [[1, 0], [1]])
+
+
+@pytest.mark.parametrize("bad", [2, -1, 2**70])
+def test_matrix_from_indices_rejects_out_of_range(bad):
+    with pytest.raises(ValueError, match="out of range"):
+        Matrix.from_indices(F2, [[1, 0], [0, bad]])
+
+
+def test_matrix_array_is_read_only():
+    rows = [[1, 0], [0, 1]]
+    m = Matrix.from_indices(F2, rows)
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.array = np.zeros((2, 2), dtype=np.int64)
+    assert (m.rows, m.cols) == (2, 2) and m.index_rows() == rows
 
 
 def test_dependent_generator_rows_rejected():
@@ -245,6 +327,19 @@ def test_hamming_dual_is_itself():
     assert is_self_dual(c)
     assert is_self_orthogonal(c)
     assert weight_distribution(dual(c)).counts == weight_distribution(c).counts
+
+
+def test_generator_times_dual_transpose(unit_corpus):
+    for c in unit_corpus:
+        dc = dual(c)
+        g, h = c.gen.array, dc.gen.array
+        gram = _gram(c.spec, g, h)
+        assert gram.shape == (c.k, c.n - c.k) and not gram.any()
+        # a nonzero entry in a pivot column of H moves it off the dual
+        perturbed = h.copy()
+        col = c._pivots[0]
+        perturbed[0, col] = c.spec.add_idx(int(h[0, col]), 1)
+        assert _gram(c.spec, g, perturbed).any()
 
 
 def test_dual_dual_row_space(unit_corpus):
