@@ -280,10 +280,6 @@ class Divisor:
                 return m
         return 0
 
-    @property
-    def is_effective(self) -> bool:
-        return all(m > 0 for _, m in self.entries)
-
 
 # -- curve zeta -----------------------------------------------------------
 
@@ -372,8 +368,8 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
     idx_v = []
     for v in multipliers:
         v = v.index if isinstance(v, FieldElement) else int(v)
-        if v == 0:
-            raise ValueError("zero column multiplier")
+        if not 0 < v < spec.q:
+            raise ValueError(f"column multiplier {v} is not a nonzero element of GF({spec.q})")
         idx_v.append(v)
     rows = [
         [spec.mul_idx(idx_v[j], spec.pow_idx(idx_alpha[j], i)) for j in range(n)]

@@ -43,12 +43,17 @@ class WeightEnumerator:
 
     ``coeffs[i]`` multiplies x^(n-i) y^i.  The optional ``q`` records the
     field order the enumerator is attached to; it is metadata and does not
-    participate in equality.
+    participate in equality.  ``_transforms`` holds the MacWilliams
+    substitutions computed so far, by field order (see
+    ``macwilliams_substitute``); it lives and dies with this enumerator.
     """
 
     n: int
     coeffs: tuple[Fraction, ...]
     q: int | None = field(default=None, compare=False)
+    _transforms: dict[int, "WeightEnumerator"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.coeffs) != self.n + 1:
@@ -118,9 +123,20 @@ def to_distribution(enum: WeightEnumerator) -> WeightDistribution:
 
 
 def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
-    """The unscaled substitution F(x + (q-1)y, x - y), expanded exactly."""
+    """The unscaled substitution F(x + (q-1)y, x - y), expanded exactly.
+
+    The expansion is kept on ``enum``, so every later call with the same
+    enumerator and q returns the same object without recomputing it.
+    """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    sub = enum._transforms.get(q)
+    if sub is None:
+        sub = enum._transforms[q] = _substitute(enum, q)
+    return sub
+
+
+def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     n = enum.n
     out = [_F0] * (n + 1)
     for i, fi in enumerate(enum.coeffs):

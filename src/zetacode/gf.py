@@ -34,21 +34,6 @@ _SPEC_CACHE: dict[tuple, "FieldSpec"] = {}
 _TABLE_CACHE: dict[tuple, "_Tables"] = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^m with p prime; raise ValueError otherwise."""
     if q < 2:
@@ -143,10 +128,6 @@ class FieldSpec:
     def elements(self) -> tuple["FieldElement", ...]:
         """All q elements in index order (deterministic, no duplicates)."""
         return tuple(FieldElement(self, i) for i in range(self.q))
-
-    def from_int(self, n: int) -> "FieldElement":
-        """The image of the integer n in the prime subfield."""
-        return FieldElement(self, n % self.p)
 
     # -- index arithmetic ------------------------------------------------
 

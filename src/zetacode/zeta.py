@@ -158,21 +158,12 @@ def zeta_from_mds_basis(
     return _finish(enum, q, d, d_dual, k, a)
 
 
-_CHINEN_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
-
-
 def _chinen_matrix(n: int, d: int, q: int) -> list[list[int]]:
     """Integer coefficients b[j][l] of the triangular moment system.
 
     b_{j,l} = sum_{i=l}^{j} (1 + q + ... + q^(j-i)) (-1)^(i-l) C(n,i) C(i,l)
-    for 0 <= l <= j <= n - d; the diagonal entries are C(n, l).  The matrix
-    depends only on (n, d, q), so it is cached; concurrent rebuilds insert
-    the same value.
+    for 0 <= l <= j <= n - d; the diagonal entries are C(n, l).
     """
-    key = (n, d, q)
-    cached = _CHINEN_CACHE.get(key)
-    if cached is not None:
-        return cached
     size = n - d + 1
     b = [[0] * size for _ in range(size)]
     for j in range(size):
@@ -182,7 +173,6 @@ def _chinen_matrix(n: int, d: int, q: int) -> list[list[int]]:
                 geom = (q ** (j - i + 1) - 1) // (q - 1)
                 s += geom * (-1) ** (i - l) * comb(n, i) * comb(i, l)
             b[j][l] = s
-    _CHINEN_CACHE[key] = b
     return b
 
 
@@ -262,17 +252,28 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
     ``coeffs`` is the ascending coefficient sequence (exact rationals or
     ints); a degree-0 polynomial holds vacuously.  Roots come from the
     eigenvalues of the companion matrix of the monic normalization, each
-    polished by one Newton step.
+    polished by one Newton step.  A coefficient, or its ratio to the
+    leading one, that a float cannot hold is a ValueError naming it.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    c = [float(x) for x in coeffs]
+    c = []
+    for j, x in enumerate(coeffs):
+        try:
+            c.append(float(x))
+        except OverflowError:
+            raise ValueError(f"the coefficient of T^{j} is outside float range") from None
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
     r = len(c) - 1
     if r == 0:
         return RhVerdict(True, (), 0.0, tol, ())
     monic = [ci / c[-1] for ci in c]  # ascending, monic[-1] == 1
+    for j, m in enumerate(monic):
+        if math.isinf(m):
+            raise ValueError(
+                f"the coefficient of T^{j} divided by the leading one is outside float range"
+            )
     companion = np.zeros((r, r), dtype=float)
     companion[0, :] = [-monic[r - 1 - j] for j in range(r)]
     for i in range(1, r):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zetacode import enumerator
 from zetacode.gf import GF
 from zetacode.linear_code import LinearCode, Matrix
 
@@ -40,3 +41,18 @@ def build_corpus(seed: int, per_q: int, max_words: int) -> list[LinearCode]:
 @pytest.fixture(scope="session")
 def unit_corpus() -> list[LinearCode]:
     return build_corpus(seed=7, per_q=6, max_words=2**12)
+
+
+@pytest.fixture()
+def transform_log(monkeypatch) -> list[tuple]:
+    """(coefficients, q) of every MacWilliams substitution actually expanded,
+    as opposed to one returned from the copy kept on its enumerator."""
+    log = []
+    expand = enumerator._substitute
+
+    def counted(enum, q):
+        log.append((enum.coeffs, q))
+        return expand(enum, q)
+
+    monkeypatch.setattr(enumerator, "_substitute", counted)
+    return log

@@ -184,3 +184,19 @@ def test_classification_report_fields():
     rep12 = classification_report(w12(), 2)
     assert rep12["formal_weight_enumerator"] is True
     assert rep12["formal"]["anti_functional_equation"] is True
+
+
+@pytest.mark.parametrize(
+    "enum, q, expected",
+    [
+        (w8() * w12(), 2, 1),  # formal: classify, formal checks, zeta share one
+        (w8(), 2, 1),  # type II with 4-divisible support
+        (WeightEnumerator(4, (1, 0, 0, 8, 0), q=3), 3, 1),  # tetracode, type III
+        # 4-divisible support read over GF(3): one transform at q = 3, one at 2
+        (w8(), 3, 2),
+    ],
+)
+def test_classification_report_expands_each_transform_once(transform_log, enum, q, expected):
+    classification_report(enum, q)
+    assert len(transform_log) == expected
+    assert len(set(transform_log)) == expected

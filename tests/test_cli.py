@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from zetacode import enumerator
 from zetacode.cli import main
 
 HAMMING8 = "2 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n"
@@ -102,6 +104,76 @@ def test_classify_command(capsys, tmp_path):
     payload = run_json(capsys, ["classify", str(p), "2"])
     assert payload["type"] == "II"
     assert payload["extremal"] is True
+
+
+@pytest.mark.parametrize(
+    "text, checks",
+    [
+        (W8_ENUM, ["type_conditions_consistent", "divisibility_matches_type"]),
+        # w8 * w12, a formal enumerator of type none
+        ("20 1 0 0 0 -19 0 0 0 -494 0 0 0 -494 0 0 0 -19 0 0 0 1\n",
+         ["type_conditions_consistent"]),
+    ],
+)
+def test_classify_command_checks_and_transform_count(
+    capsys, tmp_path, transform_log, text, checks
+):
+    p = tmp_path / "enum.txt"
+    p.write_text(text)
+    payload = run_json(capsys, ["classify", str(p), "2"])
+    assert [c["name"] for c in payload["checks"]] == checks
+    assert all(c["passed"] for c in payload["checks"])
+    assert len(transform_log) == 1
+    # a repeated command in one process pays what a fresh process pays
+    assert run_json(capsys, ["classify", str(p), "2"]) == payload
+    assert len(transform_log) == 2
+
+
+def test_zeta_expands_two_transforms(capsys, hamming_file, transform_log):
+    payload = run_json(capsys, ["zeta", hamming_file])
+    assert all(c["passed"] for c in payload["checks"])
+    # one for the code's enumerator, one for the dual's
+    assert len(transform_log) == 2
+
+
+def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
+    exact = enumerator.macwilliams_dual
+
+    def off_by_half(enum, q, k):
+        out = exact(enum, q, k)
+        coeffs = list(out.coeffs)
+        coeffs[4] += Fraction(1, 2)  # 29/2 must not pass for 14
+        return enumerator.WeightEnumerator(out.n, tuple(coeffs), q=q)
+
+    monkeypatch.setattr(enumerator, "macwilliams_dual", off_by_half)
+    payload = run_json(capsys, ["dual", hamming_file])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["macwilliams_transform_matches_dual_distribution"] is False
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        (["1", "1e400"], "the coefficient of T^1 is outside float range"),
+        (["1e400", "1"], "the coefficient of T^0 is outside float range"),
+        (["1", "0", "0", "0", "1e-320"],
+         "the coefficient of T^0 divided by the leading one is outside float range"),
+    ],
+)
+def test_rh_coefficient_beyond_float_range(capsys, coeffs, message):
+    rc, out, err = run_with_err(capsys, ["rh", "--q", "2", *coeffs])
+    assert rc == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("multipliers", ["7,1,1,1,1", "-1,1,1,1,1", "0,1,1,1,1"])
+def test_grs_multiplier_out_of_range(capsys, multipliers):
+    rc, out, err = run_with_err(
+        capsys, ["grs", "--q", "5", "--k", "2", f"--multipliers={multipliers}"]
+    )
+    bad = multipliers.split(",")[0]
+    assert rc == 1 and out == ""
+    assert f"column multiplier {bad} is not a nonzero element of GF(5)" in err
 
 
 def test_mds_command(capsys):

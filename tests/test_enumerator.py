@@ -11,6 +11,7 @@ from zetacode.enumerator import (
     from_distribution,
     is_virtually_self_dual,
     macwilliams_dual,
+    macwilliams_substitute,
     mds_enumerator,
     parse_enumerator_text,
     solve_macwilliams,
@@ -95,6 +96,36 @@ def test_negative_coefficients_flagged_not_rejected():
     virtual = enum(2, (1, 3, 0), q=2)
     out = macwilliams_dual(virtual, 2, 1)
     assert out.has_negative
+
+
+def test_transform_is_kept_per_enumerator_and_q(transform_log):
+    e = enum(4, (1, 0, 0, 8, 0), q=3)
+    assert macwilliams_substitute(e, 3) is macwilliams_substitute(e, 3)
+    assert macwilliams_dual(e, 3, 2).coeffs == e.coeffs
+    assert is_virtually_self_dual(e, 3)
+    assert len(transform_log) == 1
+    macwilliams_substitute(e, 2)
+    assert transform_log == [(e.coeffs, 3), (e.coeffs, 2)]
+
+
+def test_equal_enumerators_do_not_share_transforms(transform_log):
+    a = enum(4, (1, 0, 0, 8, 0), q=3)
+    b = enum(4, (1, 0, 0, 8, 0), q=3)
+    sub_a, sub_b = macwilliams_substitute(a, 3), macwilliams_substitute(b, 3)
+    assert sub_a == sub_b and sub_a is not sub_b
+    assert len(transform_log) == 2
+
+
+def test_kept_transform_leaves_equality_hash_and_repr_alone():
+    a = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1), q=2)
+    b = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1), q=2)
+    before = (hash(a), repr(a))
+    macwilliams_substitute(a, 2)
+    macwilliams_substitute(a, 3)
+    assert (hash(a), repr(a)) == before
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_transforms" not in repr(a)
+    assert a != enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 2), q=2)
 
 
 # -- virtual self-duality --------------------------------------------------------

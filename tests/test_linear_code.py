@@ -348,6 +348,27 @@ def test_dual_dual_row_space(unit_corpus):
         assert dd.rref_matrix().index_rows() == c.rref_matrix().index_rows()
 
 
+# a Euclidean self-dual [6,3,3] code over GF(4)
+GF4_SELF_DUAL = [[1, 0, 0, 0, 2, 3], [0, 1, 0, 2, 2, 1], [0, 0, 1, 3, 1, 3]]
+
+
+def reference_is_self_dual(c: LinearCode) -> bool:
+    """The code and its dual have the same reduced generator matrix."""
+    return 2 * c.k == c.n and np.array_equal(c._rref.array, dual(c)._rref.array)
+
+
+def test_is_self_dual_matches_rref_reference(unit_corpus):
+    known = [code(2, HAMMING8), code(3, TETRA), code(4, GF4_SELF_DUAL), code(2, I2)]
+    for c in known:
+        assert is_self_dual(c) and reference_is_self_dual(c)
+    # [n, n/2] codes that are not self-orthogonal, and self-orthogonal
+    # codes of the wrong dimension
+    near = [code(2, FSD10), code(2, [[1, 1, 0, 0]]), code(3, [[1, 1, 1, 0, 0, 0]])]
+    for c in list(unit_corpus) + near:
+        assert is_self_dual(c) == reference_is_self_dual(c)
+    assert not any(is_self_dual(c) for c in near)
+
+
 def test_pairwise_self_dual_example():
     c = code(2, [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert is_self_dual(c)
