@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for weight enumerators, code zeta polynomials,
 and algebraic-geometry codes of genus 0 and 1."""
 
-from .gf import GF, FieldElement, FieldSpec
+from .gf import GF, FieldSpec
 from .linear_code import (
     BudgetExceededError,
     LinearCode,
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF",
-    "FieldElement",
     "FieldSpec",
     "BudgetExceededError",
     "LinearCode",

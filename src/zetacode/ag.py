@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import GF, FieldElement, FieldSpec, extension_field
+from .gf import GF, FieldSpec, extension_field
 from .linear_code import (
     BudgetExceededError,
     LinearCode,
@@ -35,21 +35,25 @@ DEFAULT_FIBER_BUDGET = 10**6
 
 
 # -- points and curves ----------------------------------------------------
+#
+# Coordinates and coefficients are field element indices (plain ints).
+# The group law runs on index pairs (x, y), with None for the point at
+# infinity; the public functions check curve membership once, at entry.
 
 
 @dataclass(frozen=True)
 class CurvePoint:
     """A rational point: affine (x, y) or the distinguished point at infinity."""
 
-    x: FieldElement | None
-    y: FieldElement | None
+    x: int | None
+    y: int | None
 
     @classmethod
     def infinity(cls) -> "CurvePoint":
         return cls(None, None)
 
     @classmethod
-    def affine(cls, x: FieldElement, y: FieldElement) -> "CurvePoint":
+    def affine(cls, x: int, y: int) -> "CurvePoint":
         if x is None or y is None:
             raise ValueError("affine points need both coordinates")
         return cls(x, y)
@@ -61,19 +65,19 @@ class CurvePoint:
     def sort_key(self) -> tuple[int, int, int]:
         if self.is_infinity:
             return (0, 0, 0)
-        return (1, self.x.index, self.y.index)
+        return (1, self.x, self.y)
 
     def __str__(self) -> str:
         if self.is_infinity:
             return "O"
-        return f"{self.x.index},{self.y.index}"
+        return f"{self.x},{self.y}"
 
 
 @dataclass(frozen=True)
 class LinePoint:
     """A rational point of the projective line: an x value or infinity."""
 
-    x: FieldElement | None
+    x: int | None
 
     @classmethod
     def infinity(cls) -> "LinePoint":
@@ -84,10 +88,14 @@ class LinePoint:
         return self.x is None
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (0, 0, 0) if self.is_infinity else (1, self.x.index, 0)
+        return (0, 0, 0) if self.is_infinity else (1, self.x, 0)
 
     def __str__(self) -> str:
-        return "O" if self.is_infinity else str(self.x.index)
+        return "O" if self.is_infinity else str(self.x)
+
+
+def _in_field(spec: FieldSpec, *indices) -> bool:
+    return all(isinstance(i, int) and 0 <= i < spec.q for i in indices)
 
 
 @dataclass(frozen=True)
@@ -95,30 +103,29 @@ class EllipticCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, nonsingular."""
 
     spec: FieldSpec
-    a1: FieldElement
-    a2: FieldElement
-    a3: FieldElement
-    a4: FieldElement
-    a6: FieldElement
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
 
     def __post_init__(self):
-        for a in (self.a1, self.a2, self.a3, self.a4, self.a6):
-            if a.spec != self.spec:
-                raise ValueError("curve coefficient from a different field")
-        if self.discriminant().is_zero:
+        if not _in_field(self.spec, *self.coefficient_indices()):
+            raise ValueError(f"curve coefficient out of range for GF({self.spec.q})")
+        if self.discriminant() == 0:
             raise ValueError("singular curve: discriminant is zero")
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, coeffs) -> "EllipticCurve":
-        a1, a2, a3, a4, a6 = (spec.element(int(c)) for c in coeffs)
+        a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
         return cls(spec, a1, a2, a3, a4, a6)
 
     def coefficient_indices(self) -> tuple[int, int, int, int, int]:
-        return (self.a1.index, self.a2.index, self.a3.index, self.a4.index, self.a6.index)
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def discriminant(self) -> FieldElement:
+    def discriminant(self) -> int:
         s = self.spec
-        a1, a2, a3, a4, a6 = (a.index for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        a1, a2, a3, a4, a6 = self.coefficient_indices()
         mul, addi, sub, im = s.mul_idx, s.add_idx, s.sub_idx, s.int_mul_idx
         b2 = addi(mul(a1, a1), im(4, a2))
         b4 = addi(im(2, a4), mul(a1, a3))
@@ -130,20 +137,25 @@ class EllipticCurve:
             ),
             addi(mul(a1, mul(a3, a4)), mul(a4, a4)),
         )
-        disc = sub(
-            addi(im(9, mul(b2, mul(b4, b6))), 0),
+        return sub(
+            im(9, mul(b2, mul(b4, b6))),
             addi(
                 addi(mul(mul(b2, b2), b8), im(8, mul(b4, mul(b4, b4)))),
                 im(27, mul(b6, b6)),
             ),
         )
-        return s.element(disc)
 
-    def contains(self, point: CurvePoint) -> bool:
+    def contains(self, point) -> bool:
+        """Whether ``point`` is a CurvePoint of this curve, with coordinates
+        in range (numpy would read an index -1 as q - 1)."""
+        if not isinstance(point, CurvePoint):
+            return False
         if point.is_infinity:
             return True
         s = self.spec
-        x, y = point.x.index, point.y.index
+        x, y = point.x, point.y
+        if not _in_field(s, x, y):
+            return False
         a1, a2, a3, a4, a6 = self.coefficient_indices()
         lhs = s.add_idx(s.mul_idx(y, y), s.add_idx(s.mul_idx(s.mul_idx(a1, x), y), s.mul_idx(a3, y)))
         x2 = s.mul_idx(x, x)
@@ -171,65 +183,100 @@ def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
 
 def points(curve: EllipticCurve) -> list[CurvePoint]:
     """All rational points: infinity first, then affine points in lex order."""
-    spec = curve.spec
-    out = [CurvePoint.infinity()]
-    for x, y in _affine_point_indices(spec, curve.coefficient_indices()):
-        out.append(CurvePoint.affine(spec.element(x), spec.element(y)))
-    return out
+    pairs = _affine_point_indices(curve.spec, curve.coefficient_indices())
+    return [CurvePoint.infinity()] + [CurvePoint(x, y) for x, y in pairs]
+
+
+def _pair(point: CurvePoint) -> tuple[int, int] | None:
+    return None if point.is_infinity else (point.x, point.y)
+
+
+def _point(pair: tuple[int, int] | None) -> CurvePoint:
+    return CurvePoint.infinity() if pair is None else CurvePoint(*pair)
+
+
+def _require_on_curve(curve, point) -> None:
+    if not curve.contains(point):
+        raise ValueError(f"point {point} is not on the curve")
+
+
+def _negate(curve: EllipticCurve, pair):
+    if pair is None:
+        return None
+    s = curve.spec
+    x, y = pair
+    return (x, s.neg_idx(s.add_idx(y, s.add_idx(s.mul_idx(curve.a1, x), curve.a3))))
+
+
+def _group_law(curve: EllipticCurve):
+    """Chord-and-tangent addition on index pairs, None being the identity.
+
+    The field tables are read once, here; the returned function checks
+    nothing, so its arguments must be points of ``curve``.
+    """
+    s = curve.spec
+    tab = s.tables
+    add, neg, mul, inv = tab.add.item, tab.neg.item, tab.mul.item, tab.inv.item
+    two, three = 2 % s.p, 3 % s.p
+    a1, a2, a3, a4, a6 = curve.coefficient_indices()
+
+    def sub(a, b):
+        return add(a, neg(b))
+
+    def plus(p1, p2):
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        x1, y1 = p1
+        x2, y2 = p2
+        if x1 == x2:
+            if y2 == neg(add(y1, add(mul(a1, x1), a3))):
+                return None
+            # doubling; the tangent is not vertical, so den != 0
+            den = inv(add(mul(two, y1), add(mul(a1, x1), a3)))
+            xx = mul(x1, x1)
+            lam = mul(sub(add(mul(three, xx), add(mul(two, mul(a2, x1)), a4)), mul(a1, y1)), den)
+            nu = mul(sub(add(mul(a4, x1), mul(two, a6)), add(mul(xx, x1), mul(a3, y1))), den)
+        else:
+            dx = inv(sub(x2, x1))
+            lam = mul(sub(y2, y1), dx)
+            nu = mul(sub(mul(y1, x2), mul(y2, x1)), dx)
+        x3 = sub(sub(add(mul(lam, lam), mul(a1, lam)), a2), add(x1, x2))
+        return (x3, neg(add(add(mul(add(lam, a1), x3), nu), a3)))
+
+    return plus
+
+
+def _multiple(curve: EllipticCurve, plus, m: int, pair):
+    """m * pair by double-and-add with ``plus``, the group law of ``curve``."""
+    if m < 0:
+        m, pair = -m, _negate(curve, pair)
+    acc = None
+    while m:
+        if m & 1:
+            acc = plus(acc, pair)
+        m >>= 1
+        if m:
+            pair = plus(pair, pair)
+    return acc
 
 
 def negate_point(curve: EllipticCurve, point: CurvePoint) -> CurvePoint:
-    if point.is_infinity:
-        return point
-    s = curve.spec
-    x, y = point.x.index, point.y.index
-    a1, _, a3, _, _ = curve.coefficient_indices()
-    ny = s.neg_idx(s.add_idx(y, s.add_idx(s.mul_idx(a1, x), a3)))
-    return CurvePoint.affine(s.element(x), s.element(ny))
+    _require_on_curve(curve, point)
+    return _point(_negate(curve, _pair(point)))
 
 
 def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     """Chord-and-tangent addition with identity at infinity."""
-    if not curve.contains(p1) or not curve.contains(p2):
-        raise ValueError("point is not on the curve")
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    s = curve.spec
-    a1, a2, a3, a4, a6 = curve.coefficient_indices()
-    x1, y1 = p1.x.index, p1.y.index
-    x2, y2 = p2.x.index, p2.y.index
-    mul, addi, sub, im = s.mul_idx, s.add_idx, s.sub_idx, s.int_mul_idx
-    if x1 == x2 and y2 == s.neg_idx(addi(y1, addi(mul(a1, x1), a3))):
-        return CurvePoint.infinity()
-    if x1 == x2 and y1 == y2:
-        den = addi(im(2, y1), addi(mul(a1, x1), a3))
-        num_l = sub(addi(im(3, mul(x1, x1)), addi(im(2, mul(a2, x1)), a4)), mul(a1, y1))
-        lam = s.div_idx(num_l, den)
-        num_n = sub(addi(mul(a4, x1), im(2, a6)), addi(mul(mul(x1, x1), x1), mul(a3, y1)))
-        nu = s.div_idx(num_n, den)
-    else:
-        dx = sub(x2, x1)
-        lam = s.div_idx(sub(y2, y1), dx)
-        nu = s.div_idx(sub(mul(y1, x2), mul(y2, x1)), dx)
-    x3 = sub(sub(addi(mul(lam, lam), mul(a1, lam)), a2), addi(x1, x2))
-    y3 = s.neg_idx(addi(addi(mul(addi(lam, a1), x3), nu), a3))
-    return CurvePoint.affine(s.element(x3), s.element(y3))
+    _require_on_curve(curve, p1)
+    _require_on_curve(curve, p2)
+    return _point(_group_law(curve)(_pair(p1), _pair(p2)))
 
 
 def scalar_point_mul(curve: EllipticCurve, m: int, point: CurvePoint) -> CurvePoint:
-    if m < 0:
-        return scalar_point_mul(curve, -m, negate_point(curve, point))
-    acc = CurvePoint.infinity()
-    base = point
-    while m:
-        if m & 1:
-            acc = add_points(curve, acc, base)
-        m >>= 1
-        if m:
-            base = add_points(curve, base, base)
-    return acc
+    _require_on_curve(curve, point)
+    return _point(_multiple(curve, _group_law(curve), m, _pair(point)))
 
 
 @dataclass(frozen=True)
@@ -239,9 +286,12 @@ class ProjectiveLine:
     spec: FieldSpec
 
     def points(self) -> list[LinePoint]:
-        out = [LinePoint.infinity()]
-        out.extend(LinePoint(e) for e in self.spec.elements())
-        return out
+        return [LinePoint.infinity()] + [LinePoint(x) for x in range(self.spec.q)]
+
+    def contains(self, point) -> bool:
+        return isinstance(point, LinePoint) and (
+            point.is_infinity or _in_field(self.spec, point.x)
+        )
 
 
 # -- divisors -------------------------------------------------------------
@@ -340,6 +390,12 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
     return CurveZeta(q, g, tuple(out))
 
 
+def within_hasse_bound(q: int, n1: int) -> bool:
+    """|N_1 - q - 1| <= 2 sqrt(q) for a genus-1 curve, tested exactly as
+    (N_1 - q - 1)^2 <= 4q."""
+    return (n1 - q - 1) ** 2 <= 4 * q
+
+
 def curve_rh(z: CurveZeta, tol: float = 1e-8) -> RhVerdict:
     """Root-circle check |T| = 1/sqrt(q) for the zeta numerator."""
     return roots_on_circle_verdict(z.coeffs, z.q, tol)
@@ -359,7 +415,7 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
         raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
     idx_alpha = []
     for a in alphas:
-        a = a.index if isinstance(a, FieldElement) else int(a)
+        a = int(a)
         if not 0 <= a < spec.q:
             raise ValueError(f"evaluation point {a} out of range for GF({spec.q})")
         idx_alpha.append(a)
@@ -367,7 +423,7 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
         raise ValueError("repeated evaluation points")
     idx_v = []
     for v in multipliers:
-        v = v.index if isinstance(v, FieldElement) else int(v)
+        v = int(v)
         if not 0 < v < spec.q:
             raise ValueError(f"column multiplier {v} is not a nonzero element of GF({spec.q})")
         idx_v.append(v)
@@ -421,7 +477,7 @@ def elliptic_code(
     rows = []
     for i, j in one_point_basis(k):
         row = [
-            spec.mul_idx(spec.pow_idx(p.x.index, i), spec.pow_idx(p.y.index, j))
+            spec.mul_idx(spec.pow_idx(p.x, i), spec.pow_idx(p.y, j))
             for p in eval_points
         ]
         rows.append(row)
@@ -511,74 +567,57 @@ class Place:
     class_point: object | None
 
 
+def _orbits(q: int, r: int, ext: FieldSpec, pts):
+    """The Frobenius orbits of exactly r points among ``pts``, index tuples
+    over ext = GF(q^r) closed under x -> x^q coordinate-wise.  A shorter
+    orbit is defined over a proper subfield and counted at its own degree."""
+    frob = [ext.pow_idx(i, q) for i in range(ext.q)]
+    seen: set[tuple] = set()
+    for pt in pts:
+        if pt in seen:
+            continue
+        orbit = [pt]
+        nxt = tuple(frob[c] for c in pt)
+        while nxt != pt:
+            orbit.append(nxt)
+            nxt = tuple(frob[c] for c in nxt)
+        seen.update(orbit)
+        if len(orbit) == r:
+            yield orbit
+
+
 def _elliptic_places(curve: EllipticCurve, max_degree: int) -> list[Place]:
     spec = curve.spec
-    q = spec.q
-    out = [
-        Place(1, (1,) + p.sort_key(), p, p)
-        for p in points(curve)
-    ]
+    out = [Place(1, (1,) + p.sort_key(), p, p) for p in points(curve)]
     for r in range(2, max_degree + 1):
         ext, embed = extension_field(spec, r)
         inv_embed = {e: i for i, e in enumerate(embed)}
         ext_curve = EllipticCurve.from_indices(
             ext, [embed[c] for c in curve.coefficient_indices()]
         )
-        frob = {i: ext.pow_idx(i, q) for i in range(ext.q)}
-        seen: set[tuple[int, int]] = set()
-        for x, y in _affine_point_indices(ext, ext_curve.coefficient_indices()):
-            if (x, y) in seen:
-                continue
-            orbit = [(x, y)]
-            cx, cy = frob[x], frob[y]
-            while (cx, cy) != (x, y):
-                orbit.append((cx, cy))
-                cx, cy = frob[cx], frob[cy]
+        plus = _group_law(ext_curve)
+        ext_points = _affine_point_indices(ext, ext_curve.coefficient_indices())
+        for orbit in _orbits(spec.q, r, ext, ext_points):
+            acc = None
             for pt in orbit:
-                seen.add(pt)
-            if len(orbit) != r:
-                continue  # defined over a proper subfield; counted at its degree
-            acc = CurvePoint.infinity()
-            for ox, oy in orbit:
-                acc = add_points(
-                    ext_curve,
-                    acc,
-                    CurvePoint.affine(ext.element(ox), ext.element(oy)),
-                )
-            if acc.is_infinity:
-                cls = CurvePoint.infinity()
-            else:
-                bx = inv_embed.get(acc.x.index)
-                by = inv_embed.get(acc.y.index)
-                if bx is None or by is None:
+                acc = plus(acc, pt)
+            if acc is not None:
+                acc = (inv_embed.get(acc[0]), inv_embed.get(acc[1]))
+                if None in acc:
                     raise RuntimeError("orbit sum not fixed by Frobenius")
-                cls = CurvePoint.affine(spec.element(bx), spec.element(by))
             rep = min(orbit)
-            out.append(Place(r, (r, 1, rep[0], rep[1]), None, cls))
+            out.append(Place(r, (r, 1, rep[0], rep[1]), None, _point(acc)))
     out.sort(key=lambda pl: pl.key)
     return out
 
 
 def _line_places(line: ProjectiveLine, max_degree: int) -> list[Place]:
     spec = line.spec
-    q = spec.q
     out = [Place(1, (1,) + p.sort_key(), p, None) for p in line.points()]
     for r in range(2, max_degree + 1):
         ext, _ = extension_field(spec, r)
-        frob = {i: ext.pow_idx(i, q) for i in range(ext.q)}
-        seen: set[int] = set()
-        for x in range(ext.q):
-            if x in seen:
-                continue
-            orbit = [x]
-            cx = frob[x]
-            while cx != x:
-                orbit.append(cx)
-                cx = frob[cx]
-            seen.update(orbit)
-            if len(orbit) != r:
-                continue
-            out.append(Place(r, (r, 1, min(orbit), 0), None, None))
+        for orbit in _orbits(spec.q, r, ext, ((x,) for x in range(ext.q))):
+            out.append(Place(r, (r, 1, min(orbit)[0], 0), None, None))
     out.sort(key=lambda pl: pl.key)
     return out
 
@@ -594,15 +633,6 @@ def places_up_to(curve, max_degree: int) -> list[Place]:
     raise TypeError(f"unsupported curve type {type(curve).__name__}")
 
 
-def _divisor_class_point(curve: EllipticCurve, div: Divisor) -> CurvePoint:
-    acc = CurvePoint.infinity()
-    for point, mult in div.entries:
-        if not isinstance(point, CurvePoint):
-            raise TypeError("elliptic divisors must be supported on curve points")
-        acc = add_points(curve, acc, scalar_point_mul(curve, mult, point))
-    return acc
-
-
 def fiber_counts(
     curve, G: Divisor, D_points, budget: int = DEFAULT_FIBER_BUDGET
 ) -> tuple[int, ...]:
@@ -612,21 +642,30 @@ def fiber_counts(
     equivalent to G whose support meets D in exactly i places.  Genus 1
     tests equivalence through the group structure of the rational points;
     on the projective line every divisor class of one degree coincides.
+    Every point of G and D must lie on ``curve``.
     """
     delta = G.degree
     if delta < 0:
         raise ValueError(f"divisor degree must be nonnegative, got {delta}")
-    if isinstance(curve, EllipticCurve):
-        genus1 = True
-        target = _divisor_class_point(curve, G)
-    elif isinstance(curve, ProjectiveLine):
-        genus1 = False
-        target = None
-    else:
+    if not isinstance(curve, (EllipticCurve, ProjectiveLine)):
         raise TypeError(f"unsupported curve type {type(curve).__name__}")
-    q = curve.spec.q
-    place_list = places_up_to(curve, delta)
+    D_points = tuple(D_points)
+    for point in G.support + D_points:
+        _require_on_curve(curve, point)
     d_set = set(D_points)
+    plus = target = None
+    if isinstance(curve, EllipticCurve):
+        plus = _group_law(curve)
+        for point, mult in G.entries:
+            target = plus(target, _multiple(curve, plus, mult, _pair(point)))
+    place_list = [
+        (
+            pl.degree,
+            int(pl.degree == 1 and pl.rational_point in d_set),
+            None if plus is None else _pair(pl.class_point),
+        )
+        for pl in places_up_to(curve, delta)
+    ]
     hist = [0] * (delta + 1)
     visited = 0
 
@@ -638,22 +677,20 @@ def fiber_counts(
                 raise BudgetExceededError(
                     f"effective-divisor enumeration exceeded budget {budget}"
                 )
-            if not genus1 or cls == target:
+            if cls == target:
                 hist[in_d] += 1
             return
         if idx == len(place_list):
             return
-        pl = place_list[idx]
+        degree, hit, step = place_list[idx]
         rec(idx + 1, remaining, cls, in_d)
-        hit = 1 if (pl.degree == 1 and pl.rational_point in d_set) else 0
-        cur = cls
-        for m in range(1, remaining // pl.degree + 1):
-            if genus1:
-                cur = add_points(curve, cur, pl.class_point)
-            rec(idx + 1, remaining - m * pl.degree, cur, in_d + hit)
+        for m in range(1, remaining // degree + 1):
+            if plus is not None:
+                cls = plus(cls, step)
+            rec(idx + 1, remaining - m * degree, cls, in_d + hit)
 
-    rec(0, delta, CurvePoint.infinity() if genus1 else None, 0)
-    return tuple((q - 1) * h for h in hist)
+    rec(0, delta, None, 0)
+    return tuple((curve.spec.q - 1) * h for h in hist)
 
 
 def fiber_count(
@@ -767,7 +804,7 @@ def parse_divisor_text(curve: EllipticCurve, text: str) -> Divisor:
                 raise ValueError(f"line {ln}: non-integer coordinate in {pt_tok!r}") from None
             if not (0 <= xi < spec.q and 0 <= yi < spec.q):
                 raise ValueError(f"line {ln}: coordinate out of range for GF({spec.q})")
-            point = CurvePoint.affine(spec.element(xi), spec.element(yi))
+            point = CurvePoint(xi, yi)
             if not curve.contains(point):
                 raise ValueError(f"line {ln}: point {pt_tok} is not on the curve")
         items.append((point, mult))

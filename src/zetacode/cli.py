@@ -111,6 +111,7 @@ def _cmd_dual(args, config: RunConfig) -> dict:
     budget = config.budget
     code = linear_code.parse_matrix_text(_read_text(args.matrix))
     dualc = linear_code.dual(code)
+    self_orthogonal = linear_code.is_self_orthogonal(code)
     out = {
         "schema": SCHEMA,
         "command": "dual",
@@ -119,8 +120,9 @@ def _cmd_dual(args, config: RunConfig) -> dict:
         "k": code.k,
         "dual_k": dualc.k,
         "dual_rows": dualc.gen.index_rows(),
-        "self_dual": linear_code.is_self_dual(code),
-        "self_orthogonal": linear_code.is_self_orthogonal(code),
+        # a self-orthogonal code with 2k = n equals its dual
+        "self_dual": 2 * code.k == code.n and self_orthogonal,
+        "self_orthogonal": self_orthogonal,
     }
     spec = code.spec
     gram = linear_code._gram(spec, code.gen.array, dualc.gen.array)
@@ -313,7 +315,7 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
     d = summary["d"]
     n = code.n
     checks = [
-        _check("hasse_bound", abs(n1 - q - 1) <= 2 * q**0.5),
+        _check("hasse_bound", ag.within_hasse_bound(q, n1)),
         _check("curve_rh", verdict.holds),
         _check("dimension_is_k", code.k == args.k),
         _check("distance_is_n_minus_k_or_mds", d in (n - args.k, n - args.k + 1)),

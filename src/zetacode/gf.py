@@ -6,14 +6,17 @@ element's polynomial representative.  Index 0 is the additive identity and
 index 1 the multiplicative identity.  The decimal index is also the text
 encoding used by every file format in this package.
 
+There is no element object: every function takes and returns plain int
+indices, and :meth:`FieldSpec.element` is the one range-checked way in.
 Multiplication, inversion and powers run on discrete-log tables built once
 per field and cached at module level; addition is digit-wise modular
-arithmetic.  Field specs, elements and tables are immutable after
-construction, so they can be shared between threads without locking.
+arithmetic.  Field specs and tables are immutable after construction, so
+they can be shared between threads without locking.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,7 @@ _PINNED_MODULI = {
 }
 
 _SPEC_CACHE: dict[tuple, "FieldSpec"] = {}
+_DEFAULT_SPECS: dict[int, "FieldSpec"] = {}  # q -> GF(q) with its built-in modulus
 _TABLE_CACHE: dict[tuple, "_Tables"] = {}
 
 
@@ -112,22 +116,12 @@ class FieldSpec:
     q: int
     modulus: tuple[int, ...] | None
 
-    # -- element handles ------------------------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> tuple["FieldElement", ...]:
-        """All q elements in index order (deterministic, no duplicates)."""
-        return tuple(FieldElement(self, i) for i in range(self.q))
+    def element(self, index: int) -> int:
+        """The range-checked index of one element of this field."""
+        i = operator.index(index)
+        if not 0 <= i < self.q:
+            raise ValueError(f"index {index} out of range for GF({self.q})")
+        return i
 
     # -- index arithmetic ------------------------------------------------
 
@@ -285,6 +279,8 @@ def GF(q: int, modulus=None, cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     be monic of degree m and irreducible over GF(p).  Without one, the
     built-in choice for (p, m) is used.
     """
+    if modulus is None and q <= cap and q in _DEFAULT_SPECS:
+        return _DEFAULT_SPECS[q]
     p, m = _prime_power(q)
     if q > cap:
         raise ValueError(f"field order {q} exceeds the cap {cap}")
@@ -303,83 +299,10 @@ def GF(q: int, modulus=None, cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
                 raise ValueError(f"modulus must be monic of degree {m}")
             if not _poly_is_irreducible(mod, p):
                 raise ValueError(f"modulus {mod} is reducible over GF({p})")
-    key = (p, m, mod)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(p=p, m=m, q=q, modulus=mod)
-        _SPEC_CACHE[key] = spec
+    spec = _SPEC_CACHE.setdefault((p, m, mod), FieldSpec(p=p, m=m, q=q, modulus=mod))
+    if modulus is None:
+        _DEFAULT_SPECS[q] = spec
     return spec
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of a finite field, addressed by its canonical index."""
-
-    spec: FieldSpec
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.spec.q:
-            raise ValueError(f"index {self.index} out of range for GF({self.spec.q})")
-
-    def _match(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise ValueError(f"mismatched field specs: {self.spec!r} vs {other.spec!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def __add__(self, other):
-        self._match(other)
-        return FieldElement(self.spec, self.spec.add_idx(self.index, other.index))
-
-    def __sub__(self, other):
-        self._match(other)
-        return FieldElement(self.spec, self.spec.sub_idx(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_idx(self.index))
-
-    def __mul__(self, other):
-        self._match(other)
-        return FieldElement(self.spec, self.spec.mul_idx(self.index, other.index))
-
-    def __truediv__(self, other):
-        self._match(other)
-        return FieldElement(self.spec, self.spec.div_idx(self.index, other.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_idx(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_idx(self.index))
-
-    def __str__(self) -> str:
-        return str(self.index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GF({self.spec.q})[{self.index}]"
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    if a.is_zero:
-        raise ZeroDivisionError(f"0 has no inverse in GF({a.spec.q})")
-    return a.inverse()
-
-
-def elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
-    return spec.elements()
 
 
 def extension_field(base: FieldSpec, r: int, cap: int = DEFAULT_ORDER_CAP):

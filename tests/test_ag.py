@@ -43,6 +43,7 @@ from zetacode.ag import (
     places_up_to,
     points,
     scalar_point_mul,
+    within_hasse_bound,
     zeta_from_point_counts,
 )
 
@@ -134,6 +135,48 @@ def test_add_points_requires_membership():
     assert not e.contains(off)
     with pytest.raises(ValueError, match="not on the curve"):
         add_points(e, off, CurvePoint.infinity())
+
+
+def test_contains_rejects_indices_outside_the_field():
+    e = curve(5, [0, 0, 0, 1, 1])
+    assert e.contains(CurvePoint(4, 2))
+    # numpy would read -1 as 4 and -3 as 2
+    for off in (CurvePoint(-1, 2), CurvePoint(4, -3), CurvePoint(9, 2), CurvePoint(4.0, 2)):
+        assert not e.contains(off)
+        with pytest.raises(ValueError, match="not on the curve"):
+            add_points(e, off, CurvePoint.infinity())
+    line = ProjectiveLine(GF(5))
+    assert line.contains(LinePoint(4)) and line.contains(LinePoint.infinity())
+    assert not line.contains(LinePoint(-1)) and not line.contains(CurvePoint(4, 2))
+
+
+def test_curve_coefficients_are_range_checked_indices():
+    e = curve(5, [0, 0, 0, 1, 1])
+    assert e.coefficient_indices() == (0, 0, 0, 1, 1)
+    # -16 (4 a4^3 + 27 a6^2) = -496 = 4 in GF(5)
+    assert e.discriminant() == 4 and type(e.discriminant()) is int
+    with pytest.raises(ValueError, match="out of range"):
+        EllipticCurve(GF(5), 0, 0, 0, 1, -4)  # would read as y^2 = x^3 + x + 1
+    with pytest.raises(ValueError, match="out of range"):
+        curve(5, [0, 0, 0, 1, 6])
+
+
+def test_scalar_multiples_of_negated_points(corpus_curves):
+    for e, n1 in corpus_curves:
+        for p in points(e):
+            for m in (1, 2, 5):
+                assert scalar_point_mul(e, -m, p) == negate_point(e, scalar_point_mul(e, m, p))
+    with pytest.raises(ValueError, match="not on the curve"):
+        scalar_point_mul(curve(5, [0, 0, 0, 1, 1]), 2, CurvePoint(0, 3))
+
+
+def test_hasse_bound_is_exact_at_the_boundary():
+    # a = N_1 - q - 1 with a^2 = 4q, on curves that attain it
+    for q, coeffs, n1 in ((4, [0, 0, 1, 0, 2], 1), (4, [0, 0, 1, 0, 0], 9),
+                          (9, [0, 0, 0, 3, 0], 4), (9, [0, 0, 0, 1, 0], 16)):
+        assert len(points(curve(q, coeffs))) == n1
+        assert within_hasse_bound(q, n1)
+        assert not within_hasse_bound(q, n1 + (1 if n1 > q + 1 else -1))
 
 
 # -- curve zeta ----------------------------------------------------------------
@@ -390,7 +433,7 @@ def test_fiber_matches_grs_distribution():
         c = grs_code(f5, range(5), [1] * 5, k)
         wd = weight_distribution(c)
         g_div = Divisor.of({LinePoint.infinity(): k - 1})
-        d_pts = [LinePoint(x) for x in f5.elements()]
+        d_pts = [LinePoint(x) for x in range(5)]
         got = fiber_counts(line, g_div, d_pts)
         assert list(got) == [wd.counts[5 - i] for i in range(k)]
 
@@ -452,6 +495,55 @@ def test_fiber_count_out_of_range_is_zero():
     e = curve(5, [0, 0, 0, 1, 1])
     g_div = Divisor.of({CurvePoint.infinity(): 2})
     assert fiber_count(e, g_div, points(e)[1:], 7) == 0
+
+
+def test_fiber_rejects_points_off_the_curve():
+    f5 = GF(5)
+    e = curve(5, [0, 0, 0, 1, 1])
+    g_div = Divisor.of({CurvePoint.infinity(): 3})
+    off = CurvePoint(0, 3)
+    with pytest.raises(ValueError, match="not on the curve"):
+        fiber_counts(e, g_div, points(e)[1:] + [off])
+    with pytest.raises(ValueError, match="not on the curve"):
+        fiber_counts(e, Divisor.of({CurvePoint.infinity(): 2, off: 1}), points(e)[1:])
+    line = ProjectiveLine(f5)
+    with pytest.raises(ValueError, match="not on the curve"):
+        fiber_counts(line, Divisor.of({LinePoint.infinity(): 2}), [LinePoint(0), points(e)[1]])
+
+
+# (q, [a1, a2, a3, a4, a6] or None for the line, delta, step through the
+# affine points for D, fiber counts)
+BENCH_FIBERS = [
+    (5, [0, 0, 0, 1, 1], 2, 1, (8, 0, 16)),
+    (5, [0, 0, 0, 1, 1], 3, 2, (48, 60, 12, 4)),
+    (4, [0, 0, 1, 0, 0], 3, 1, (3, 24, 12, 24)),
+    (4, [0, 0, 1, 0, 0], 3, 2, (18, 33, 9, 3)),
+    (7, [0, 0, 0, 0, 2], 3, 1, (78, 192, 24, 48)),
+    (7, [0, 0, 0, 0, 2], 2, 2, (24, 24, 0)),
+    (5, None, 3, 1, (204, 260, 120, 40)),
+    (5, None, 2, 2, (64, 48, 12)),
+    (4, None, 3, 2, (144, 96, 15, 0)),
+]
+
+
+@pytest.mark.parametrize("q, a, delta, step, expected", BENCH_FIBERS)
+def test_fiber_inputs_built_like_the_benchmark(q, a, delta, step, expected):
+    # the same calls the benchmark worker makes to build a fiber operation
+    spec = GF(q)
+    if a is not None:
+        pts = [(p.x, p.y) for p in points(curve(q, a))[1:]][::step]
+        crv = EllipticCurve.from_indices(spec, a)
+        G = Divisor.of([(CurvePoint.infinity(), delta)])
+        D = [CurvePoint.affine(spec.element(x), spec.element(y)) for x, y in pts]
+    else:
+        pts = [(x,) for x in range(q)][::step]
+        crv = ProjectiveLine(spec)
+        G = Divisor.of([(LinePoint.infinity(), delta)])
+        D = [LinePoint(spec.element(x)) for (x,) in pts]
+    assert fiber_counts(crv, G, D) == expected
+    if a is not None and step == 1:  # against the brute-force code
+        wd = weight_distribution(elliptic_code(crv, delta))
+        assert list(expected) == [wd.counts[len(D) - i] for i in range(delta + 1)]
 
 
 def test_places_have_expected_degrees():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetacode import enumerator
+from zetacode import enumerator, linear_code
 from zetacode.cli import main
 
 HAMMING8 = "2 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n"
@@ -151,6 +151,21 @@ def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
     assert checks["macwilliams_transform_matches_dual_distribution"] is False
 
 
+def test_dual_builds_each_gram_product_once(capsys, hamming_file, monkeypatch):
+    calls = []
+    gram = linear_code._gram
+
+    def counted(spec, a, b):
+        calls.append((a.shape, b.shape))
+        return gram(spec, a, b)
+
+    monkeypatch.setattr(linear_code, "_gram", counted)
+    payload = run_json(capsys, ["dual", hamming_file])
+    assert payload["self_dual"] is True and payload["self_orthogonal"] is True
+    # G G^T for self-orthogonality and G H^T for the dual check
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "coeffs, message",
     [
@@ -239,6 +254,19 @@ def test_elliptic_command(capsys, tmp_path):
     assert payload["curve_zeta"] == [1, 3, 5]
     assert payload["n"] == 8 and payload["k"] == 2
     assert all(c["passed"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "curve, n1", [("4 0 0 1 0 0\n", 9), ("9 0 0 0 3 0\n", 4), ("9 0 0 0 1 0\n", 16)]
+)
+def test_elliptic_hasse_bound_is_exact_at_the_boundary(capsys, tmp_path, curve, n1):
+    # (N_1 - q - 1)^2 = 4q: the trace sits on the Hasse bound itself
+    p = tmp_path / "curve.txt"
+    p.write_text(curve)
+    payload = run_json(capsys, ["elliptic", str(p), "2"])
+    assert payload["rational_points"] == n1
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["hasse_bound"] is True
 
 
 def test_curve_zeta_command(capsys):

@@ -6,48 +6,37 @@ import random
 import numpy as np
 import pytest
 
-from zetacode.gf import (
-    DEFAULT_ORDER_CAP,
-    GF,
-    FieldElement,
-    _digits,
-    _raw_mul,
-    add,
-    elements,
-    extension_field,
-    inv,
-    mul,
-)
+from zetacode import gf
+from zetacode.gf import DEFAULT_ORDER_CAP, GF, _digits, _raw_mul, extension_field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81)
 
 
 def test_gf2_addition():
     f = GF(2)
-    assert (f.one + f.one).index == 0
+    assert f.add_idx(1, 1) == 0
 
 
 def test_gf3_arithmetic():
     f = GF(3)
-    two = f.element(2)
-    assert (two + two).index == 1
-    assert (two * two).index == 1
-    assert two.inverse().index == 2
+    assert f.add_idx(2, 2) == 1
+    assert f.mul_idx(2, 2) == 1
+    assert f.inv_idx(2) == 2
 
 
 def test_gf4_arithmetic():
     f = GF(4)
     assert f.modulus == (1, 1, 1)
-    t, t1 = f.element(2), f.element(3)
-    assert (t + t1).index == 1
+    t, t1 = 2, 3
+    assert f.add_idx(t, t1) == 1
     # t*(t+1) = t^2+t which reduces to 1 mod t^2+t+1
-    assert (t * t1).index == 1
-    assert t.inverse().index == 3
+    assert f.mul_idx(t, t1) == 1
+    assert f.inv_idx(t) == 3
 
 
 def test_gf5_inverse():
     f = GF(5)
-    assert f.element(3).inverse().index == 2
+    assert f.inv_idx(3) == 2
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 256, 1024])
@@ -77,10 +66,10 @@ def test_mul_table_matches_raw_product(q):
 def test_elements_order_and_identities():
     for q in (2, 3, 4):
         f = GF(q)
-        els = elements(f)
-        assert [e.index for e in els] == list(range(q))
-        assert els[0].is_zero
-        assert (els[1] * els[1]).index == (1 if q == 2 else els[1].index)
+        els = [f.element(i) for i in range(q)]
+        assert els == list(range(q)) and all(type(e) is int for e in els)
+        assert all(f.add_idx(0, e) == e and f.mul_idx(1, e) == e for e in els)
+        assert f.mul_idx(1, 1) == 1
 
 
 def test_pinned_moduli():
@@ -92,46 +81,37 @@ def test_field_axioms_random_triples():
     rng = random.Random(11)
     for q in SUPPORTED:
         f = GF(q)
+        add, mul = f.add_idx, f.mul_idx
         for _ in range(40):
             a, b, c = (f.element(rng.randrange(q)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_frobenius_fixes_every_element():
     for q in SUPPORTED:
         f = GF(q)
-        for e in f.elements():
-            assert e**q == e
+        for e in range(q):
+            assert f.pow_idx(e, q) == e
 
 
 def test_inverse_is_an_involution_and_zero_annihilates():
     for q in SUPPORTED:
         f = GF(q)
-        for e in f.elements():
-            if e.is_zero:
-                assert (e * f.element(1)).is_zero
-                continue
-            assert inv(inv(e)) == e
-            assert mul(e, inv(e)) == f.one
-        assert all((f.zero * e).is_zero for e in f.elements())
-
-
-def test_mismatched_specs_rejected():
-    a = GF(2).one
-    b = GF(3).one
-    with pytest.raises(ValueError, match="mismatched"):
-        add(a, b)
-    with pytest.raises(ValueError, match="mismatched"):
-        mul(a, b)
+        for e in range(1, q):
+            assert f.inv_idx(f.inv_idx(e)) == e
+            assert f.mul_idx(e, f.inv_idx(e)) == 1
+        assert all(f.mul_idx(0, e) == 0 for e in range(q))
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        inv(GF(7).zero)
+        GF(7).inv_idx(0)
+    with pytest.raises(ZeroDivisionError):
+        GF(7).div_idx(3, 0)
 
 
 def test_reducible_modulus_rejected():
@@ -154,13 +134,32 @@ def test_order_cap():
 def test_order_cap_is_configurable():
     f = GF(1031, cap=2048)
     assert f.q == 1031 and f.m == 1
-    assert f.element(2).inverse() * f.element(2) == f.one
+    assert f.mul_idx(f.inv_idx(2), 2) == 1
 
 
 def test_element_index_range_checked():
     f = GF(4)
-    with pytest.raises(ValueError):
-        FieldElement(f, 4)
+    assert f.element(3) == 3
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            f.element(bad)
+    with pytest.raises(TypeError):
+        f.element(2.0)
+
+
+def test_repeated_gf_reuses_the_interned_field(monkeypatch):
+    first = GF(256)
+
+    def search(p, m):
+        raise AssertionError("modulus searched again")
+
+    monkeypatch.setattr(gf, "_smallest_irreducible", search)
+    assert GF(256) is first
+    assert GF(3) is GF(3)
+    # the cap still applies to a field that is already interned
+    assert GF(1031, cap=2048).q == 1031
+    with pytest.raises(ValueError, match="cap"):
+        GF(1031)
 
 
 def test_subfield_power_compatibility():
