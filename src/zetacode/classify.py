@@ -83,10 +83,17 @@ def _b_max(enum: WeightEnumerator) -> int:
 
 
 def _is_v_pattern(enum: WeightEnumerator, q: int) -> bool:
+    """Whether enum is (x^2 + (q-1) y^2)^(n/2): C(n/2, t) (q-1)^t at index
+    2t and 0 at every odd index."""
     if enum.n % 2:
         return False
-    base = WeightEnumerator(2, (1, 0, q - 1), q=q)
-    return (base ** (enum.n // 2)).coeffs == enum.coeffs
+    half = enum.n // 2
+    power = 1
+    for t in range(half + 1):
+        if enum.coeffs[2 * t] != math.comb(half, t) * power:
+            return False
+        power *= q - 1
+    return not any(enum.coeffs[1::2])
 
 
 def classify(enum: WeightEnumerator, q: int) -> DivisibilityReport:

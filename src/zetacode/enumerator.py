@@ -6,13 +6,19 @@ exact rationals throughout; nothing in this module touches floating
 point.  The same type carries code enumerators (nonnegative integers),
 virtual enumerators (arbitrary rationals with f_0 = 1), and the
 4-divisible sign-alternating enumerators used by the classifier.
+
+The MacWilliams transform and the MDS closed form are integer kernels:
+the transform puts the coefficients over one common denominator and
+sums integer Krawtchouk columns, and the MDS weights come from a
+one-term recurrence.  A ``Fraction`` is made only for each coefficient
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .linear_code import WeightDistribution
 
@@ -136,17 +142,33 @@ def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     return sub
 
 
+def _over_one_denominator(pairs) -> tuple[list[int], int]:
+    """The rationals p/m of the (p, m > 0) pairs as integer numerators over
+    their least common denominator, and that denominator."""
+    pairs = [(p // g, m // g) for p, m in pairs for g in (gcd(p, m),)]
+    den = lcm(*(m for _, m in pairs))
+    return [p * (den // m) for p, m in pairs], den
+
+
 def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
+    """sum_i f_i K_k(i) over the integer numerators f_i D, one Krawtchouk
+    column K_0(i) .. K_n(i) at a time: K_k(i) is the coefficient of y^k in
+    (x + (q-1)y)^(n-i) (x - y)^i, and
+    K_k(i+1) = K_k(i) - K_(k-1)(i) - (q-1) K_(k-1)(i+1)."""
     n = enum.n
-    out = [_F0] * (n + 1)
-    for i, fi in enumerate(enum.coeffs):
-        if not fi:
-            continue
-        u = [Fraction(comb(n - i, a) * (q - 1) ** a) for a in range(n - i + 1)]
-        v = [Fraction(comb(i, b) * (-1) ** b) for b in range(i + 1)]
-        for j, wj in enumerate(_convolve(u, v)):
-            out[j] += fi * wj
-    return WeightEnumerator(n, tuple(out), q=q)
+    nums, den = _over_one_denominator((c.numerator, c.denominator) for c in enum.coeffs)
+    col = [comb(n, k) * (q - 1) ** k for k in range(n + 1)]
+    out = [0] * (n + 1)
+    for i, f in enumerate(nums):
+        if i:
+            nxt = [1]
+            for k in range(1, n + 1):
+                nxt.append(col[k] - col[k - 1] - (q - 1) * nxt[k - 1])
+            col = nxt
+        if f:
+            for k in range(n + 1):
+                out[k] += f * col[k]
+    return WeightEnumerator(n, tuple(Fraction(c, den) for c in out), q=q)
 
 
 def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator:
@@ -176,21 +198,28 @@ def is_virtually_self_dual(enum: WeightEnumerator, q: int) -> bool:
     return all(scale * c == s for c, s in zip(enum.coeffs, sub.coeffs))
 
 
-def _mds_coeffs(n: int, d: int, q: int) -> tuple[Fraction, ...]:
+def _mds_sums(n: int, d: int, q: int) -> list[int]:
+    """s_d .. s_n with A_j = C(n, j) (q-1) s_j the weights of an MDS code
+    of distance d: s_j = sum_m (-1)^m C(j-1, m) q^(j-d-m), generated as
+    s_d = 1, s_(j+1) = (q-1) s_j + (-1)^(j-d+1) C(j-1, j-d+1)."""
+    s = [1]
+    for j in range(d, n):
+        term = comb(j - 1, j - d + 1)
+        s.append((q - 1) * s[-1] + (-term if (j - d) % 2 == 0 else term))
+    return s
+
+
+def _mds_coeffs(n: int, d: int, q: int) -> tuple[int, ...]:
     """Closed-form MDS coefficient vector; d = n+1 encodes x^n.
 
     Internal variant that also admits d = n (needed as one rung of the
     triangular basis used for zeta expansion).
     """
     if d == n + 1:
-        return tuple([Fraction(1)] + [_F0] * n)
-    out = [_F0] * (n + 1)
-    out[0] = Fraction(1)
-    for i in range(d, n + 1):
-        s = sum(
-            comb(i - 1, m) * (-1) ** m * q ** (i - d - m) for m in range(i - d + 1)
-        )
-        out[i] = Fraction(comb(n, i) * (q - 1) * s)
+        return (1,) + (0,) * n
+    out = [1] + [0] * n
+    for j, s in enumerate(_mds_sums(n, d, q), start=d):
+        out[j] = comb(n, j) * (q - 1) * s
     return tuple(out)
 
 

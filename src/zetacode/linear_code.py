@@ -10,6 +10,7 @@ shares the generator; it checks weight counting, not enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,30 +112,39 @@ class LinearCode:
             raise ValueError(
                 f"generator rows are dependent: rank {rank} < {gen.rows} rows"
             )
+        self._set(gen)
+        self._echelon = (red, pivots)
+
+    def _set(self, gen: Matrix) -> None:
         self.spec: FieldSpec = gen.spec
         self.gen: Matrix = gen
         self.n: int = gen.cols
         self.k: int = gen.rows
-        self._rref = red
-        self._pivots = pivots
+
+    @classmethod
+    def _full_rank(cls, gen: Matrix) -> "LinearCode":
+        """A code on rows known to be independent: no rank check, and the
+        RREF waits until something reads it."""
+        code = object.__new__(cls)
+        code._set(gen)
+        return code
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "LinearCode":
-        code = object.__new__(cls)
-        code.spec = spec
-        code.gen = Matrix(spec, np.zeros((0, n), dtype=np.int64))
-        code.n = n
-        code.k = 0
-        code._rref = code.gen
-        code._pivots = ()
-        return code
+        return cls._full_rank(Matrix(spec, np.zeros((0, n), dtype=np.int64)))
+
+    @cached_property
+    def _echelon(self) -> tuple[Matrix, tuple[int, ...]]:
+        """(RREF of the generator, pivot columns)."""
+        red, _, pivots = rref(self.gen)
+        return red, pivots
 
     @property
     def is_zero(self) -> bool:
         return self.k == 0
 
     def rref_matrix(self) -> Matrix:
-        return self._rref
+        return self._echelon[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearCode[n={self.n}, k={self.k}, q={self.spec.q}]"
@@ -266,15 +276,17 @@ def dual(code: LinearCode) -> LinearCode:
     row per free column, with a 1 there and -A^T on the pivot columns."""
     spec, n, k = code.spec, code.n, code.k
     if code.is_zero:
-        return LinearCode(Matrix(spec, np.eye(n, dtype=np.int64)))
+        return LinearCode._full_rank(Matrix(spec, np.eye(n, dtype=np.int64)))
     if k == n:
         return LinearCode.zero(spec, n)
-    pivots = list(code._pivots)
+    red, pivots = code._echelon
+    pivots = list(pivots)
     free = np.setdiff1d(np.arange(n), pivots)
     h = np.zeros((n - k, n), dtype=np.int64)
     h[np.arange(n - k), free] = 1
-    h[:, pivots] = spec.tables.neg[code._rref.array[:, free]].T
-    return LinearCode(Matrix(spec, h))
+    h[:, pivots] = spec.tables.neg[red.array[:, free]].T
+    # the identity on the free columns makes the n - k rows independent
+    return LinearCode._full_rank(Matrix(spec, h))
 
 
 def is_degenerate(code: LinearCode) -> bool:

@@ -4,7 +4,11 @@ Two independent constructions are provided: expansion of the enumerator in
 the triangular basis of MDS enumerators, and the solve of the lower
 triangular moment system from the generating-function characterization.
 Both produce the same exact rational coefficients for every admissible
-input; tests lean on that redundancy.
+input; tests lean on that redundancy, so neither calls the other's
+kernel.  Both run on integer numerators over one common denominator, with
+their matrix entries generated by recurrences (``_mds_sums`` for the
+basis, ``_moment_sums`` for the moment system); a ``Fraction`` is made
+only for each coefficient returned.
 
 Degenerate inputs, meaning the transform side has a weight-one term
 (d_dual = 1), are refused: puncture the code first (see
@@ -23,7 +27,8 @@ import numpy as np
 
 from .enumerator import (
     WeightEnumerator,
-    _mds_coeffs,
+    _mds_sums,
+    _over_one_denominator,
     macwilliams_substitute,
 )
 
@@ -134,46 +139,37 @@ def zeta_from_mds_basis(
     """Expand the enumerator in the MDS basis M_{n,d}, M_{n,d+1}, ...
 
     Triangular elimination: the basis element with lowest support index i
-    cancels the lowest unmatched coefficient, and any final x^n residue is
-    carried by the constant basis element.  The remainder must vanish
-    exactly.
+    cancels the lowest unmatched coefficient, and the x^n residue is
+    carried by the constant basis element.  Column j is divided by
+    C(n, j)(q-1), so that row i holds the integers s_j of ``_mds_sums`` and
+    the work vector u_j = f_j / (C(n, j)(q-1)) its numerators over one
+    denominator.
     """
     d, d_dual, k = _source_parameters(enum, q, dimension)
     n = enum.n
-    work = list(enum.coeffs)
-    a: list[Fraction] = []
+    f = enum.coeffs
+    (f0, *work), den = _over_one_denominator(
+        [(f[0].numerator, f[0].denominator)]
+        + [(f[j].numerator, f[j].denominator * comb(n, j) * (q - 1)) for j in range(d, n + 1)]
+    )
     for i in range(d, n + 1):
-        lead = Fraction(comb(n, i) * (q - 1))
-        coeff = work[i] / lead
-        a.append(coeff)
-        if coeff:
-            row = _mds_coeffs(n, i, q)
-            for j in range(n + 1):
-                if row[j]:
-                    work[j] -= coeff * row[j]
-    a.append(work[0])  # multiplies x^n, the degree-(n+1-d) basis slot
-    work[0] = _F0
-    if any(work):
-        raise ValueError("nonzero remainder: input is not an enumerator of its declared shape")
+        lead = work[i - d]
+        if lead:
+            for j, s in enumerate(_mds_sums(n, i, q)[1:], start=i + 1 - d):
+                work[j] -= lead * s
+    # the x^n slot, the degree-(n+1-d) basis element
+    a = [Fraction(x, den) for x in work + [f0 - sum(work)]]
     return _finish(enum, q, d, d_dual, k, a)
 
 
-def _chinen_matrix(n: int, d: int, q: int) -> list[list[int]]:
-    """Integer coefficients b[j][l] of the triangular moment system.
-
-    b_{j,l} = sum_{i=l}^{j} (1 + q + ... + q^(j-i)) (-1)^(i-l) C(n,i) C(i,l)
-    for 0 <= l <= j <= n - d; the diagonal entries are C(n, l).
-    """
-    size = n - d + 1
-    b = [[0] * size for _ in range(size)]
-    for j in range(size):
-        for l in range(j + 1):
-            s = 0
-            for i in range(l, j + 1):
-                geom = (q ** (j - i + 1) - 1) // (q - 1)
-                s += geom * (-1) ** (i - l) * comb(n, i) * comb(i, l)
-            b[j][l] = s
-    return b
+def _moment_sums(big_n: int, top: int, q: int) -> list[int]:
+    """c_0(N) .. c_top(N), c_t(N) = sum_i (1 + q + ... + q^(t-i)) (-1)^i C(N, i),
+    generated as c_0 = 1, c_t = q c_(t-1) + (-1)^t C(N-1, t)."""
+    c = [1]
+    for t in range(1, top + 1):
+        term = comb(big_n - 1, t)
+        c.append(q * c[-1] + (-term if t % 2 else term))
+    return c
 
 
 def zeta_from_chinen(
@@ -185,24 +181,27 @@ def zeta_from_chinen(
 
         sum_s b_{n-d-s, l} a_s = A_{n-l} / (q - 1),
 
-    which pins a_0 first (against the diagonal entry C(n, n-d) = C(n, d))
-    and then each higher coefficient in turn.
+    with b_{j,l} = sum_{i=l}^{j} (1 + q + ... + q^(j-i)) (-1)^(i-l) C(n,i) C(i,l)
+    = C(n, l) c_{j-l}(n - l) by C(n,i) C(i,l) = C(n,l) C(n-l, i-l).  The
+    diagonal is C(n, l), so
+
+        a_{s*} = A_{n-l} / ((q - 1) C(n, l)) - sum_{s < s*} c_{s*-s}(n - l) a_s,
+
+    s* = n - d - l, pins a_0 first and then each higher coefficient in
+    turn, on integer numerators over one denominator.
     """
     d, d_dual, k = _source_parameters(enum, q, dimension)
     n = enum.n
-    b = _chinen_matrix(n, d, q)
-    size = n - d + 1
-    a: list[Fraction] = [_F0] * size
-    for l in range(n - d, -1, -1):
-        s_star = n - d - l
-        rhs = enum.coeffs[n - l] / (q - 1)
-        acc = _F0
-        for s in range(s_star):
-            blk = b[n - d - s][l]
-            if blk and a[s]:
-                acc += blk * a[s]
-        a[s_star] = (rhs - acc) / comb(n, l)
-    return _finish(enum, q, d, d_dual, k, a)
+    f = enum.coeffs
+    rhs, den = _over_one_denominator(
+        (f[n - l].numerator, f[n - l].denominator * (q - 1) * comb(n, l))
+        for l in range(n - d, -1, -1)
+    )
+    a: list[int] = []
+    for s_star, x in enumerate(rhs):
+        c = _moment_sums(d + s_star, s_star, q)
+        a.append(x - sum(c[s_star - s] * a_s for s, a_s in enumerate(a) if a_s))
+    return _finish(enum, q, d, d_dual, k, [Fraction(x, den) for x in a])
 
 
 def functional_dual(p: ZetaPolynomial) -> ZetaPolynomial:

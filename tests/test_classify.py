@@ -200,3 +200,30 @@ def test_classification_report_expands_each_transform_once(transform_log, enum, 
     classification_report(enum, q)
     assert len(transform_log) == expected
     assert len(set(transform_log)) == expected
+
+
+def _v_pattern_inputs():
+    """(x^2 + (q-1) y^2)^m for q = 2, 3, 4, and near misses of each."""
+    for q in (2, 3, 4):
+        base = WeightEnumerator(2, (1, 0, q - 1), q=q)
+        for m in (1, 2, 5, 12):
+            e = base**m
+            yield e, q
+            c = list(e.coeffs)
+            yield WeightEnumerator(e.n, tuple(c[:-1] + [c[-1] + 1]), q=q), q
+            yield WeightEnumerator(e.n, tuple(c[:2] + [c[2] - Fraction(1, 2)] + c[3:]), q=q), q
+            yield WeightEnumerator(e.n, tuple(c[:1] + [Fraction(1)] + c[2:]), q=q), q
+            yield e, q + 1  # the pattern of another field
+        yield WeightEnumerator(3, (1, 0, q - 1, 0), q=q), q  # odd length
+
+
+def test_v_pattern_matches_enumerator_power():
+    from zetacode.classify import _is_v_pattern
+
+    found = 0
+    for e, q in _v_pattern_inputs():
+        base = WeightEnumerator(2, (1, 0, q - 1), q=q)
+        expected = e.n % 2 == 0 and (base ** (e.n // 2)).coeffs == e.coeffs
+        assert _is_v_pattern(e, q) is expected
+        found += expected
+    assert found == 12

@@ -337,9 +337,28 @@ def test_generator_times_dual_transpose(unit_corpus):
         assert gram.shape == (c.k, c.n - c.k) and not gram.any()
         # a nonzero entry in a pivot column of H moves it off the dual
         perturbed = h.copy()
-        col = c._pivots[0]
+        col = c._echelon[1][0]
         perturbed[0, col] = c.spec.add_idx(int(h[0, col]), 1)
         assert _gram(c.spec, g, perturbed).any()
+
+
+def test_dual_makes_no_rref_call(unit_corpus, monkeypatch):
+    from zetacode import linear_code
+
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return rref(mat)
+
+    monkeypatch.setattr(linear_code, "rref", counted)
+    for c in unit_corpus:
+        d = dual(c)
+        assert not calls and d.k == c.n - c.k
+    # the dual's own RREF is computed on first read, and equals a fresh one
+    red, rank, pivots = rref(d.gen)
+    assert d.rref_matrix().index_rows() == red.index_rows() and rank == d.k
+    assert len(calls) == 1
 
 
 def test_dual_dual_row_space(unit_corpus):
@@ -354,7 +373,7 @@ GF4_SELF_DUAL = [[1, 0, 0, 0, 2, 3], [0, 1, 0, 2, 2, 1], [0, 0, 1, 3, 1, 3]]
 
 def reference_is_self_dual(c: LinearCode) -> bool:
     """The code and its dual have the same reduced generator matrix."""
-    return 2 * c.k == c.n and np.array_equal(c._rref.array, dual(c)._rref.array)
+    return 2 * c.k == c.n and np.array_equal(c.rref_matrix().array, dual(c).rref_matrix().array)
 
 
 def test_is_self_dual_matches_rref_reference(unit_corpus):
