@@ -9,8 +9,14 @@ of effective divisors in a divisor class (``fiber_count``), which reduces
 linear equivalence to the group structure on the rational points.
 
 Closed points of degree r are realized as Frobenius orbits of points over
-GF(q^r); the enumeration of effective divisors is therefore exact but
-meant for desk-scale parameters, not production point counting.
+GF(q^r), found in O(q^r) by solving one quadratic in y per x.  Effective
+divisors are counted, not listed: a dynamic program takes the places a
+group of one degree and class point at a time, as in the Euler product
+Z(t) = prod_P (1 - t^deg P)^-1, so its cost grows with the number of
+places and classes rather than with the number of divisors.  The projective
+line needs only the number of places of each degree and no extension
+field; elliptic places of degree r need GF(q^r) tables, so q^r is bounded
+by the field-order cap of module gf.
 """
 
 from __future__ import annotations
@@ -167,18 +173,44 @@ class EllipticCurve:
 
 
 def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
-    """All (x, y) index pairs satisfying the Weierstrass equation, lex order."""
+    """All (x, y) index pairs satisfying the Weierstrass equation, lex order.
+
+    For each x the equation is the quadratic y^2 + b y = c with
+    b = a1 x + a3 and c = x^3 + a2 x^2 + a4 x + a6, solved for every x at
+    once from one root table of the field.
+    """
     a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
     q = spec.q
     tab = spec.tables
-    mulb, addb = tab.mul, tab.add
-    xs = np.repeat(np.arange(q, dtype=np.int64), q)
-    ys = np.tile(np.arange(q, dtype=np.int64), q)
-    lhs = addb[addb[mulb[ys, ys], mulb[mulb[a1, xs], ys]], mulb[a3, ys]]
-    x2 = mulb[xs, xs]
-    rhs = addb[addb[mulb[x2, xs], mulb[a2, x2]], addb[mulb[a4, xs], a6]]
-    mask = lhs == rhs
-    return list(zip(xs[mask].tolist(), ys[mask].tolist()))
+    mul, add, neg = tab.mul, tab.add, tab.neg
+    xs = np.arange(q)
+    x2 = mul[xs, xs]
+    b = add[mul[a1, xs], a3]
+    c = add[add[mul[x2, xs], mul[a2, x2]], add[mul[a4, xs], a6]]
+    root = np.full(q, -1)
+    if spec.p != 2:
+        # (2y + b)^2 = 4c + b^2; the roots of a nonzero square are +-s
+        root[mul[xs, xs]] = xs
+        s = root[add[mul[4 % spec.p, c], mul[b, b]]]
+        has = s >= 0
+        half = int(tab.inv[2])
+        y0 = mul[add[s, neg[b]], half]
+        y1 = mul[add[neg[s], neg[b]], half]
+        two = has & (s != 0)
+    else:
+        # b != 0: y = b z with z^2 + z = c / b^2, roots z0 and z0 + 1;
+        # b == 0: y is the one square root of c
+        root[add[mul[xs, xs], xs]] = xs
+        z = root[mul[c, tab.inv[mul[b, b]]]]
+        sqrt = np.empty(q, dtype=np.int64)
+        sqrt[mul[xs, xs]] = xs
+        has = (b == 0) | (z >= 0)
+        y0 = np.where(b == 0, sqrt[c], mul[b, z])
+        y1 = mul[b, z ^ 1]
+        two = (b != 0) & has
+    ys = np.sort(np.stack([y0, np.where(two, y1, y0)], axis=1), axis=1)
+    keep = np.stack([has, two], axis=1)
+    return list(zip(np.repeat(xs, 2)[keep.ravel()].tolist(), ys[keep].tolist()))
 
 
 def points(curve: EllipticCurve) -> list[CurvePoint]:
@@ -352,12 +384,26 @@ class CurveZeta:
             )
         if self.coeffs[0] != 1:
             raise ValueError("curve zeta numerator must have constant term 1")
-        for i in range(self.g + 1):
-            if self.coeffs[i] * self.q ** (self.g - i) != self.coeffs[2 * self.g - i]:
-                raise ValueError(
-                    "coefficients violate the functional equation "
-                    f"at index {i}: {self.coeffs}"
-                )
+        i = _functional_equation_failure(self.q, self.coeffs)
+        if i is not None:
+            raise ValueError(
+                f"coefficients violate the functional equation at index {i}: {self.coeffs}"
+            )
+
+
+def _functional_equation_failure(q: int, coeffs) -> int | None:
+    """The first i <= g with a_(2g-i) != q^(g-i) a_i, or None."""
+    g = (len(coeffs) - 1) // 2
+    for i in range(g + 1):
+        if coeffs[i] * q ** (g - i) != coeffs[2 * g - i]:
+            return i
+    return None
+
+
+def functional_equation_holds(q: int, coeffs) -> bool:
+    """Whether a_(2g-i) = q^(g-i) a_i for i = 0..2g, the functional equation
+    of a curve zeta numerator a_0 + a_1 T + ... + a_(2g) T^(2g)."""
+    return len(coeffs) % 2 == 1 and _functional_equation_failure(q, coeffs) is None
 
 
 def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
@@ -571,7 +617,9 @@ def _orbits(q: int, r: int, ext: FieldSpec, pts):
     """The Frobenius orbits of exactly r points among ``pts``, index tuples
     over ext = GF(q^r) closed under x -> x^q coordinate-wise.  A shorter
     orbit is defined over a proper subfield and counted at its own degree."""
-    frob = [ext.pow_idx(i, q) for i in range(ext.q)]
+    tab = ext.tables
+    log = tab.log.astype(np.int64)  # log of 0 is -1, masked below
+    frob = np.where(log < 0, 0, tab.exp[log * q % (ext.q - 1)]).tolist()
     seen: set[tuple] = set()
     for pt in pts:
         if pt in seen:
@@ -633,6 +681,26 @@ def places_up_to(curve, max_degree: int) -> list[Place]:
     raise TypeError(f"unsupported curve type {type(curve).__name__}")
 
 
+def _mobius(n: int) -> int:
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+def _line_place_count(q: int, r: int) -> int:
+    """Places of degree r on the projective line over GF(q): q + 1 for
+    r = 1, else the monic irreducibles (1/r) sum_{d | r} mu(d) q^(r/d)."""
+    if r == 1:
+        return q + 1
+    return sum(_mobius(d) * q ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+
+
 def fiber_counts(
     curve, G: Divisor, D_points, budget: int = DEFAULT_FIBER_BUDGET
 ) -> tuple[int, ...]:
@@ -641,8 +709,16 @@ def fiber_counts(
     a_i is (q - 1) times the number of effective divisors H linearly
     equivalent to G whose support meets D in exactly i places.  Genus 1
     tests equivalence through the group structure of the rational points;
-    on the projective line every divisor class of one degree coincides.
-    Every point of G and D must lie on ``curve``.
+    on the projective line every divisor class of one degree coincides, so
+    only the number of places of each degree matters.  Every point of G and
+    D must lie on ``curve``.
+
+    The effective divisors are counted, not listed: a dynamic program over
+    (degree used, class, places of D met) takes the places a group at a
+    time, a group being the places of one degree and one class point, in
+    D or not.  ``budget`` bounds the number of effective divisors of degree
+    deg G in all classes (the coefficient of t^deg G in the zeta function);
+    more of them raise BudgetExceededError.
     """
     delta = G.degree
     if delta < 0:
@@ -653,43 +729,69 @@ def fiber_counts(
     for point in G.support + D_points:
         _require_on_curve(curve, point)
     d_set = set(D_points)
+    groups: dict[tuple, int] = {}  # (degree, in D, class point) -> places
     plus = target = None
     if isinstance(curve, EllipticCurve):
         plus = _group_law(curve)
         for point, mult in G.entries:
             target = plus(target, _multiple(curve, plus, mult, _pair(point)))
-    place_list = [
-        (
-            pl.degree,
-            int(pl.degree == 1 and pl.rational_point in d_set),
-            None if plus is None else _pair(pl.class_point),
-        )
-        for pl in places_up_to(curve, delta)
-    ]
-    hist = [0] * (delta + 1)
-    visited = 0
+        for pl in places_up_to(curve, delta):
+            key = (pl.degree, pl.degree == 1 and pl.rational_point in d_set, _pair(pl.class_point))
+            groups[key] = groups.get(key, 0) + 1
+    else:
+        q = curve.spec.q
+        groups[(1, True, None)] = len(d_set)
+        groups[(1, False, None)] = q + 1 - len(d_set)
+        for r in range(2, delta + 1):
+            groups[(r, False, None)] = _line_place_count(q, r)
 
-    def rec(idx: int, remaining: int, cls, in_d: int) -> None:
-        nonlocal visited
-        if remaining == 0:
-            visited += 1
-            if visited > budget:
-                raise BudgetExceededError(
-                    f"effective-divisor enumeration exceeded budget {budget}"
-                )
-            if cls == target:
-                hist[in_d] += 1
-            return
-        if idx == len(place_list):
-            return
-        degree, hit, step = place_list[idx]
-        rec(idx + 1, remaining, cls, in_d)
-        for m in range(1, remaining // degree + 1):
-            if plus is not None:
-                cls = plus(cls, step)
-            rec(idx + 1, remaining - m * degree, cls, in_d + hit)
+    sums: dict[tuple, object] = {}
 
-    rec(0, delta, None, 0)
+    def shift(cls, step):
+        if plus is None or step is None:
+            return cls
+        key = (cls, step)
+        out = sums.get(key)
+        if out is None:
+            out = sums[key] = plus(cls, step)
+        return out
+
+    # (degree used, class) -> number of effective divisors by places of D met
+    states = {(0, None): [1] + [0] * delta}
+    for (degree, in_d, step), c in groups.items():
+        if c == 0:
+            continue
+        top = delta // degree
+        steps = [None]
+        for _ in range(top):
+            steps.append(shift(steps[-1], step))
+        # (j, ways) to give the group total multiplicity m meeting j places:
+        # C(c, j) C(m-1, j-1) compositions for D, C(c+m-1, m) multisets else
+        if in_d:
+            ways = [[(0, 1)]] + [
+                [(j, comb(c, j) * comb(m - 1, j - 1)) for j in range(1, min(c, m) + 1)]
+                for m in range(1, top + 1)
+            ]
+        else:
+            ways = [[(0, comb(c + m - 1, m))] for m in range(top + 1)]
+        nxt: dict[tuple, list[int]] = {}
+        for (used, cls), counts in states.items():
+            # a divisor of degree `used` meets at most `used` places, so
+            # h + j never passes delta
+            nonzero = [(h, v) for h, v in enumerate(counts) if v]
+            for m in range((delta - used) // degree + 1):
+                key = (used + m * degree, shift(cls, steps[m]))
+                out = nxt.get(key)
+                if out is None:
+                    out = nxt[key] = [0] * (delta + 1)
+                for j, w in ways[m]:
+                    for h, v in nonzero:
+                        out[h + j] += w * v
+        states = nxt
+    total = sum(sum(counts) for (used, _), counts in states.items() if used == delta)
+    if total > budget:
+        raise BudgetExceededError(f"effective-divisor enumeration exceeded budget {budget}")
+    hist = states.get((delta, target), [0] * (delta + 1))
     return tuple((curve.spec.q - 1) * h for h in hist)
 
 

@@ -350,7 +350,7 @@ def _cmd_curve_zeta(args, config: RunConfig) -> dict:
         "coefficients": list(cz.coeffs),
         "rh": rh,
         "checks": [
-            _check("functional_equation", True),  # enforced by construction
+            _check("functional_equation", ag.functional_equation_holds(cz.q, cz.coeffs)),
             _check("roots_on_circle", verdict.holds),
         ],
     }

@@ -320,24 +320,22 @@ def extension_field(base: FieldSpec, r: int, cap: int = DEFAULT_ORDER_CAP):
     ext = GF(base.p ** (base.m * r), cap=cap)
     if base.m == 1:
         return ext, tuple(range(base.p))
-    mod = base.modulus
-    theta = None
-    for cand in range(ext.q):
-        acc = 0
-        for c in reversed(mod):
-            acc = ext.add_idx(ext.mul_idx(acc, cand), c)
-        if acc == 0:
-            theta = cand
-            break
-    if theta is None:
+    # Horner steps over the tables, every candidate root at once; the
+    # coefficients of the modulus lie in the prime subfield, whose
+    # elements have the same indices in every field of characteristic p
+    tab = ext.tables
+    cands = np.arange(ext.q)
+    acc = np.zeros(ext.q, dtype=np.int32)
+    for c in reversed(base.modulus):
+        acc = tab.add[tab.mul[acc, cands], c]
+    roots = np.flatnonzero(acc == 0)
+    if roots.size == 0:
         raise RuntimeError(f"base modulus has no root in GF({ext.q})")
-    powers = [1]
-    for _ in range(base.m - 1):
-        powers.append(ext.mul_idx(powers[-1], theta))
-    embed = []
-    for a in range(base.q):
-        s = 0
-        for j, d in enumerate(_digits(a, base.p, base.m)):
-            s = ext.add_idx(s, ext.mul_idx(d, powers[j]))
-        embed.append(s)
-    return ext, tuple(embed)
+    theta = int(roots[0])
+    # base element a = sum_j d_j t^j goes to sum_j d_j theta^j, by Horner
+    # from the top digit
+    a = np.arange(base.q)
+    embed = np.zeros(base.q, dtype=np.int32)
+    for j in reversed(range(base.m)):
+        embed = tab.add[tab.mul[embed, theta], a // base.p**j % base.p]
+    return ext, tuple(embed.tolist())

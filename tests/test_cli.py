@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetacode import enumerator, linear_code
+from zetacode import ag, enumerator, linear_code
 from zetacode.cli import main
 
 HAMMING8 = "2 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n"
@@ -273,6 +273,18 @@ def test_curve_zeta_command(capsys):
     payload = run_json(capsys, ["curve-zeta", "--q", "5", "--genus", "1", "9"])
     assert payload["coefficients"] == [1, 3, 5]
     assert payload["rh"]["holds"] is True
+
+
+def test_curve_zeta_functional_equation_is_computed(capsys, monkeypatch):
+    payload = run_json(capsys, ["curve-zeta", "--q", "3", "--genus", "2", "4", "22"])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["functional_equation"] is True
+    seen = []
+    monkeypatch.setattr(ag, "functional_equation_holds", lambda q, c: seen.append((q, c)) or False)
+    payload = run_json(capsys, ["curve-zeta", "--q", "5", "--genus", "1", "9"])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert seen == [(5, (1, 3, 5))]
+    assert checks["functional_equation"] is False
 
 
 def test_exit_code_parse_error(capsys, tmp_path):
