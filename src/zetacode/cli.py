@@ -9,13 +9,16 @@ produce byte-identical reports.
 Exit codes: 0 ok, 1 invalid input (usage errors included), 2 enumeration
 budget exceeded, 3 internal invariant violation.  The environment variable
 ZETACODE_BUDGET overrides the default codeword budget; --budget overrides
-both.
+both.  It bounds min(q^k, q^(n-k)): a code's distribution comes from the
+smaller of it and its dual.  ``dual`` checks the MacWilliams transform
+only when both sides fit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,8 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tol}")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -77,18 +80,30 @@ def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
-def _code_summary(code: LinearCode, budget: int) -> tuple[dict, linear_code.WeightDistribution]:
-    dist = linear_code.weight_distribution(code, budget)
+def _code_summary(code: LinearCode, budget: int):
+    """Report fields, distribution and enumerator of a code from whichever
+    of it and its dual has fewer words (the code on a tie), plus the dual's
+    enumerator, with its transform, if that side was enumerated, else None."""
+    q, n, k = code.spec.q, code.n, code.k
+    if 0 < n - k < k:
+        dual_enum = enumerator.from_distribution(
+            linear_code.weight_distribution(linear_code.dual(code), budget), q=q
+        )
+        enum = enumerator.macwilliams_dual(dual_enum, q, n - k)
+        dist = enumerator.to_distribution(enum)
+    else:
+        dist = linear_code.weight_distribution(code, budget)
+        enum, dual_enum = enumerator.from_distribution(dist, q=q), None
     d = dist.min_distance
     summary = {
-        "q": code.spec.q,
-        "n": code.n,
-        "k": code.k,
+        "q": q,
+        "n": n,
+        "k": k,
         "d": d,
-        "genus": code.n + 1 - code.k - d,
+        "genus": n + 1 - k - d,
         "distribution": list(dist.counts),
     }
-    return summary, dist
+    return summary, dist, enum, dual_enum
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -97,7 +112,7 @@ def _code_summary(code: LinearCode, budget: int) -> tuple[dict, linear_code.Weig
 def _cmd_wdist(args, config: RunConfig) -> dict:
     budget = config.budget
     code = linear_code.parse_matrix_text(_read_text(args.matrix))
-    summary, dist = _code_summary(code, budget)
+    summary, dist, _, _ = _code_summary(code, budget)
     q, k, n = code.spec.q, code.k, code.n
     checks = [
         _check("zero_word_is_unique", dist.counts[0] == 1),
@@ -130,18 +145,14 @@ def _cmd_dual(args, config: RunConfig) -> dict:
         _check("generator_times_dual_transpose_is_zero", not gram.any()),
         _check("dual_dimension_is_n_minus_k", dualc.k == code.n - code.k),
     ]
-    if not dualc.is_zero and code.spec.q ** dualc.k <= budget:
+    if not dualc.is_zero and spec.q**dualc.k <= budget:
         eq = linear_code.weight_distribution(dualc, budget).counts
-        transform = enumerator.macwilliams_dual(
-            enumerator.from_distribution(
-                linear_code.weight_distribution(code, budget), q=spec.q
-            ),
-            spec.q,
-            code.k,
-        )
-        checks.append(
-            _check("macwilliams_transform_matches_dual_distribution", transform.coeffs == eq)
-        )
+        if spec.q**code.k <= budget:
+            enum = enumerator.from_distribution(linear_code.weight_distribution(code, budget))
+            transform = enumerator.macwilliams_dual(enum, spec.q, code.k)
+            checks.append(
+                _check("macwilliams_transform_matches_dual_distribution", transform.coeffs == eq)
+            )
         out["dual_distribution"] = list(eq)
     out["checks"] = checks
     return out
@@ -163,22 +174,17 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
             f"the zeta polynomial is undefined for the full space GF({code.spec.q})^{code.n}: "
             "its dual is the zero code"
         )
-    summary, dist = _code_summary(code, budget)
+    summary, _, enum, dual_enum = _code_summary(code, budget)
     out.update(summary)
     q = code.spec.q
-    enum = enumerator.from_distribution(dist, q=q)
     p_basis = zeta.zeta_from_mds_basis(enum, q, dimension=code.k)
     p_chinen = zeta.zeta_from_chinen(enum, q, dimension=code.k)
-    dual_code = linear_code.dual(code)
-    dual_dist = p_dual = None
-    if not dual_code.is_zero and q**dual_code.k <= budget:
-        dual_dist = linear_code.weight_distribution(dual_code, budget)
-        dual_enum = enumerator.from_distribution(dual_dist, q=q)
-        if dual_enum.min_distance is not None and dual_enum.min_distance >= 2:
-            try:
-                p_dual = zeta.zeta_from_mds_basis(dual_enum, q, dimension=dual_code.k)
-            except ValueError:
-                p_dual = None
+    if dual_enum is None:
+        dual_enum = enumerator.macwilliams_dual(enum, q, code.k)
+    try:
+        p_dual = zeta.zeta_from_mds_basis(dual_enum, q, dimension=code.n - code.k)
+    except ValueError:  # a code with d = 1 has a degenerate dual
+        p_dual = None
     out["zeta"] = zeta.zeta_report(p_basis, config.tol)
     checks = [
         _check("both_zeta_algorithms_agree", p_basis.coeffs == p_chinen.coeffs),
@@ -196,14 +202,9 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
                 zeta.functional_dual(p_basis).coeffs == p_dual.coeffs,
             )
         )
-    # q^k = q^(n-k) only when 2k = n, and then the dual fits the budget too
-    if 2 * code.k == code.n and dist == dual_dist:
-        out["formally_self_dual"] = True
-        checks.append(
-            _check("self_reciprocal", zeta.self_reciprocal_check(p_basis))
-        )
-    else:
-        out["formally_self_dual"] = False
+    out["formally_self_dual"] = enum == dual_enum
+    if out["formally_self_dual"]:
+        checks.append(_check("self_reciprocal", zeta.self_reciprocal_check(p_basis)))
     out["checks"] = checks
     return out
 
@@ -251,7 +252,7 @@ def _cmd_classify(args, config: RunConfig) -> dict:
 def _cmd_mds(args, config: RunConfig) -> dict:
     enum = enumerator.mds_enumerator(args.n, args.d, args.q)
     nonneg = all(c >= 0 and c.denominator == 1 for c in enum.coeffs)
-    total_ok = enum.total() == args.q ** (args.n + 1 - args.d) if args.d <= args.n else True
+    total_ok = enum.total() == args.q ** (args.n + 1 - args.d)
     return {
         "schema": SCHEMA,
         "command": "mds",
@@ -277,9 +278,8 @@ def _cmd_grs(args, config: RunConfig) -> dict:
         [int(t) for t in args.multipliers.split(",")] if args.multipliers else [1] * n
     )
     code = ag.grs_code(spec, alphas, multipliers, args.k)
-    summary, dist = _code_summary(code, budget)
+    summary, dist, enum, _ = _code_summary(code, budget)
     closed = enumerator._mds_coeffs(n, n + 1 - args.k, args.q) if args.k < n else None
-    enum = enumerator.from_distribution(dist, q=args.q)
     p = zeta.zeta_from_mds_basis(enum, args.q, dimension=args.k)
     checks = [
         _check("distance_meets_singleton_bound", summary["d"] == n - args.k + 1),
@@ -311,7 +311,7 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
     cz = ag.zeta_from_point_counts(q, 1, [n1])
     verdict = ag.curve_rh(cz, config.tol)
     code = ag.elliptic_code(curve, args.k)
-    summary, dist = _code_summary(code, budget)
+    summary, dist, _, _ = _code_summary(code, budget)
     d = summary["d"]
     n = code.n
     checks = [

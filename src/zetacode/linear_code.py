@@ -186,7 +186,7 @@ def _codeword_blocks(code: LinearCode, budget: int):
     the narrowest unsigned dtype; in characteristic 2, index addition is XOR."""
     q, k, n = code.spec.q, code.k, code.n
     if q**k > budget:
-        raise BudgetExceededError(f"q^k = {q**k} exceeds budget {budget}")
+        raise BudgetExceededError(f"[{n}, {k}]_{q} code has {q**k} words, over budget {budget}")
     tab = code.spec.tables
     dtype = np.min_scalar_type(q - 1)
     G = code.gen.array

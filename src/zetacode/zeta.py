@@ -254,8 +254,8 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
     polished by one Newton step.  A coefficient, or its ratio to the
     leading one, that a float cannot hold is a ValueError naming it.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
     c = []
     for j, x in enumerate(coeffs):
         try:

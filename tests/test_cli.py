@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from zetacode import ag, enumerator, linear_code
+from zetacode import ag, cli, enumerator, linear_code
 from zetacode.cli import main
+from zetacode.gf import GF
 
 HAMMING8 = "2 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n"
+HAMMING7 = "2 7 4\n1 0 0 0 0 1 1\n0 1 0 0 1 0 1\n0 0 1 0 1 1 0\n0 0 0 1 1 1 1\n"
 TETRA = "3 4 2\n1 1 1 0\n0 1 2 1\n"
 DEGENERATE = "2 3 1\n1 1 0\n"
 CURVE5 = "5 0 0 0 1 1\n"
@@ -129,11 +131,116 @@ def test_classify_command_checks_and_transform_count(
     assert len(transform_log) == 2
 
 
-def test_zeta_expands_two_transforms(capsys, hamming_file, transform_log):
+def test_zeta_expands_two_transforms(capsys, tmp_path, hamming_file, transform_log):
     payload = run_json(capsys, ["zeta", hamming_file])
     assert all(c["passed"] for c in payload["checks"])
     # one for the code's enumerator, one for the dual's
     assert len(transform_log) == 2
+    # [7,4]: the dual is enumerated; one transform gives the code's
+    # enumerator, one the code's zeta, and the dual's zeta reuses the first
+    transform_log.clear()
+    payload = run_json(capsys, ["zeta", _matrix_file(tmp_path, _hamming7())])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["functional_equation_matches_dual_zeta"] is True
+    assert all(checks.values())
+    assert len(transform_log) == 2
+
+
+def _matrix_file(tmp_path, code, name="code.txt"):
+    p = tmp_path / name
+    p.write_text(linear_code.format_matrix_text(code))
+    return str(p)
+
+
+def _hamming7():
+    return linear_code.parse_matrix_text(HAMMING7)
+
+
+def test_code_summary_matches_brute_force(unit_corpus):
+    codes = list(unit_corpus) + [linear_code.dual(c) for c in unit_corpus] + [_hamming7()]
+    for code in codes:
+        summary, dist, enum, dual_enum = cli._code_summary(code, linear_code.DEFAULT_BUDGET)
+        assert dist == linear_code.weight_distribution(code)
+        assert summary["distribution"] == list(dist.counts)
+        assert enum == enumerator.from_distribution(dist)
+        if dual_enum is not None:
+            assert enumerator.to_distribution(dual_enum) == linear_code.weight_distribution(
+                linear_code.dual(code)
+            )
+
+
+@pytest.fixture()
+def enumerations(monkeypatch) -> dict:
+    """Words enumerated and dual() calls made, counted at the kernel."""
+    seen = {"words": 0, "dual_calls": 0}
+    blocks, dual = linear_code._codeword_blocks, linear_code.dual
+
+    def counted_blocks(code, budget):
+        for block in blocks(code, budget):
+            seen["words"] += block.shape[0]
+            yield block
+
+    def counted_dual(code):
+        seen["dual_calls"] += 1
+        return dual(code)
+
+    monkeypatch.setattr(linear_code, "_codeword_blocks", counted_blocks)
+    monkeypatch.setattr(linear_code, "dual", counted_dual)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["wdist", "zeta"])
+def test_one_side_enumerated(capsys, tmp_path, unit_corpus, enumerations, command):
+    for i, code in enumerate(unit_corpus + [_hamming7()]):
+        path = _matrix_file(tmp_path, code, f"c{i}.txt")
+        enumerations.update(words=0, dual_calls=0)
+        rc, _ = run(capsys, [command, path])
+        if command == "zeta":
+            code = linear_code.puncture_degenerate(code)
+            if code.k == code.n:
+                assert rc == 1
+                continue
+        assert rc == 0
+        q, n, k = code.spec.q, code.n, code.k
+        assert enumerations["words"] == min(q**k, q ** (n - k))
+        # the dual is built only when it has fewer words; on a tie the
+        # code is the side enumerated
+        assert enumerations["dual_calls"] == (1 if n - k < k else 0)
+
+
+def _binary_20_16():
+    """A binary [20,16] code: 2^16 words, its dual 2^4."""
+    rows = [[int(i == j) for j in range(16)] + [i >> b & 1 for b in range(4)] for i in range(16)]
+    return linear_code.LinearCode(linear_code.Matrix.from_indices(GF(2), rows))
+
+
+def test_dual_exit_code_does_not_depend_on_budget(capsys, tmp_path, enumerations):
+    path = _matrix_file(tmp_path, _binary_20_16())
+    # only C-dual fits: its distribution is printed, with no MacWilliams check
+    payload = run_json(capsys, ["dual", path, "--budget", "1000"])
+    assert sum(payload["dual_distribution"]) == 16
+    checks = [c["name"] for c in payload["checks"]]
+    assert "macwilliams_transform_matches_dual_distribution" not in checks
+    assert all(c["passed"] for c in payload["checks"])
+    assert enumerations["words"] == 16
+    # neither side fits: nothing is enumerated
+    enumerations["words"] = 0
+    payload = run_json(capsys, ["dual", path, "--budget", "10"])
+    assert "dual_distribution" not in payload
+    assert enumerations["words"] == 0
+    # both fit: both sides are enumerated for the check
+    payload = run_json(capsys, ["dual", path])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["macwilliams_transform_matches_dual_distribution"] is True
+    assert enumerations["words"] == 16 + 2**16
+
+
+def test_budget_error_names_the_code_enumerated(capsys, tmp_path):
+    path = _matrix_file(tmp_path, _binary_20_16())
+    for command in ("wdist", "zeta"):
+        rc, out, err = run_with_err(capsys, [command, path, "--budget", "10"])
+        assert rc == 2 and out == ""
+        assert err == "error: [20, 4]_2 code has 16 words, over budget 10\n"
 
 
 def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
@@ -222,7 +329,8 @@ def test_grs_command_k1(capsys):
 
 def test_zeta_long_low_rate_code_not_formally_self_dual(capsys, tmp_path):
     # binary [64,6]: the simplex columns 1..63 plus a repeated column; its
-    # 2^58-word dual is over budget, so no dual-side check runs
+    # 2^58-word dual is over budget, and its zeta polynomial comes from the
+    # MacWilliams transform of the code's enumerator
     cols = list(range(1, 64)) + [1]
     rows = [" ".join(str(c >> i & 1) for c in cols) for i in range(6)]
     p = tmp_path / "c64.txt"
@@ -230,7 +338,9 @@ def test_zeta_long_low_rate_code_not_formally_self_dual(capsys, tmp_path):
     payload = run_json(capsys, ["zeta", str(p)])
     assert (payload["n"], payload["k"], payload["d"]) == (64, 6, 32)
     assert payload["formally_self_dual"] is False
-    assert all(c["passed"] for c in payload["checks"])
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks["functional_equation_matches_dual_zeta"] is True
+    assert all(checks.values())
 
 
 def test_classify_command_ternary(capsys, tmp_path):
@@ -239,6 +349,13 @@ def test_classify_command_ternary(capsys, tmp_path):
     payload = run_json(capsys, ["classify", str(p), "3"])
     assert payload["type"] == "III"
     assert payload["extremal"] is True
+
+
+def test_mds_command_d_n_plus_one(capsys):
+    # the enumerator x^n of the zero code, whose total is q^0 = 1
+    payload = run_json(capsys, ["mds", "4", "5", "3"])
+    assert payload["coefficients"] == ["1", "0", "0", "0", "0"]
+    assert all(c["passed"] for c in payload["checks"])
 
 
 def test_mds_command_invalid_d(capsys):
@@ -346,6 +463,18 @@ def test_invalid_config_values(capsys, hamming_file):
     assert rc == 1
     rc, _ = run(capsys, ["zeta", hamming_file, "--tol", "-1"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["rh", "--q", "2", "1", "0", "3"], ["curve-zeta", "--q", "5", "--genus", "1", "9"]],
+    ids=["rh", "curve-zeta"],
+)
+def test_non_finite_tolerance_rejected(capsys, argv, tol):
+    rc, out, err = run_with_err(capsys, argv + [f"--tol={tol}"])
+    assert rc == 1 and out == ""
+    assert "tolerance must be a positive finite number" in err
 
 
 def test_out_file(tmp_path, capsys, hamming_file):

@@ -195,8 +195,9 @@ def test_rh_counts_roots_with_degree(unit_corpus):
 
 def test_rh_tolerance_validated(hamming_zeta):
     p, _ = hamming_zeta
-    with pytest.raises(ValueError):
-        riemann_hypothesis(p, tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            riemann_hypothesis(p, tol=tol)
 
 
 def test_rh_residual_diagnostics(hamming_zeta):
