@@ -195,40 +195,3 @@ def formal_checks(enum: WeightEnumerator, tol: float = 1e-8) -> FormalReport:
         rh=riemann_hypothesis(p, tol),
     )
 
-
-def classification_report(enum: WeightEnumerator, q: int, tol: float = 1e-8) -> dict:
-    """JSON-ready classification summary, including the formal verdict."""
-    from .zeta import zeta_report  # local import to keep module load light
-
-    rep = classify(enum, q)
-    formal = is_formal_weight_enumerator(enum)
-    out = {
-        "n": enum.n,
-        "q": q,
-        "virtually_self_dual": rep.virtually_self_dual,
-        "reason": rep.reason,
-        "b_max": rep.b_max,
-        "type": rep.type_label,
-        "v_pattern": rep.v_pattern,
-        "d": rep.d,
-        "d_bound": rep.d_bound,
-        "extremal": rep.extremal,
-        "formal_weight_enumerator": formal,
-    }
-    try:
-        if formal:
-            fr = formal_checks(enum, tol)
-            out["formal"] = {
-                "n_mod_8": fr.n_mod_8,
-                "symmetric": fr.symmetric,
-                "anti_functional_equation": fr.anti_functional_equation,
-                "d_bound": fr.d_bound,
-                "extremal": fr.extremal,
-            }
-            out["zeta"] = zeta_report(fr.zeta, tol)
-        else:
-            p = zeta_from_mds_basis(enum, q)
-            out["zeta"] = zeta_report(p, tol)
-    except ValueError as exc:
-        out["zeta"] = {"error": str(exc)}
-    return out

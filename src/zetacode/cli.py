@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 Every subcommand emits one report, as JSON (default) or plain text, with a
-"checks" block naming each identity that was verified on the inputs.
+"checks" block naming each identity that was verified on the inputs.  This
+module builds every report block; the other modules return only typed
+values (``ZetaPolynomial``, ``RhVerdict``, ``DivisibilityReport``, ...).
 Output is deterministic: rationals are rendered as exact "p/q" strings and
 every float is printed with 17 significant digits, so identical inputs
 produce byte-identical reports.
@@ -24,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from . import ag, classify as classify_mod, enumerator, linear_code, zeta
-from .gf import GF
+from .gf import GF, _prime_power
 from .linear_code import BudgetExceededError, DEFAULT_BUDGET, LinearCode
 
 SCHEMA = "zetacode/1"
@@ -80,6 +82,39 @@ def _check(name: str, passed: bool) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
+def _fmt_float(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _rh_block(verdict: zeta.RhVerdict) -> dict:
+    """A root-circle verdict, every float as a 17-digit string."""
+    return {
+        "holds": verdict.holds,
+        "tolerance": _fmt_float(verdict.tolerance),
+        "max_deviation": _fmt_float(verdict.max_deviation),
+        "roots": [{"re": _fmt_float(z.real), "im": _fmt_float(z.imag)} for z in verdict.roots],
+        "residuals": [_fmt_float(r) for r in verdict.residuals],
+    }
+
+
+def _zeta_block(p: zeta.ZetaPolynomial, verdict: zeta.RhVerdict) -> dict:
+    """Exact coefficients and parameters of P(T), with its root-circle verdict."""
+    p_at_one = p.evaluate(1)
+    return {
+        "coefficients": [str(c) for c in p.coeffs],
+        "degree": p.degree,
+        "q": p.q,
+        "n": p.n,
+        "d": p.d,
+        "d_dual": p.d_dual,
+        "g": p.g,
+        "g_dual": p.g_dual,
+        "p_at_one": str(p_at_one),
+        "p_at_one_is_one": p_at_one == 1,
+        "rh": _rh_block(verdict),
+    }
+
+
 def _code_summary(code: LinearCode, budget: int):
     """Report fields, distribution and enumerator of a code from whichever
     of it and its dual has fewer words (the code on a tie), plus the dual's
@@ -119,7 +154,7 @@ def _cmd_wdist(args, config: RunConfig) -> dict:
         _check("counts_sum_to_q_pow_k", dist.total() == q**k),
         _check("singleton_bound", summary["d"] <= n - k + 1),
     ]
-    return {"schema": SCHEMA, "command": "wdist", **summary, "checks": checks}
+    return {**summary, "checks": checks}
 
 
 def _cmd_dual(args, config: RunConfig) -> dict:
@@ -128,8 +163,6 @@ def _cmd_dual(args, config: RunConfig) -> dict:
     dualc = linear_code.dual(code)
     self_orthogonal = linear_code.is_self_orthogonal(code)
     out = {
-        "schema": SCHEMA,
-        "command": "dual",
         "q": code.spec.q,
         "n": code.n,
         "k": code.k,
@@ -161,7 +194,7 @@ def _cmd_dual(args, config: RunConfig) -> dict:
 def _cmd_zeta(args, config: RunConfig) -> dict:
     budget = config.budget
     code = linear_code.parse_matrix_text(_read_text(args.matrix))
-    out: dict = {"schema": SCHEMA, "command": "zeta", "q": code.spec.q}
+    out: dict = {"q": code.spec.q}
     if linear_code.is_degenerate(code):
         punctured = linear_code.puncture_degenerate(code)
         out["punctured_coordinates"] = code.n - punctured.n
@@ -185,14 +218,14 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
         p_dual = zeta.zeta_from_mds_basis(dual_enum, q, dimension=code.n - code.k)
     except ValueError:  # a code with d = 1 has a degenerate dual
         p_dual = None
-    out["zeta"] = zeta.zeta_report(p_basis, config.tol)
+    out["zeta"] = _zeta_block(p_basis, zeta.riemann_hypothesis(p_basis, config.tol))
     checks = [
         _check("both_zeta_algorithms_agree", p_basis.coeffs == p_chinen.coeffs),
         _check(
             "degree_is_n_plus_2_minus_d_minus_d_dual",
             p_basis.degree == code.n + 2 - p_basis.d - p_basis.d_dual,
         ),
-        _check("p_at_one_is_one", p_basis.evaluate(1) == 1),
+        _check("p_at_one_is_one", out["zeta"]["p_at_one_is_one"]),
         _check("low_order_coefficients_match_counts", zeta.corollary_ad_check(p_basis, enum)),
     ]
     if p_dual is not None:
@@ -212,6 +245,7 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
 def _cmd_rh(args, config: RunConfig) -> dict:
     from fractions import Fraction
 
+    _prime_power(args.q)  # every command-line q must be a field order
     coeffs = []
     for pos, tok in enumerate(args.coeffs, start=1):
         try:
@@ -222,40 +256,68 @@ def _cmd_rh(args, config: RunConfig) -> dict:
         raise ValueError("need a nonzero polynomial")
     verdict = zeta.roots_on_circle_verdict(coeffs, args.q, config.tol)
     return {
-        "schema": SCHEMA,
-        "command": "rh",
         "q": args.q,
         "coefficients": [str(c) for c in coeffs],
-        "rh": zeta.rh_payload(verdict),
+        "rh": _rh_block(verdict),
         "checks": [_check("roots_on_circle", verdict.holds)],
     }
 
 
 def _cmd_classify(args, config: RunConfig) -> dict:
+    _prime_power(args.q)  # every command-line q must be a field order
     enum = enumerator.parse_enumerator_text(_read_text(args.enumerator))
-    report = classify_mod.classification_report(enum, args.q, config.tol)
-    label = report["type"]
-    checks = [
+    rep = classify_mod.classify(enum, args.q)
+    formal = classify_mod.is_formal_weight_enumerator(enum)
+    out = {
+        "n": enum.n,
+        "q": args.q,
+        "virtually_self_dual": rep.virtually_self_dual,
+        "reason": rep.reason,
+        "b_max": rep.b_max,
+        "type": rep.type_label,
+        "v_pattern": rep.v_pattern,
+        "d": rep.d,
+        "d_bound": rep.d_bound,
+        "extremal": rep.extremal,
+        "formal_weight_enumerator": formal,
+    }
+    try:
+        if formal:
+            fr = classify_mod.formal_checks(enum, config.tol)
+            out["formal"] = {
+                "n_mod_8": fr.n_mod_8,
+                "symmetric": fr.symmetric,
+                "anti_functional_equation": fr.anti_functional_equation,
+                "d_bound": fr.d_bound,
+                "extremal": fr.extremal,
+            }
+            out["zeta"] = _zeta_block(fr.zeta, fr.rh)
+        else:
+            p = zeta.zeta_from_mds_basis(enum, args.q)
+            out["zeta"] = _zeta_block(p, zeta.riemann_hypothesis(p, config.tol))
+    except ValueError as exc:
+        out["zeta"] = {"error": str(exc)}
+    label = rep.type_label
+    out["checks"] = [
         # only a virtually self-dual enumerator gets a type
-        _check("type_conditions_consistent", label == "none" or report["virtually_self_dual"]),
+        _check("type_conditions_consistent", label == "none" or rep.virtually_self_dual),
     ]
     if label in ("I", "II", "III", "IV"):
-        checks.append(
+        out["checks"].append(
             _check(
                 "divisibility_matches_type",
-                report["b_max"] % {"I": 2, "II": 4, "III": 3, "IV": 2}[label] == 0,
+                rep.b_max % {"I": 2, "II": 4, "III": 3, "IV": 2}[label] == 0,
             )
         )
-    return {"schema": SCHEMA, "command": "classify", **report, "checks": checks}
+    return out
 
 
 def _cmd_mds(args, config: RunConfig) -> dict:
+    _prime_power(args.q)  # every command-line q must be a field order
     enum = enumerator.mds_enumerator(args.n, args.d, args.q)
     nonneg = all(c >= 0 and c.denominator == 1 for c in enum.coeffs)
     total_ok = enum.total() == args.q ** (args.n + 1 - args.d)
     return {
-        "schema": SCHEMA,
-        "command": "mds",
         "n": args.n,
         "d": args.d,
         "q": args.q,
@@ -271,35 +333,31 @@ def _cmd_grs(args, config: RunConfig) -> dict:
     budget = config.budget
     spec = GF(args.q)
     alphas = (
-        [int(t) for t in args.alphas.split(",")] if args.alphas else list(range(args.n or spec.q))
+        [int(t) for t in args.alphas.split(",")]
+        if args.alphas
+        else list(range(spec.q if args.n is None else args.n))
     )
     n = len(alphas)
     multipliers = (
         [int(t) for t in args.multipliers.split(",")] if args.multipliers else [1] * n
     )
     code = ag.grs_code(spec, alphas, multipliers, args.k)
+    if args.k == n:
+        raise ValueError(
+            f"the zeta polynomial is undefined for the full space GF({spec.q})^{n} "
+            f"(k = n = {n}): its dual is the zero code"
+        )
     summary, dist, enum, _ = _code_summary(code, budget)
-    closed = enumerator._mds_coeffs(n, n + 1 - args.k, args.q) if args.k < n else None
+    closed = enumerator._mds_coeffs(n, n + 1 - args.k, args.q)
     p = zeta.zeta_from_mds_basis(enum, args.q, dimension=args.k)
     checks = [
         _check("distance_meets_singleton_bound", summary["d"] == n - args.k + 1),
+        _check(
+            "distribution_matches_closed_form", [int(c) for c in closed] == list(dist.counts)
+        ),
         _check("zeta_polynomial_is_one", p.coeffs == (p.coeffs[0],) and p.coeffs[0] == 1),
     ]
-    if closed is not None:
-        checks.insert(
-            1,
-            _check(
-                "distribution_matches_closed_form",
-                [int(c) for c in closed] == list(dist.counts),
-            ),
-        )
-    return {
-        "schema": SCHEMA,
-        "command": "grs",
-        **summary,
-        "generator_rows": code.gen.index_rows(),
-        "checks": checks,
-    }
+    return {**summary, "generator_rows": code.gen.index_rows(), "checks": checks}
 
 
 def _cmd_elliptic(args, config: RunConfig) -> dict:
@@ -310,7 +368,7 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
     q = curve.spec.q
     cz = ag.zeta_from_point_counts(q, 1, [n1])
     verdict = ag.curve_rh(cz, config.tol)
-    code = ag.elliptic_code(curve, args.k)
+    code = ag.elliptic_code(curve, args.k, pts[1:])
     summary, dist, _, _ = _code_summary(code, budget)
     d = summary["d"]
     n = code.n
@@ -321,12 +379,10 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
         _check("distance_is_n_minus_k_or_mds", d in (n - args.k, n - args.k + 1)),
     ]
     out = {
-        "schema": SCHEMA,
-        "command": "elliptic",
         "curve": list((q,) + curve.coefficient_indices()),
         "rational_points": n1,
         "curve_zeta": list(cz.coeffs),
-        "curve_rh_max_deviation": zeta._fmt_float(verdict.max_deviation),
+        "curve_rh_max_deviation": _fmt_float(verdict.max_deviation),
         **summary,
     }
     if d == n - args.k:
@@ -337,13 +393,12 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
 
 
 def _cmd_curve_zeta(args, config: RunConfig) -> dict:
+    _prime_power(args.q)  # every command-line q must be a field order
     cz = ag.zeta_from_point_counts(args.q, args.genus, args.counts)
     verdict = ag.curve_rh(cz, config.tol)
-    rh = zeta.rh_payload(verdict)
+    rh = _rh_block(verdict)
     del rh["residuals"]  # not part of the curve-zeta report schema
     return {
-        "schema": SCHEMA,
-        "command": "curve-zeta",
         "q": args.q,
         "genus": args.genus,
         "counts": list(args.counts),
@@ -475,7 +530,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig.from_args(args)
-        payload = args.func(args, config)
+        payload = {"schema": SCHEMA, "command": args.command, **args.func(args, config)}
         _emit(payload, config)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

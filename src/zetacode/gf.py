@@ -305,7 +305,7 @@ def GF(q: int, modulus=None, cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     return spec
 
 
-def extension_field(base: FieldSpec, r: int, cap: int = DEFAULT_ORDER_CAP):
+def extension_field(base: FieldSpec, r: int):
     """GF(q^r) together with the index table embedding ``base`` into it.
 
     Returns (ext_spec, embed) where embed[i] is the index in the extension
@@ -317,7 +317,7 @@ def extension_field(base: FieldSpec, r: int, cap: int = DEFAULT_ORDER_CAP):
         raise ValueError(f"extension degree must be >= 1, got {r}")
     if r == 1:
         return base, tuple(range(base.q))
-    ext = GF(base.p ** (base.m * r), cap=cap)
+    ext = GF(base.p ** (base.m * r))
     if base.m == 1:
         return ext, tuple(range(base.p))
     # Horner steps over the tables, every candidate root at once; the

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from zetacode.gf import GF
 from zetacode.enumerator import (
     WeightEnumerator,
+    format_enumerator_text,
     from_distribution,
     macwilliams_substitute,
 )
+from zetacode import cli, zeta
 from zetacode.linear_code import LinearCode, Matrix, weight_distribution
 from zetacode.classify import (
     FormalReport,
-    classification_report,
     classify,
     extremal_bound,
     formal_checks,
@@ -175,13 +177,21 @@ def test_transform_is_an_involution_up_to_scale():
         assert [c / scale for c in twice.coeffs] == list(e.coeffs)
 
 
-def test_classification_report_fields():
-    rep = classification_report(w8(), 2)
+def classify_report(capsys, tmp_path, enum, q) -> dict:
+    """The JSON report of ``zetacode classify`` on ``enum`` over GF(q)."""
+    path = tmp_path / "enum.txt"
+    path.write_text(format_enumerator_text(enum))
+    assert cli.main(["classify", str(path), str(q)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classification_report_fields(capsys, tmp_path):
+    rep = classify_report(capsys, tmp_path, w8(), 2)
     assert rep["type"] == "II"
     assert rep["extremal"] is True
     assert rep["formal_weight_enumerator"] is False
     assert rep["zeta"]["coefficients"] == ["1/5", "2/5", "2/5"]
-    rep12 = classification_report(w12(), 2)
+    rep12 = classify_report(capsys, tmp_path, w12(), 2)
     assert rep12["formal_weight_enumerator"] is True
     assert rep12["formal"]["anti_functional_equation"] is True
 
@@ -196,10 +206,30 @@ def test_classification_report_fields():
         (w8(), 3, 2),
     ],
 )
-def test_classification_report_expands_each_transform_once(transform_log, enum, q, expected):
-    classification_report(enum, q)
+def test_classification_report_expands_each_transform_once(
+    capsys, tmp_path, transform_log, enum, q, expected
+):
+    classify_report(capsys, tmp_path, enum, q)
     assert len(transform_log) == expected
     assert len(set(transform_log)) == expected
+
+
+@pytest.mark.parametrize("enum", [w12(), w8() * w12()], ids=["w12", "w8*w12"])
+def test_classify_formal_report_runs_one_root_circle_verdict(
+    capsys, tmp_path, monkeypatch, enum
+):
+    calls = []
+    verdict = zeta.roots_on_circle_verdict
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "roots_on_circle_verdict", counted)
+    rep = classify_report(capsys, tmp_path, enum, 2)
+    assert rep["formal_weight_enumerator"] is True
+    assert "holds" in rep["zeta"]["rh"]
+    assert len(calls) == 1
 
 
 def _v_pattern_inputs():

@@ -298,6 +298,41 @@ def test_grs_multiplier_out_of_range(capsys, multipliers):
     assert f"column multiplier {bad} is not a nonzero element of GF(5)" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_grs_empty_length_is_invalid(capsys, n):
+    rc, out, err = run_with_err(capsys, ["grs", "--q", "5", "--k", "2", "--n", n])
+    assert rc == 1 and out == ""
+    assert "need 1 <= k <= n = 0, got k = 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, q, n",
+    [(["--q", "4", "--k", "4"], 4, 4), (["--q", "5", "--k", "3", "--n", "3"], 5, 3)],
+)
+def test_grs_full_space_names_zero_dual(capsys, argv, q, n):
+    rc, out, err = run_with_err(capsys, ["grs", *argv])
+    assert rc == 1 and out == ""
+    assert f"undefined for the full space GF({q})^{n}" in err and "zero code" in err
+    assert "puncture" not in err
+
+
+@pytest.mark.parametrize("q", ["-4", "0", "1", "6"])
+@pytest.mark.parametrize("command", ["rh", "curve-zeta", "classify", "mds"])
+def test_command_line_field_order_must_be_a_prime_power(capsys, tmp_path, command, q):
+    w8f = tmp_path / "w8.txt"
+    w8f.write_text(W8_ENUM)
+    argv = {
+        "rh": ["rh", "--q", q, "1", "1"],
+        "curve-zeta": ["curve-zeta", "--q", q, "--genus", "1", "3"],
+        "classify": ["classify", str(w8f), q],
+        "mds": ["mds", "4", "3", q],
+    }[command]
+    rc, out, err = run_with_err(capsys, argv)
+    assert rc == 1 and out == ""
+    message = "6 is not a prime power" if q == "6" else f"field order must be at least 2, got {q}"
+    assert err == f"error: {message}\n"
+
+
 def test_mds_command(capsys):
     payload = run_json(capsys, ["mds", "4", "3", "3"])
     assert payload["coefficients"] == ["1", "0", "0", "8", "0"]
@@ -371,6 +406,23 @@ def test_elliptic_command(capsys, tmp_path):
     assert payload["curve_zeta"] == [1, 3, 5]
     assert payload["n"] == 8 and payload["k"] == 2
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_elliptic_solves_the_curve_points_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = ag._affine_point_indices
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ag, "_affine_point_indices", counted)
+    p = tmp_path / "curve.txt"
+    p.write_text(CURVE5)
+    payload = run_json(capsys, ["elliptic", str(p), "2"])
+    assert payload["rational_points"] == 9 and payload["n"] == 8
+    assert all(c["passed"] for c in payload["checks"])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -498,25 +550,81 @@ def test_text_format(capsys, hamming_file):
     assert "distribution" in out and "schema: zetacode/1" in out
 
 
+def _key_layout(value, prefix=""):
+    """Dotted paths of every key in a JSON report, in report order; the keys
+    of a list of objects appear once, under ``name[]``."""
+    paths = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths.append(prefix + key)
+            paths += _key_layout(item, prefix + key + ".")
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for item in value:
+            paths += [p for p in _key_layout(item, prefix[:-1] + "[].") if p not in paths]
+    return paths
+
+
+_CODE = ["q", "n", "k", "d", "genus", "distribution"]
+_CHECKS = ["checks", "checks[].name", "checks[].passed"]
+_RH = ["rh", "rh.holds", "rh.tolerance", "rh.max_deviation", "rh.roots"]
+_ROOTS = ["rh.roots[].re", "rh.roots[].im"]
+_ZETA = ["zeta"] + [
+    f"zeta.{key}"
+    for key in ["coefficients", "degree", "q", "n", "d", "d_dual", "g", "g_dual",
+                "p_at_one", "p_at_one_is_one"]
+]
+
+
+def _zeta_rh(roots: bool) -> list[str]:
+    return [f"zeta.{key}" for key in _RH + (_ROOTS if roots else []) + ["rh.residuals"]]
+
+
 def test_determinism_all_commands(capsys, tmp_path, hamming_file, tetra_file):
     curve = tmp_path / "curve.txt"
     curve.write_text(CURVE5)
     w8f = tmp_path / "w8.txt"
     w8f.write_text(W8_ENUM)
+    head = ["schema", "command"]
     invocations = [
-        ["wdist", hamming_file],
-        ["dual", hamming_file],
-        ["zeta", hamming_file],
-        ["zeta", tetra_file],
-        ["rh", "--q", "2", "1/5", "2/5", "2/5"],
-        ["classify", str(w8f), "2"],
-        ["mds", "4", "3", "3"],
-        ["grs", "--q", "5", "--k", "2"],
-        ["elliptic", str(curve), "2"],
-        ["curve-zeta", "--q", "5", "--genus", "1", "9"],
+        (["wdist", hamming_file], head + _CODE + _CHECKS),
+        (
+            ["dual", hamming_file],
+            head + ["q", "n", "k", "dual_k", "dual_rows", "self_dual", "self_orthogonal",
+                    "dual_distribution"] + _CHECKS,
+        ),
+        (
+            ["zeta", hamming_file],
+            head + _CODE + _ZETA + _zeta_rh(True) + ["formally_self_dual"] + _CHECKS,
+        ),
+        (
+            ["zeta", tetra_file],
+            head + _CODE + _ZETA + _zeta_rh(False) + ["formally_self_dual"] + _CHECKS,
+        ),
+        (
+            ["rh", "--q", "2", "1/5", "2/5", "2/5"],
+            head + ["q", "coefficients"] + _RH + _ROOTS + ["rh.residuals"] + _CHECKS,
+        ),
+        (
+            ["classify", str(w8f), "2"],
+            head + ["n", "q", "virtually_self_dual", "reason", "b_max", "type", "v_pattern",
+                    "d", "d_bound", "extremal", "formal_weight_enumerator"]
+            + _ZETA + _zeta_rh(True) + _CHECKS,
+        ),
+        (["mds", "4", "3", "3"], head + ["n", "d", "q", "coefficients"] + _CHECKS),
+        (["grs", "--q", "5", "--k", "2"], head + _CODE + ["generator_rows"] + _CHECKS),
+        (
+            ["elliptic", str(curve), "2"],
+            head + ["curve", "rational_points", "curve_zeta", "curve_rh_max_deviation"]
+            + _CODE + _CHECKS,
+        ),
+        (
+            ["curve-zeta", "--q", "5", "--genus", "1", "9"],
+            head + ["q", "genus", "counts", "coefficients"] + _RH + _ROOTS + _CHECKS,
+        ),
     ]
-    for argv in invocations:
+    for argv, layout in invocations:
         rc1, out1 = run(capsys, argv)
         rc2, out2 = run(capsys, argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+        assert _key_layout(json.loads(out1)) == layout, argv[0]

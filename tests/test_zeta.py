@@ -30,8 +30,8 @@ from zetacode.zeta import (
     self_reciprocal_check,
     zeta_from_chinen,
     zeta_from_mds_basis,
-    zeta_report,
 )
+from zetacode import cli
 
 HAMMING8 = [
     [1, 0, 0, 0, 0, 1, 1, 1],
@@ -274,7 +274,7 @@ def test_degenerate_input_refused_and_puncture_fixes_it():
 
 def test_zeta_report_fields(hamming_zeta):
     p, _ = hamming_zeta
-    rep = zeta_report(p)
+    rep = cli._zeta_block(p, riemann_hypothesis(p))
     assert rep["coefficients"] == ["1/5", "2/5", "2/5"]
     assert rep["degree"] == 2
     assert rep["p_at_one_is_one"] is True
