@@ -14,11 +14,16 @@ ZETACODE_BUDGET overrides the default codeword budget; --budget overrides
 both.  It bounds min(q^k, q^(n-k)): a code's distribution comes from the
 smaller of it and its dual.  ``dual`` checks the MacWilliams transform
 only when both sides fit.
+
+The argument parser is built once per process, on the first ``main`` call,
+and every call parses its own ``argv`` against it; ZETACODE_BUDGET is still
+read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -332,11 +337,16 @@ def _cmd_mds(args, config: RunConfig) -> dict:
 def _cmd_grs(args, config: RunConfig) -> dict:
     budget = config.budget
     spec = GF(args.q)
-    alphas = (
-        [int(t) for t in args.alphas.split(",")]
-        if args.alphas
-        else list(range(spec.q if args.n is None else args.n))
-    )
+    if args.alphas:
+        alphas = [int(t) for t in args.alphas.split(",")]
+        if args.n is not None and args.n != len(alphas):
+            raise ValueError(
+                f"--n {args.n} disagrees with the {len(alphas)} evaluation points of --alphas"
+            )
+    elif args.n is not None and args.n > spec.q:
+        raise ValueError(f"need n <= q = {spec.q} distinct evaluation points, got n = {args.n}")
+    else:
+        alphas = list(range(spec.q if args.n is None else args.n))
     n = len(alphas)
     multipliers = (
         [int(t) for t in args.multipliers.split(",")] if args.multipliers else [1] * n
@@ -453,6 +463,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="zetacode",
@@ -526,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = RunConfig.from_args(args)
         payload = {"schema": SCHEMA, "command": args.command, **args.func(args, config)}

@@ -205,14 +205,19 @@ def _codeword_blocks(code: LinearCode, budget: int):
     for j in range(k - 1, k - 1 - t, -1):
         low = add(mult[:, j, None, :], low[None, :, :]).reshape(-1, n)
 
-    def blocks(j, offset):
-        if j == k - t:
-            yield add(offset, low) if offset.any() else low
-        else:
-            for row in mult[:, j]:
-                yield from blocks(j + 1, add(offset, row))
+    yield from _blocks(mult, low, add, 0, k - t, np.zeros(n, dtype=dtype))
 
-    yield from blocks(0, np.zeros(n, dtype=dtype))
+
+def _blocks(mult, low, add, j, stop, offset):
+    """The blocks of message digits j .. stop - 1 on top of ``offset``, in
+    lex order.  At module level so that the recursion is no closure over
+    itself: that reference cycle would keep ``mult``, ``low`` and the add
+    table alive until the cyclic garbage collector ran."""
+    if j == stop:
+        yield add(offset, low) if offset.any() else low
+    else:
+        for row in mult[:, j]:
+            yield from _blocks(mult, low, add, j + 1, stop, add(offset, row))
 
 
 def _codeword_matrix(code: LinearCode, budget: int) -> np.ndarray:

@@ -109,10 +109,15 @@ def _source_parameters(enum: WeightEnumerator, q: int, dimension: int | None):
     if d is None:
         raise ValueError("enumerator has no positive support; no zeta polynomial")
     d_dual = macwilliams_substitute(enum, q).min_distance
-    if d_dual is None or d_dual < 2:
+    if d_dual is None:
         raise ValueError(
-            "degenerate enumerator (transform has a weight-one term); "
-            "puncture the code first (puncture_degenerate)"
+            "the enumerator's MacWilliams transform has no positive support, "
+            "so no zeta polynomial exists"
+        )
+    if d_dual < 2:
+        raise ValueError(
+            "the enumerator's MacWilliams transform has a weight-one term "
+            "(dual distance 1), so no zeta polynomial exists"
         )
     k = _infer_dimension(enum, q) if dimension is None else int(dimension)
     return d, d_dual, k

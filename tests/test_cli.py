@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,6 +308,24 @@ def test_grs_empty_length_is_invalid(capsys, n):
     assert "need 1 <= k <= n = 0, got k = 2" in err
 
 
+def test_grs_length_must_agree_with_alphas(capsys):
+    rc, out, err = run_with_err(
+        capsys, ["grs", "--q", "5", "--k", "2", "--n", "3", "--alphas", "0,1,2,3"]
+    )
+    assert rc == 1 and out == ""
+    assert err == "error: --n 3 disagrees with the 4 evaluation points of --alphas\n"
+    agreeing = run_json(capsys, ["grs", "--q", "5", "--k", "2", "--n", "4", "--alphas", "0,1,2,3"])
+    assert agreeing == run_json(capsys, ["grs", "--q", "5", "--k", "2", "--alphas", "0,1,2,3"])
+    assert agreeing["n"] == 4
+
+
+def test_grs_length_beyond_field_order(capsys):
+    rc, out, err = run_with_err(capsys, ["grs", "--q", "5", "--k", "2", "--n", "7"])
+    assert rc == 1 and out == ""
+    assert err == "error: need n <= q = 5 distinct evaluation points, got n = 7\n"
+    assert run_json(capsys, ["grs", "--q", "5", "--k", "2", "--n", "5"])["n"] == 5
+
+
 @pytest.mark.parametrize(
     "argv, q, n",
     [(["--q", "4", "--k", "4"], 4, 4), (["--q", "5", "--k", "3", "--n", "3"], 5, 3)],
@@ -376,6 +397,22 @@ def test_zeta_long_low_rate_code_not_formally_self_dual(capsys, tmp_path):
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks["functional_equation_matches_dual_zeta"] is True
     assert all(checks.values())
+
+
+@pytest.mark.parametrize(
+    "text, q, defect",
+    [
+        (W8_ENUM, "3", "a weight-one term (dual distance 1)"),
+        ("2 1 2 1\n", "2", "no positive support"),  # the full space GF(2)^2
+    ],
+)
+def test_classify_degenerate_enumerator_names_the_transform(capsys, tmp_path, text, q, defect):
+    p = tmp_path / "enum.txt"
+    p.write_text(text)
+    payload = run_json(capsys, ["classify", str(p), q])
+    assert payload["zeta"] == {
+        "error": f"the enumerator's MacWilliams transform has {defect}, so no zeta polynomial exists"
+    }
 
 
 def test_classify_command_ternary(capsys, tmp_path):
@@ -628,3 +665,78 @@ def test_determinism_all_commands(capsys, tmp_path, hamming_file, tetra_file):
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert _key_layout(json.loads(out1)) == layout, argv[0]
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_main_calls_share_no_parsed_state(capsys, monkeypatch, hamming_file):
+    # the parser is built by the first call below, with ZETACODE_BUDGET set
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("ZETACODE_BUDGET", "4")
+    assert run(capsys, ["wdist", hamming_file])[0] == 2
+    monkeypatch.delenv("ZETACODE_BUDGET")
+    assert run(capsys, ["wdist", hamming_file])[0] == 0
+    # a --budget of one call is not the next call's budget
+    assert run(capsys, ["wdist", hamming_file, "--budget", "4"])[0] == 2
+    monkeypatch.setenv("ZETACODE_BUDGET", "1000")
+    assert run(capsys, ["wdist", hamming_file])[0] == 0
+    assert run(capsys, ["wdist", hamming_file, "--budget", "1000"])[0] == 0
+    monkeypatch.setenv("ZETACODE_BUDGET", "4")
+    assert run(capsys, ["wdist", hamming_file])[0] == 2
+    monkeypatch.delenv("ZETACODE_BUDGET")
+
+    explicit = run_json(
+        capsys,
+        ["grs", "--q", "7", "--k", "2", "--alphas", "0,1,3,5", "--multipliers", "1,2,3,1"],
+    )
+    assert explicit["n"] == 4
+    plain = run_json(capsys, ["grs", "--q", "5", "--k", "2"])
+    assert plain["q"] == 5 and plain["n"] == 5
+    assert plain["generator_rows"][0] == [1] * 5  # every multiplier is 1
+    assert plain["generator_rows"][1] == [0, 1, 2, 3, 4]
+
+    rc, text = run(capsys, ["wdist", hamming_file, "--format", "text"])
+    assert rc == 0 and text.startswith("schema: zetacode/1\n")
+    assert run_json(capsys, ["wdist", hamming_file])["distribution"] == [1, 0, 0, 0, 14, 0, 0, 0, 1]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["grs", "--q", "5", "--k"])
+    assert exc.value.code == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert run_json(capsys, ["grs", "--q", "5", "--k", "2"]) == plain
+
+
+_COUNT_PARSERS = """
+import json
+from zetacode import cli
+
+inits = []
+original = cli._ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    inits.append(kwargs.get("prog"))
+    original(self, *args, **kwargs)
+
+cli._ArgumentParser.__init__ = counted
+at_import = len(inits)
+cli.main(["mds", "4", "3", "3"])
+after_one = len(inits)
+for _ in range(4):
+    cli.main(["mds", "4", "3", "3", "--format", "text"])
+    cli.main(["curve-zeta", "--q", "5", "--genus", "1", "9"])
+print(json.dumps([at_import, after_one, len(inits), inits.count("zetacode")]))
+"""
+
+
+def test_parser_built_once_per_process():
+    # the child imports the same zetacode as this test process
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], env=env, capture_output=True, text=True, check=True
+    )
+    at_import, after_one, after_nine, top_level = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == 0  # importing the module builds no parser
+    assert after_one > 0  # the top-level parser and one per subcommand
+    assert after_nine == after_one
+    assert top_level == 1

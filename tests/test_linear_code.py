@@ -4,6 +4,7 @@ import itertools
 import random
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ def test_kernel_matches_reference_with_split_message_digits(q, n, k):
 def test_kernel_matches_reference_at_dtype_boundary(q):
     # uint8 entries up to GF(256), uint16 from GF(512)
     assert_kernel_matches_reference(q, 3, 2)
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 20, 18), (3, 14, 12), (5, 10, 8)])
+def test_enumeration_leaves_no_cyclic_garbage(q, n, k):
+    # q^k > _CHUNK with two or more high digits, so the block recursion
+    # nests; characteristic 2 adds by XOR, odd q through the flat add table
+    t = next(t for t in range(k, -1, -1) if q**t <= _CHUNK)
+    assert k - t >= 2
+    c = make_random_code(random.Random(q * 100 + n), q, n, k)
+    c.spec.tables  # built outside the measured region
+    gc.collect()
+    gc.disable()
+    try:
+        weight_distribution(c, budget=q**k)
+        _codeword_matrix(c, budget=q**k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_enforced():

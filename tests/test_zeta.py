@@ -260,9 +260,10 @@ def test_min_distance_bound_on_corpus(unit_corpus):
 def test_degenerate_input_refused_and_puncture_fixes_it():
     c = LinearCode(Matrix.from_indices(GF(2), [[1, 1, 0]]))
     e = from_distribution(weight_distribution(c), q=2)
-    with pytest.raises(ValueError, match="puncture"):
+    message = r"MacWilliams transform has a weight-one term \(dual distance 1\)"
+    with pytest.raises(ValueError, match=message):
         zeta_from_mds_basis(e, 2)
-    with pytest.raises(ValueError, match="puncture"):
+    with pytest.raises(ValueError, match=message):
         zeta_from_chinen(e, 2)
     p = puncture_degenerate(c)
     ep = from_distribution(weight_distribution(p), q=2)
