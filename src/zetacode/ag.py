@@ -8,15 +8,18 @@ minimum-count recursion for [n, k, n-k] elliptic codes, and a direct count
 of effective divisors in a divisor class (``fiber_count``), which reduces
 linear equivalence to the group structure on the rational points.
 
-Closed points of degree r are realized as Frobenius orbits of points over
-GF(q^r), found in O(q^r) by solving one quadratic in y per x.  Effective
-divisors are counted, not listed: a dynamic program takes the places a
-group of one degree and class point at a time, as in the Euler product
-Z(t) = prod_P (1 - t^deg P)^-1, so its cost grows with the number of
-places and classes rather than with the number of divisors.  The projective
-line needs only the number of places of each degree and no extension
-field; elliptic places of degree r need GF(q^r) tables, so q^r is bounded
-by the field-order cap of module gf.
+Effective divisors are counted, not listed: a dynamic program takes the
+places a group of one degree and class point at a time, as in the Euler
+product Z(t) = prod_P (1 - t^deg P)^-1, so its cost grows with the number of
+places and classes rather than with the number of divisors.  That product
+needs only how many places there are of each degree and class, never the
+places themselves, so no extension field is built.  On the projective line
+the count per degree is the number of monic irreducibles.  On an elliptic
+curve N_1 fixes every N_r = #E(GF(q^r)), and the group law on the rational
+points splits the places of degree r among the classes through the traces
+of points of exact degree r (Duursma, "From weight enumerators to zeta
+functions", 2001); deg G is then bounded by the budget alone, not by the
+field-order cap of module gf.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import GF, FieldSpec, extension_field
+from .gf import GF, FieldSpec
 from .linear_code import (
     BudgetExceededError,
     LinearCode,
@@ -599,86 +602,44 @@ def amin_onepoint(n: int, k: int, q: int) -> int:
 # -- closed places and the divisor-class counting oracle -------------------
 
 
-@dataclass(frozen=True)
-class Place:
-    """A closed point: a Frobenius orbit of geometric points.
+def _elliptic_place_counts(curve: EllipticCurve, plus, pairs, max_degree: int):
+    """counts[r][i], r = 2..max_degree: the places of degree r whose
+    Frobenius orbit sums to the rational point pairs[i], from N_1 and the
+    group law alone; ``pairs`` lists every rational point.
 
-    ``rational_point`` is set for degree-1 places; ``class_point`` is the
-    group sum of the orbit mapped back to the base curve (genus 1 only).
+    With a = q + 1 - N_1 and s_0 = 2, s_1 = a, s_r = a s_(r-1) - q s_(r-2),
+    there are N_r = q^r + 1 - s_r points over GF(q^r).  Their trace to the
+    rational points is onto with fibers of N_r / N_1 points, and a point of
+    exact degree s | r has trace (r/s) times its degree-s trace, so the
+    points of exact degree r with trace P number
+    f_r(P) = N_r / N_1 - sum_(s | r, s < r) sum_((r/s) P' = P) f_s(P'),
+    with f_1 = 1; each place of degree r is r of them.
     """
-
-    degree: int
-    key: tuple
-    rational_point: object | None
-    class_point: object | None
-
-
-def _orbits(q: int, r: int, ext: FieldSpec, pts):
-    """The Frobenius orbits of exactly r points among ``pts``, index tuples
-    over ext = GF(q^r) closed under x -> x^q coordinate-wise.  A shorter
-    orbit is defined over a proper subfield and counted at its own degree."""
-    tab = ext.tables
-    log = tab.log.astype(np.int64)  # log of 0 is -1, masked below
-    frob = np.where(log < 0, 0, tab.exp[log * q % (ext.q - 1)]).tolist()
-    seen: set[tuple] = set()
-    for pt in pts:
-        if pt in seen:
-            continue
-        orbit = [pt]
-        nxt = tuple(frob[c] for c in pt)
-        while nxt != pt:
-            orbit.append(nxt)
-            nxt = tuple(frob[c] for c in nxt)
-        seen.update(orbit)
-        if len(orbit) == r:
-            yield orbit
-
-
-def _elliptic_places(curve: EllipticCurve, max_degree: int) -> list[Place]:
-    spec = curve.spec
-    out = [Place(1, (1,) + p.sort_key(), p, p) for p in points(curve)]
+    q, n1 = curve.spec.q, len(pairs)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    a = q + 1 - n1
+    s_prev, s_r = 2, a
+    f = {1: [1] * n1}
+    images = {}  # m -> index of m * pairs[i], for each i
+    counts = {}
     for r in range(2, max_degree + 1):
-        ext, embed = extension_field(spec, r)
-        inv_embed = {e: i for i, e in enumerate(embed)}
-        ext_curve = EllipticCurve.from_indices(
-            ext, [embed[c] for c in curve.coefficient_indices()]
-        )
-        plus = _group_law(ext_curve)
-        ext_points = _affine_point_indices(ext, ext_curve.coefficient_indices())
-        for orbit in _orbits(spec.q, r, ext, ext_points):
-            acc = None
-            for pt in orbit:
-                acc = plus(acc, pt)
-            if acc is not None:
-                acc = (inv_embed.get(acc[0]), inv_embed.get(acc[1]))
-                if None in acc:
-                    raise RuntimeError("orbit sum not fixed by Frobenius")
-            rep = min(orbit)
-            out.append(Place(r, (r, 1, rep[0], rep[1]), None, _point(acc)))
-    out.sort(key=lambda pl: pl.key)
-    return out
-
-
-def _line_places(line: ProjectiveLine, max_degree: int) -> list[Place]:
-    spec = line.spec
-    out = [Place(1, (1,) + p.sort_key(), p, None) for p in line.points()]
-    for r in range(2, max_degree + 1):
-        ext, _ = extension_field(spec, r)
-        for orbit in _orbits(spec.q, r, ext, ((x,) for x in range(ext.q))):
-            out.append(Place(r, (r, 1, min(orbit)[0], 0), None, None))
-    out.sort(key=lambda pl: pl.key)
-    return out
-
-
-def places_up_to(curve, max_degree: int) -> list[Place]:
-    """All closed points of degree <= max_degree, deterministically ordered."""
-    if max_degree < 1:
-        return []
-    if isinstance(curve, EllipticCurve):
-        return _elliptic_places(curve, max_degree)
-    if isinstance(curve, ProjectiveLine):
-        return _line_places(curve, max_degree)
-    raise TypeError(f"unsupported curve type {type(curve).__name__}")
+        s_prev, s_r = s_r, a * s_r - q * s_prev
+        # N_r / N_1 = (1 - alpha^r)(1 - beta^r) / ((1 - alpha)(1 - beta)),
+        # alpha and beta the roots of T^2 - a T + q, is an integer
+        f_r = [(q**r + 1 - s_r) // n1] * n1
+        for s in range(1, r):
+            if r % s:
+                continue
+            m = r // s
+            if m not in images:
+                images[m] = [index[_multiple(curve, plus, m, pair)] for pair in pairs]
+            for i, c in zip(images[m], f[s]):
+                f_r[i] -= c
+        if any(c < 0 or c % r for c in f_r):
+            raise RuntimeError(f"degree-{r} points by class are not r times a place count: {f_r}")
+        f[r] = f_r
+        counts[r] = [c // r for c in f_r]
+    return counts
 
 
 def _mobius(n: int) -> int:
@@ -735,9 +696,13 @@ def fiber_counts(
         plus = _group_law(curve)
         for point, mult in G.entries:
             target = plus(target, _multiple(curve, plus, mult, _pair(point)))
-        for pl in places_up_to(curve, delta):
-            key = (pl.degree, pl.degree == 1 and pl.rational_point in d_set, _pair(pl.class_point))
-            groups[key] = groups.get(key, 0) + 1
+        pairs = [None] + _affine_point_indices(curve.spec, curve.coefficient_indices())
+        d_pairs = {_pair(p) for p in d_set}
+        for pair in pairs:
+            groups[(1, pair in d_pairs, pair)] = 1
+        for r, counts in _elliptic_place_counts(curve, plus, pairs, delta).items():
+            for pair, c in zip(pairs, counts):
+                groups[(r, False, pair)] = c
     else:
         q = curve.spec.q
         groups[(1, True, None)] = len(d_set)

@@ -10,7 +10,9 @@ There is no element object: every function takes and returns plain int
 indices, and :meth:`FieldSpec.element` is the one range-checked way in.
 Multiplication, inversion and powers run on discrete-log tables built once
 per field and cached at module level; addition is digit-wise modular
-arithmetic.  Field specs and tables are immutable after construction, so
+arithmetic.  The q x q addition and multiplication tables hold indices in
+the narrowest unsigned dtype that fits q - 1 and are filled a block of rows
+at a time.  Field specs and tables are immutable after construction, so
 they can be shared between threads without locking.
 """
 
@@ -175,25 +177,34 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
+_TABLE_CHUNK = 1 << 16  # cells per row chunk while filling a q x q table
+
+
 class _Tables:
-    """Dense operation tables for one field; built once, then read only."""
+    """Dense operation tables for one field; built once, then read only.
+
+    ``add`` and ``mul`` hold indices in the narrowest unsigned dtype
+    (uint8 up to GF(256), uint16 up to GF(65536)); ``neg``, ``inv``, ``exp``
+    and ``log`` stay int32, since the log of 0 is stored as -1."""
 
     __slots__ = ("add", "neg", "mul", "inv", "exp", "log")
 
     def __init__(self, spec: FieldSpec):
         p, m, q = spec.p, spec.m, spec.q
+        dtype = np.min_scalar_type(q - 1)
         idx = np.arange(q, dtype=np.int32)
         if p == 2:
             # digit-wise addition mod 2 of little-endian bits is XOR
-            self.add = idx[:, None] ^ idx[None, :]
+            narrow = idx.astype(dtype)
+            self.add = narrow[:, None] ^ narrow[None, :]
             self.neg = idx
         else:
-            self.add = np.zeros((q, q), dtype=np.int32)
-            self.neg = np.zeros(q, dtype=np.int32)
-            for j in range(m):
-                d = idx // p**j % p
-                self.add += (d[:, None] + d[None, :]) % p * p**j
-                self.neg += -d % p * p**j
+            wide = np.min_scalar_type(2 * (q - 1))  # holds a sum of two indices
+            digits = [(idx // p**j % p).astype(wide) for j in range(m)]
+            self.add = _fill_rows(q, dtype, lambda lo, hi: sum(
+                (d[lo:hi, None] + d[None, :]) % p * p**j for j, d in enumerate(digits)
+            ))
+            self.neg = sum(-d.astype(np.int32) % p * p**j for j, d in enumerate(digits))
 
         gen = _find_generator(spec)
         order = q - 1
@@ -209,14 +220,26 @@ class _Tables:
         self.exp = exp
         self.log = log
 
-        mul = exp[(log[:, None] + log[None, :]) % order]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self.mul = mul
+        # a * b = ext[log a + log b], where ext is exp twice (so no sum of
+        # two logs needs reducing mod q - 1) followed by zeros; 0 gets the
+        # stand-in log 2(q - 1), so every sum with a 0 operand lands there
+        ext = np.concatenate([exp, exp, np.zeros(2 * order + 1, dtype=np.int32)]).astype(dtype)
+        logs = np.where(log < 0, 2 * order, log).astype(np.min_scalar_type(4 * order))
+        self.mul = _fill_rows(q, dtype, lambda lo, hi: ext[logs[lo:hi, None] + logs[None, :]])
 
         inv = np.zeros(q, dtype=np.int32)
         inv[exp] = exp[(order - np.arange(order)) % order]
         self.inv = inv
+
+
+def _fill_rows(q: int, dtype, rows) -> np.ndarray:
+    """A q x q table of ``dtype`` filled from rows(lo, hi), a chunk of rows
+    at a time, so that no temporary is ever q x q."""
+    out = np.empty((q, q), dtype=dtype)
+    step = max(1, _TABLE_CHUNK // q)
+    for lo in range(0, q, step):
+        out[lo:lo + step] = rows(lo, min(q, lo + step))
+    return out
 
 
 def _raw_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -303,39 +326,3 @@ def GF(q: int, modulus=None, cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
     if modulus is None:
         _DEFAULT_SPECS[q] = spec
     return spec
-
-
-def extension_field(base: FieldSpec, r: int):
-    """GF(q^r) together with the index table embedding ``base`` into it.
-
-    Returns (ext_spec, embed) where embed[i] is the index in the extension
-    of base element i.  The embedding fixes the prime subfield and sends
-    the base generator t to the smallest-index root of the base modulus in
-    the extension, so it is deterministic.
-    """
-    if r < 1:
-        raise ValueError(f"extension degree must be >= 1, got {r}")
-    if r == 1:
-        return base, tuple(range(base.q))
-    ext = GF(base.p ** (base.m * r))
-    if base.m == 1:
-        return ext, tuple(range(base.p))
-    # Horner steps over the tables, every candidate root at once; the
-    # coefficients of the modulus lie in the prime subfield, whose
-    # elements have the same indices in every field of characteristic p
-    tab = ext.tables
-    cands = np.arange(ext.q)
-    acc = np.zeros(ext.q, dtype=np.int32)
-    for c in reversed(base.modulus):
-        acc = tab.add[tab.mul[acc, cands], c]
-    roots = np.flatnonzero(acc == 0)
-    if roots.size == 0:
-        raise RuntimeError(f"base modulus has no root in GF({ext.q})")
-    theta = int(roots[0])
-    # base element a = sum_j d_j t^j goes to sum_j d_j theta^j, by Horner
-    # from the top digit
-    a = np.arange(base.q)
-    embed = np.zeros(base.q, dtype=np.int32)
-    for j in reversed(range(base.m)):
-        embed = tab.add[tab.mul[embed, theta], a // base.p**j % base.p]
-    return ext, tuple(embed.tolist())

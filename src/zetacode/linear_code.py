@@ -190,11 +190,11 @@ def _codeword_blocks(code: LinearCode, budget: int):
     tab = code.spec.tables
     dtype = np.min_scalar_type(q - 1)
     G = code.gen.array
-    mult = tab.mul[np.arange(q)[:, None, None], G[None, :, :]].astype(dtype)  # (q, k, n)
+    mult = tab.mul[np.arange(q)[:, None, None], G[None, :, :]]  # (q, k, n)
     if code.spec.p == 2:
         add = np.bitwise_xor
     else:  # a take on the flat table is about twice as fast as tab.add[a, b]
-        flat = tab.add.astype(dtype).ravel()
+        flat = tab.add.ravel()
         wide = np.min_scalar_type(q * q - 1)
 
         def add(small, big):

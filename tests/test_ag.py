@@ -40,12 +40,12 @@ from zetacode.ag import (
     one_point_basis,
     parse_curve_text,
     parse_divisor_text,
-    places_up_to,
     points,
     scalar_point_mul,
     within_hasse_bound,
     zeta_from_point_counts,
 )
+from test_divisor_counting import places_up_to
 
 # (q, [a1, a2, a3, a4, a6], expected point count)
 CURVES = [

@@ -1,29 +1,150 @@
-"""Point finding, places and the effective-divisor counting DP against the
-brute-force algorithms they replaced, kept here as reference oracles."""
+"""Point finding, place counts and the effective-divisor counting DP against
+the algorithms they replaced, kept here as reference oracles: brute-force
+point search, and closed places listed as Frobenius orbits over GF(q^r)."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from zetacode import ag
+from zetacode import ag, gf
 from zetacode.ag import (
     CurvePoint,
     Divisor,
     EllipticCurve,
     LinePoint,
-    Place,
     ProjectiveLine,
     fiber_counts,
     functional_equation_holds,
-    places_up_to,
     points,
 )
-from zetacode.gf import GF, _digits, extension_field
+from zetacode.gf import GF, FieldSpec, _digits
 from zetacode.linear_code import BudgetExceededError
+
+# -- reference oracles: places as Frobenius orbits over GF(q^r) -----------------------
+
+
+def extension_field(base: FieldSpec, r: int):
+    """GF(q^r) together with the index table embedding ``base`` into it.
+
+    Returns (ext_spec, embed) where embed[i] is the index in the extension
+    of base element i.  The embedding fixes the prime subfield and sends
+    the base generator t to the smallest-index root of the base modulus in
+    the extension, so it is deterministic.
+    """
+    if r < 1:
+        raise ValueError(f"extension degree must be >= 1, got {r}")
+    if r == 1:
+        return base, tuple(range(base.q))
+    ext = GF(base.p ** (base.m * r))
+    if base.m == 1:
+        return ext, tuple(range(base.p))
+    # Horner steps over the tables, every candidate root at once; the
+    # coefficients of the modulus lie in the prime subfield, whose
+    # elements have the same indices in every field of characteristic p
+    tab = ext.tables
+    cands = np.arange(ext.q)
+    acc = np.zeros(ext.q, dtype=np.int32)
+    for c in reversed(base.modulus):
+        acc = tab.add[tab.mul[acc, cands], c]
+    roots = np.flatnonzero(acc == 0)
+    if roots.size == 0:
+        raise RuntimeError(f"base modulus has no root in GF({ext.q})")
+    theta = int(roots[0])
+    # base element a = sum_j d_j t^j goes to sum_j d_j theta^j, by Horner
+    # from the top digit
+    a = np.arange(base.q)
+    embed = np.zeros(base.q, dtype=np.int32)
+    for j in reversed(range(base.m)):
+        embed = tab.add[tab.mul[embed, theta], a // base.p**j % base.p]
+    return ext, tuple(embed.tolist())
+
+
+@dataclass(frozen=True)
+class Place:
+    """A closed point: a Frobenius orbit of geometric points.
+
+    ``rational_point`` is set for degree-1 places; ``class_point`` is the
+    group sum of the orbit mapped back to the base curve (genus 1 only).
+    """
+
+    degree: int
+    key: tuple
+    rational_point: object | None
+    class_point: object | None
+
+
+def _orbits(q: int, r: int, ext: FieldSpec, pts):
+    """The Frobenius orbits of exactly r points among ``pts``, index tuples
+    over ext = GF(q^r) closed under x -> x^q coordinate-wise.  A shorter
+    orbit is defined over a proper subfield and counted at its own degree."""
+    tab = ext.tables
+    log = tab.log.astype(np.int64)  # log of 0 is -1, masked below
+    frob = np.where(log < 0, 0, tab.exp[log * q % (ext.q - 1)]).tolist()
+    seen: set[tuple] = set()
+    for pt in pts:
+        if pt in seen:
+            continue
+        orbit = [pt]
+        nxt = tuple(frob[c] for c in pt)
+        while nxt != pt:
+            orbit.append(nxt)
+            nxt = tuple(frob[c] for c in nxt)
+        seen.update(orbit)
+        if len(orbit) == r:
+            yield orbit
+
+
+def _elliptic_places(curve: EllipticCurve, max_degree: int) -> list[Place]:
+    spec = curve.spec
+    out = [Place(1, (1,) + p.sort_key(), p, p) for p in points(curve)]
+    for r in range(2, max_degree + 1):
+        ext, embed = extension_field(spec, r)
+        inv_embed = {e: i for i, e in enumerate(embed)}
+        ext_curve = EllipticCurve.from_indices(
+            ext, [embed[c] for c in curve.coefficient_indices()]
+        )
+        plus = ag._group_law(ext_curve)
+        ext_points = ag._affine_point_indices(ext, ext_curve.coefficient_indices())
+        for orbit in _orbits(spec.q, r, ext, ext_points):
+            acc = None
+            for pt in orbit:
+                acc = plus(acc, pt)
+            if acc is not None:
+                acc = (inv_embed.get(acc[0]), inv_embed.get(acc[1]))
+                if None in acc:
+                    raise RuntimeError("orbit sum not fixed by Frobenius")
+            rep = min(orbit)
+            out.append(Place(r, (r, 1, rep[0], rep[1]), None, ag._point(acc)))
+    out.sort(key=lambda pl: pl.key)
+    return out
+
+
+def _line_places(line: ProjectiveLine, max_degree: int) -> list[Place]:
+    spec = line.spec
+    out = [Place(1, (1,) + p.sort_key(), p, None) for p in line.points()]
+    for r in range(2, max_degree + 1):
+        ext, _ = extension_field(spec, r)
+        for orbit in _orbits(spec.q, r, ext, ((x,) for x in range(ext.q))):
+            out.append(Place(r, (r, 1, min(orbit)[0], 0), None, None))
+    out.sort(key=lambda pl: pl.key)
+    return out
+
+
+def places_up_to(curve, max_degree: int) -> list[Place]:
+    """All closed points of degree <= max_degree, deterministically ordered."""
+    if max_degree < 1:
+        return []
+    if isinstance(curve, EllipticCurve):
+        return _elliptic_places(curve, max_degree)
+    if isinstance(curve, ProjectiveLine):
+        return _line_places(curve, max_degree)
+    raise TypeError(f"unsupported curve type {type(curve).__name__}")
+
 
 # -- reference oracles: the brute-force algorithms ----------------------------------
 
@@ -285,6 +406,81 @@ def test_line_place_counts_equal_places():
             assert ag._line_place_count(q, r) == len([p for p in pls if p.degree == r])
 
 
+# -- place counts by degree and class ----------------------------------------------
+
+
+def _count_table(e, delta):
+    """(degree, class pair) -> places, from N_1 and the group law."""
+    pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
+    counts = ag._elliptic_place_counts(e, ag._group_law(e), pairs, delta)
+    return {(r, pair): c for r, cs in counts.items() for pair, c in zip(pairs, cs) if c}
+
+
+def _grouped_reference_places(e, delta):
+    out = {}
+    for pl in reference_places(e, delta):
+        if pl.degree > 1:
+            key = (pl.degree, ag._pair(pl.class_point))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _extreme_trace_curves(q):
+    """The first curves in coefficient order with trace 2 sqrt(q) and
+    -2 sqrt(q), so a^2 = 4q."""
+    spec, root, found = GF(q), round(q**0.5), {}
+    for a in itertools.product(range(q), repeat=5):
+        e = _nonsingular(spec, a)
+        if e is not None:
+            t = q + 1 - len(points(e))
+            if t * t == 4 * q:
+                found.setdefault(t, e)
+                if len(found) == 2:
+                    return [found[2 * root], found[-2 * root]]
+    raise AssertionError(f"no curves of trace +-{2 * root} over GF({q})")
+
+
+def _count_table_corpus():
+    curves = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        if q % 2 == 0:
+            curves += _seeded_curves(q, 3, 10, a1_zero=False)
+            curves += _seeded_curves(q, 2, 11, a1_zero=True)
+        elif q % 3 == 0:
+            curves += _seeded_curves(q, 3, 12, a12_nonzero=True)
+            curves += _seeded_curves(q, 2, 13)
+        else:
+            curves += _seeded_curves(q, 4, 14)
+    return curves + _extreme_trace_curves(4) + _extreme_trace_curves(9)
+
+
+def test_place_counts_equal_grouped_orbits():
+    kinds = set()
+    for e in _count_table_corpus():
+        q, a = e.spec.q, e.coefficient_indices()
+        delta = max(d for d in range(1, 11) if q**d <= 1024)
+        assert _count_table(e, delta) == _grouped_reference_places(e, delta), (q, a)
+        t = q + 1 - len(points(e))
+        if t * t == 4 * q:
+            kinds.add(f"a = {t}, q = {q}")
+        if e.spec.p == 2 and a[0]:
+            kinds.add("char 2, a1 != 0")
+    assert kinds == {"a = 4, q = 4", "a = -4, q = 4", "a = 6, q = 9", "a = -6, q = 9",
+                     "char 2, a1 != 0"}
+
+
+def test_place_counts_check_their_result(monkeypatch):
+    # with every multiple sent to O, the 5-point curve over GF(2) would have
+    # N_2 / N_1 - N_1 = 1 - 5 points of degree 2 in the class of O
+    e = EllipticCurve.from_indices(GF(2), [0, 0, 1, 1, 0])
+    pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
+    assert len(pairs) == 5
+    assert ag._elliptic_place_counts(e, ag._group_law(e), pairs, 2)[2] == [0, 0, 0, 0, 0]
+    monkeypatch.setattr(ag, "_multiple", lambda curve, plus, m, pair: None)
+    with pytest.raises(RuntimeError, match=r"degree-2 points by class .*\[-4, 1, 1, 1, 1\]"):
+        ag._elliptic_place_counts(e, ag._group_law(e), pairs, 2)
+
+
 # -- fiber counts ---------------------------------------------------------------------
 
 
@@ -335,6 +531,30 @@ def test_fiber_counts_on_the_line_past_the_field_cap():
         line = ProjectiveLine(GF(q))
         hist = fiber_counts(line, Divisor.of({LinePoint.infinity(): delta}), line.points()[1:])
         assert sum(hist) == q ** (delta + 1) - 1
+
+
+@pytest.mark.parametrize("q, coeffs, delta", [
+    (5, [0, 0, 0, 1, 0], 5),
+    (5, [0, 0, 0, 1, 0], 7),
+    (7, [0, 0, 0, 0, 2], 6),
+])
+def test_elliptic_fiber_counts_past_the_field_cap(q, coeffs, delta):
+    # q^delta is over the cap of GF, and no extension field is built.  By
+    # Riemann-Roch every class of degree delta >= 1 holds (q^delta - 1) / (q - 1)
+    # effective divisors, so the a_i of one class sum to q^delta - 1 and the
+    # budget boundary sits at N_1 times that
+    e = EllipticCurve.from_indices(GF(q), coeffs)
+    assert q**delta > gf.DEFAULT_ORDER_CAP
+    pts = points(e)
+    per_class = (q**delta - 1) // (q - 1)
+    for P in pts[:3]:
+        G = Divisor.of([(CurvePoint.infinity(), delta - 1), (P, 1)])
+        assert sum(fiber_counts(e, G, pts[1:])) == q**delta - 1
+    G = Divisor.of({CurvePoint.infinity(): delta})
+    hist = fiber_counts(e, G, pts[1:], budget=len(pts) * per_class)
+    assert sum(hist) == q**delta - 1
+    with pytest.raises(BudgetExceededError):
+        fiber_counts(e, G, pts[1:], budget=len(pts) * per_class - 1)
 
 
 def test_line_past_the_cap_against_polynomial_roots():

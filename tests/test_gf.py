@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from zetacode import gf
-from zetacode.gf import DEFAULT_ORDER_CAP, GF, _digits, _raw_mul, extension_field
+from zetacode.gf import DEFAULT_ORDER_CAP, GF, _digits, _raw_mul
+from test_divisor_counting import extension_field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81)
 
@@ -55,12 +56,44 @@ def test_add_and_neg_tables_are_digitwise(q):
 def test_mul_table_matches_raw_product(q):
     spec = GF(q)
     mul = spec.tables.mul
-    assert mul.dtype == np.int32
+    assert mul.dtype == (np.uint8 if q <= 256 else np.uint16)
     rng = random.Random(q)
     pairs = [(a, b) for a in (0, 1, q - 1) for b in range(q)]
     pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
     for a, b in pairs:
         assert mul[a, b] == _raw_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("q, cap, dtype", [
+    (256, DEFAULT_ORDER_CAP, np.uint8),
+    (512, DEFAULT_ORDER_CAP, np.uint16),
+    (1024, DEFAULT_ORDER_CAP, np.uint16),
+    (1031, 2048, np.uint16),
+])
+def test_narrow_tables_at_the_dtype_boundary(q, cap, dtype):
+    # add and mul in the narrowest unsigned dtype, mul built in row chunks;
+    # neg, inv, exp and log stay signed (log of 0 is -1)
+    spec = GF(q, cap=cap)
+    tab = spec.tables
+    assert tab.add.dtype == tab.mul.dtype == dtype
+    assert tab.add.shape == tab.mul.shape == (q, q)
+    assert all(t.dtype == np.int32 for t in (tab.neg, tab.inv, tab.exp, tab.log))
+    assert tab.log[0] == -1
+    rng = random.Random(q)
+    rows = [0, 1, 2, q - 2, q - 1] + [rng.randrange(q) for _ in range(3)]
+    for a in rows:
+        assert tab.mul[a].tolist() == [_raw_mul(spec, a, b) for b in range(q)]
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert tab.mul[a, b] == _raw_mul(spec, a, b)
+    # every nonzero row of mul permutes the nonzero elements
+    nonzero = np.sort(tab.mul[1:, 1:], axis=1)
+    assert (nonzero == np.arange(1, q)).all()
+    assert not tab.mul[0].any() and not tab.mul[:, 0].any()
+    if spec.m == 1:
+        i = np.arange(q, dtype=np.int64)
+        assert (tab.mul == i[:, None] * i[None, :] % q).all()
+        assert (tab.add == (i[:, None] + i[None, :]) % q).all()
 
 
 def test_elements_order_and_identities():
