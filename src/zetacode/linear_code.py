@@ -1,10 +1,14 @@
 """Linear codes over GF(q): generator matrices, duals, and exhaustive
 weight and distance statistics.
 
-Codewords come from one generator of message-lex blocks, at one field
-addition per word and coordinate, with counts merged per block: results
-are deterministic and the working set small.  The distance distribution
-shares the generator; it checks weight counting, not enumeration.
+One weight-counting kernel serves every q.  The message digits split in
+two halves; the span of each half is built by doubling, at one field
+addition per word and coordinate, and the weight of each of the q^k
+codewords is the number of coordinates where a low-half word and a
+high-half word differ, so no field table is read per codeword.  Counts
+are merged per block of high words: results are deterministic and the
+working set small.  The distance distribution takes the q^k words from
+the same doubling; it checks weight counting, not enumeration.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .gf import GF, FieldSpec
 
 DEFAULT_BUDGET = 2**24
-_CHUNK = 1 << 16
+_CELLS = 1 << 20  # coordinate comparisons per block of high words
 
 
 class BudgetExceededError(RuntimeError):
@@ -179,50 +183,61 @@ def _require_regular(code: LinearCode, what: str) -> None:
         raise ValueError(f"{what} is not defined for the zero code")
 
 
-def _codeword_blocks(code: LinearCode, budget: int):
-    """Yield the q^k codewords in message-lex order, as (rows, n) blocks:
-    the words of the last t digits (q^t <= _CHUNK), built by doubling, plus
-    one offset row sum_j c_j G[j] of the first k - t digits.  Entries use
-    the narrowest unsigned dtype; in characteristic 2, index addition is XOR."""
+def _check_budget(code: LinearCode, budget: int) -> None:
     q, k, n = code.spec.q, code.k, code.n
     if q**k > budget:
         raise BudgetExceededError(f"[{n}, {k}]_{q} code has {q**k} words, over budget {budget}")
-    tab = code.spec.tables
-    dtype = np.min_scalar_type(q - 1)
-    G = code.gen.array
-    mult = tab.mul[np.arange(q)[:, None, None], G[None, :, :]]  # (q, k, n)
-    if code.spec.p == 2:
+
+
+def _span(code: LinearCode, first: int, stop: int) -> np.ndarray:
+    """The q^(stop - first) words sum_j c_j G[j] over generator rows
+    first .. stop - 1, as a (words, n) index array in message-lex order.
+
+    Built by doubling from the last row: one field addition per word and
+    coordinate, XOR of indices in characteristic 2.  Entries keep the
+    dtype of the field tables (uint8 up to GF(256))."""
+    spec, n = code.spec, code.n
+    tab = spec.tables
+    if spec.p == 2:
         add = np.bitwise_xor
     else:  # a take on the flat table is about twice as fast as tab.add[a, b]
         flat = tab.add.ravel()
-        wide = np.min_scalar_type(q * q - 1)
+        wide = np.min_scalar_type(spec.q**2 - 1)
 
         def add(small, big):
-            return np.take(flat, small.astype(wide) * q + big)
+            return np.take(flat, small.astype(wide) * spec.q + big)
 
-    t = next(t for t in range(k, -1, -1) if q**t <= _CHUNK)
-    low = np.zeros((1, n), dtype=dtype)
-    for j in range(k - 1, k - 1 - t, -1):
-        low = add(mult[:, j, None, :], low[None, :, :]).reshape(-1, n)
-
-    yield from _blocks(mult, low, add, 0, k - t, np.zeros(n, dtype=dtype))
-
-
-def _blocks(mult, low, add, j, stop, offset):
-    """The blocks of message digits j .. stop - 1 on top of ``offset``, in
-    lex order.  At module level so that the recursion is no closure over
-    itself: that reference cycle would keep ``mult``, ``low`` and the add
-    table alive until the cyclic garbage collector ran."""
-    if j == stop:
-        yield add(offset, low) if offset.any() else low
-    else:
-        for row in mult[:, j]:
-            yield from _blocks(mult, low, add, j + 1, stop, add(offset, row))
+    span = np.zeros((1, n), dtype=tab.mul.dtype)
+    for row in reversed(code.gen.array[first:stop]):
+        span = add(tab.mul[:, None, row], span[None]).reshape(-1, n)
+    return span
 
 
 def _codeword_matrix(code: LinearCode, budget: int) -> np.ndarray:
     """All q^k codewords as an (q^k, n) index array, message-lex order."""
-    return np.concatenate(list(_codeword_blocks(code, budget)))
+    _check_budget(code, budget)
+    return _span(code, 0, code.k)
+
+
+def _weight_blocks(code: LinearCode, budget: int):
+    """Yield the weights of all q^k codewords, a block of (high words, low
+    words) at a time.
+
+    Meet in the middle: every codeword is L[l] - H[h], where L spans the
+    last ceil(k/2) generator rows and H the others (H is a subspace, so
+    -H = H), and its weight is the number of coordinates where
+    L[l] != H[h].  Each word costs one comparison per coordinate and reads
+    no field table; the two spans cost O(q^ceil(k/2) n)."""
+    _check_budget(code, budget)
+    n, k = code.n, code.k
+    t = (k + 1) // 2
+    low = np.ascontiguousarray(_span(code, k - t, k).T)
+    high = _span(code, 0, k - t).T
+    step = max(1, _CELLS // (n * low.shape[1]))
+    wtype = np.min_scalar_type(n)
+    for h in range(0, high.shape[1], step):
+        diff = np.not_equal(high[:, h : h + step, None], low[:, None, :])
+        yield diff.sum(axis=0, dtype=wtype)
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
@@ -230,8 +245,8 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Weigh
     _require_regular(code, "the weight distribution")
     n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for block in _codeword_blocks(code, budget):
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+    for weights in _weight_blocks(code, budget):
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
     return WeightDistribution(n, tuple(int(c) for c in counts))
 
 

@@ -176,18 +176,18 @@ def test_code_summary_matches_brute_force(unit_corpus):
 def enumerations(monkeypatch) -> dict:
     """Words enumerated and dual() calls made, counted at the kernel."""
     seen = {"words": 0, "dual_calls": 0}
-    blocks, dual = linear_code._codeword_blocks, linear_code.dual
+    blocks, dual = linear_code._weight_blocks, linear_code.dual
 
     def counted_blocks(code, budget):
-        for block in blocks(code, budget):
-            seen["words"] += block.shape[0]
-            yield block
+        for weights in blocks(code, budget):
+            seen["words"] += weights.size
+            yield weights
 
     def counted_dual(code):
         seen["dual_calls"] += 1
         return dual(code)
 
-    monkeypatch.setattr(linear_code, "_codeword_blocks", counted_blocks)
+    monkeypatch.setattr(linear_code, "_weight_blocks", counted_blocks)
     monkeypatch.setattr(linear_code, "dual", counted_dual)
     return seen
 

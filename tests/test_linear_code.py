@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import dataclasses
 import gc
@@ -11,15 +12,16 @@ import pytest
 
 from conftest import make_random_code
 
+from zetacode import linear_code
 from zetacode.gf import GF
 from zetacode.linear_code import (
-    _CHUNK,
     BudgetExceededError,
     LinearCode,
     Matrix,
     WeightDistribution,
     _codeword_matrix,
     _gram,
+    _weight_blocks,
     distance_distribution,
     dual,
     format_matrix_text,
@@ -229,23 +231,43 @@ def reference_distribution(words, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def assert_matches_reference(c: LinearCode):
+    words = list(reference_codewords(c))
+    assert _codeword_matrix(c, c.spec.q**c.k).tolist() == words
+    assert weight_distribution(c).counts == reference_distribution(words, c.n)
+
+
 def test_kernel_matches_reference_on_corpus(unit_corpus):
     for c in unit_corpus:
-        words = list(reference_codewords(c))
-        assert _codeword_matrix(c, 2**12).tolist() == words
-        assert weight_distribution(c).counts == reference_distribution(words, c.n)
+        assert_matches_reference(c)
 
 
 def assert_kernel_matches_reference(q, n, k):
-    c = make_random_code(random.Random(q * 100 + n), q, n, k)
-    expected = reference_distribution(reference_codewords(c), n)
-    assert weight_distribution(c).counts == expected
+    assert_matches_reference(make_random_code(random.Random(q * 100 + n), q, n, k))
+
+
+def high_word_blocks(c: LinearCode) -> list[tuple[int, int]]:
+    """The (high words, low words) shape of each block the kernel yields."""
+    return [w.shape for w in _weight_blocks(c, c.spec.q**c.k)]
 
 
 @pytest.mark.parametrize("q, n, k", [(2, 20, 17), (3, 14, 11)])
 def test_kernel_matches_reference_with_split_message_digits(q, n, k):
-    assert q**k > _CHUNK  # more than one block: low and high digits split
-    assert_kernel_matches_reference(q, n, k)
+    c = make_random_code(random.Random(q * 100 + n), q, n, k)
+    assert len(high_word_blocks(c)) > 1  # more than one chunk of high words
+    assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("cells", [180, 360])
+def test_kernel_matches_reference_when_the_last_chunk_is_short(monkeypatch, cells):
+    # [10, 4]_3: 9 high words against 9 low words of 10 coordinates each,
+    # 2 or 4 high words per chunk
+    monkeypatch.setattr(linear_code, "_CELLS", cells)
+    c = make_random_code(random.Random(cells), 3, 10, 4)
+    shapes = high_word_blocks(c)
+    assert len(shapes) >= 3 and shapes[-1][0] < shapes[0][0]
+    assert sum(h * l for h, l in shapes) == 3**4
+    assert_matches_reference(c)
 
 
 @pytest.mark.parametrize("q", [243, 256, 512])
@@ -254,13 +276,37 @@ def test_kernel_matches_reference_at_dtype_boundary(q):
     assert_kernel_matches_reference(q, 3, 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 256])
+def test_one_digit_code_has_zero_high_span(q):
+    # k = 1: no high digit, so one block of a single high word, the zero word
+    c = make_random_code(random.Random(q), q, 5, 1)
+    assert high_word_blocks(c) == [(1, q)]
+    assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("q, n", [(3, 9), (4, 8)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_kernel_matches_reference_for_odd_and_even_k(q, n, k):
+    assert_matches_reference(make_random_code(random.Random(q * 100 + n * 10 + k), q, n, k))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_kernel_matches_reference_at_weight_counter_boundary(q, n):
+    # weights are counted in uint8 up to n = 255 and in uint16 from 256; the
+    # all-ones row puts words of full weight n in the code
+    rng = random.Random(n)
+    c = code(q, [[1] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(3)])
+    assert weight_distribution(c).counts[n] > 0
+    assert_matches_reference(c)
+
+
 @pytest.mark.parametrize("q, n, k", [(2, 20, 18), (3, 14, 12), (5, 10, 8)])
 def test_enumeration_leaves_no_cyclic_garbage(q, n, k):
-    # q^k > _CHUNK with two or more high digits, so the block recursion
-    # nests; characteristic 2 adds by XOR, odd q through the flat add table
-    t = next(t for t in range(k, -1, -1) if q**t <= _CHUNK)
-    assert k - t >= 2
+    # more than one chunk of high words; characteristic 2 adds by XOR, odd q
+    # through the flat add table
     c = make_random_code(random.Random(q * 100 + n), q, n, k)
+    assert len(high_word_blocks(c)) > 1
     c.spec.tables  # built outside the measured region
     gc.collect()
     gc.disable()
@@ -278,6 +324,18 @@ def test_budget_enforced():
         weight_distribution(c, budget=8)
     with pytest.raises(BudgetExceededError):
         distance_distribution(c, budget=255)
+
+
+def test_budget_checked_before_any_span(monkeypatch):
+    spans = []
+    monkeypatch.setattr(linear_code, "_span", lambda *args: spans.append(args))
+    c = code(2, HAMMING8)
+    message = "[8, 4]_2 code has 16 words, over budget 15"
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        weight_distribution(c, budget=15)
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        _codeword_matrix(c, budget=15)
+    assert spans == []
 
 
 # -- parameters --------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Property test of the weight-counting kernel on random small codes."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from conftest import CORPUS_QS
+from test_linear_code import assert_matches_reference
+
+from zetacode.gf import GF
+from zetacode.linear_code import (
+    LinearCode,
+    Matrix,
+    distance_distribution,
+    weight_distribution,
+)
+
+MAX_WORDS = 2**10
+
+
+@st.composite
+def small_codes(draw) -> LinearCode:
+    """A random [n, k]_q code over GF(2)..GF(9) with q^k <= 2^10 and n <= 12."""
+    q = draw(st.sampled_from(CORPUS_QS))
+    k = draw(st.integers(1, max(k for k in range(1, 11) if q**k <= MAX_WORDS)))
+    n = draw(st.integers(k, 12))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    try:
+        return LinearCode(Matrix.from_indices(GF(q), rows))
+    except ValueError:  # dependent rows
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(small_codes())
+def test_kernel_matches_reference_and_distance_oracle(c):
+    assert_matches_reference(c)
+    assert distance_distribution(c, MAX_WORDS**2) == weight_distribution(c)
