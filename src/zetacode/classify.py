@@ -35,12 +35,12 @@ _BOUNDS = {
 
 def w8() -> WeightEnumerator:
     """x^8 + 14 x^4 y^4 + y^8, the doubly-even self-dual invariant of degree 8."""
-    return WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1), q=2)
+    return WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
 
 
 def w12() -> WeightEnumerator:
     """x^12 - 33 x^8 y^4 - 33 x^4 y^8 + y^12, the degree-12 anti-invariant."""
-    return WeightEnumerator(12, (1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1), q=2)
+    return WeightEnumerator(12, (1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ class FormalReport:
     d: int
     n_mod_8: int
     symmetric: bool
-    support_multiple_of_4: bool
     zeta: ZetaPolynomial
     anti_functional_equation: bool
     d_bound: int
@@ -167,7 +166,8 @@ class FormalReport:
 def formal_checks(enum: WeightEnumerator, tol: float = 1e-8) -> FormalReport:
     """Run the full battery on a formal weight enumerator.
 
-    Verifies symmetry in x and y, support in 4Z, the sign-flipped zeta
+    The input must pass :func:`is_formal_weight_enumerator` (so its support
+    lies in 4Z).  Verifies symmetry in x and y, the sign-flipped zeta
     functional equation a_j = -2^(j-g) a_(2g-j) with g = n/2 + 1 - d, the
     extremality bound 4*floor((n-12)/24) + 4, and reports the root-circle
     verdict (an open question in general, so measured rather than assumed).
@@ -179,7 +179,6 @@ def formal_checks(enum: WeightEnumerator, tol: float = 1e-8) -> FormalReport:
     if d is None:
         raise ValueError("formal enumerator with empty support")
     symmetric = all(enum.coeffs[i] == enum.coeffs[n - i] for i in range(n + 1))
-    support_ok = all(i % 4 == 0 for i in enum.support)
     p = zeta_from_mds_basis(enum, 2, dimension=n // 2)
     bound = 4 * ((n - 12) // 24) + 4
     return FormalReport(
@@ -187,7 +186,6 @@ def formal_checks(enum: WeightEnumerator, tol: float = 1e-8) -> FormalReport:
         d=d,
         n_mod_8=n % 8,
         symmetric=symmetric,
-        support_multiple_of_4=support_ok,
         zeta=p,
         anti_functional_equation=anti_self_reciprocal_check(p),
         d_bound=bound,

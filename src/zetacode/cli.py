@@ -127,13 +127,13 @@ def _code_summary(code: LinearCode, budget: int):
     q, n, k = code.spec.q, code.n, code.k
     if 0 < n - k < k:
         dual_enum = enumerator.from_distribution(
-            linear_code.weight_distribution(linear_code.dual(code), budget), q=q
+            linear_code.weight_distribution(linear_code.dual(code), budget)
         )
         enum = enumerator.macwilliams_dual(dual_enum, q, n - k)
         dist = enumerator.to_distribution(enum)
     else:
         dist = linear_code.weight_distribution(code, budget)
-        enum, dual_enum = enumerator.from_distribution(dist, q=q), None
+        enum, dual_enum = enumerator.from_distribution(dist), None
     d = dist.min_distance
     summary = {
         "q": q,
@@ -334,11 +334,24 @@ def _cmd_mds(args, config: RunConfig) -> dict:
     }
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated command-line list; empty is invalid."""
+    if not text.strip():
+        raise ValueError(f"{flag} needs at least one comma-separated integer")
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag}: not an integer: {tok!r}") from None
+    return out
+
+
 def _cmd_grs(args, config: RunConfig) -> dict:
     budget = config.budget
     spec = GF(args.q)
-    if args.alphas:
-        alphas = [int(t) for t in args.alphas.split(",")]
+    if args.alphas is not None:
+        alphas = _int_list("--alphas", args.alphas)
         if args.n is not None and args.n != len(alphas):
             raise ValueError(
                 f"--n {args.n} disagrees with the {len(alphas)} evaluation points of --alphas"
@@ -349,7 +362,7 @@ def _cmd_grs(args, config: RunConfig) -> dict:
         alphas = list(range(spec.q if args.n is None else args.n))
     n = len(alphas)
     multipliers = (
-        [int(t) for t in args.multipliers.split(",")] if args.multipliers else [1] * n
+        [1] * n if args.multipliers is None else _int_list("--multipliers", args.multipliers)
     )
     code = ag.grs_code(spec, alphas, multipliers, args.k)
     if args.k == n:

@@ -47,16 +47,15 @@ def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
 class WeightEnumerator:
     """Coefficients of a homogeneous bivariate polynomial of degree n.
 
-    ``coeffs[i]`` multiplies x^(n-i) y^i.  The optional ``q`` records the
-    field order the enumerator is attached to; it is metadata and does not
-    participate in equality.  ``_transforms`` holds the MacWilliams
-    substitutions computed so far, by field order (see
-    ``macwilliams_substitute``); it lives and dies with this enumerator.
+    ``coeffs[i]`` multiplies x^(n-i) y^i.  The field order is not part of
+    the enumerator: every operation that depends on it takes q.
+    ``_transforms`` holds the MacWilliams substitutions computed so far, by
+    field order (see ``macwilliams_substitute``); it lives and dies with
+    this enumerator.
     """
 
     n: int
     coeffs: tuple[Fraction, ...]
-    q: int | None = field(default=None, compare=False)
     _transforms: dict[int, "WeightEnumerator"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -98,11 +97,8 @@ class WeightEnumerator:
     def __mul__(self, other: "WeightEnumerator") -> "WeightEnumerator":
         if not isinstance(other, WeightEnumerator):
             return NotImplemented
-        q = self.q if self.q == other.q else None
         return WeightEnumerator(
-            self.n + other.n,
-            tuple(_convolve(list(self.coeffs), list(other.coeffs))),
-            q=q,
+            self.n + other.n, tuple(_convolve(list(self.coeffs), list(other.coeffs)))
         )
 
     def __pow__(self, e: int) -> "WeightEnumerator":
@@ -114,9 +110,9 @@ class WeightEnumerator:
         return out
 
 
-def from_distribution(dist: WeightDistribution, q: int | None = None) -> WeightEnumerator:
+def from_distribution(dist: WeightDistribution) -> WeightEnumerator:
     """Homogenize a weight distribution into its enumerator."""
-    return WeightEnumerator(dist.n, tuple(Fraction(c) for c in dist.counts), q=q)
+    return WeightEnumerator(dist.n, tuple(Fraction(c) for c in dist.counts))
 
 
 def to_distribution(enum: WeightEnumerator) -> WeightDistribution:
@@ -168,7 +164,7 @@ def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
         if f:
             for k in range(n + 1):
                 out[k] += f * col[k]
-    return WeightEnumerator(n, tuple(Fraction(c, den) for c in out), q=q)
+    return WeightEnumerator(n, tuple(Fraction(c, den) for c in out))
 
 
 def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator:
@@ -181,7 +177,7 @@ def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator
         raise ValueError(f"dimension k={k} out of range for length {enum.n}")
     sub = macwilliams_substitute(enum, q)
     scale = Fraction(1, q**k)
-    return WeightEnumerator(enum.n, tuple(scale * c for c in sub.coeffs), q=q)
+    return WeightEnumerator(enum.n, tuple(scale * c for c in sub.coeffs))
 
 
 def is_virtually_self_dual(enum: WeightEnumerator, q: int) -> bool:
@@ -231,11 +227,13 @@ def mds_enumerator(n: int, d: int, q: int) -> WeightEnumerator:
     """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    if n < 1:
+        raise ValueError(f"length n must be >= 1, got n={n}")
     if d == n:
         raise ValueError(f"d = n = {n} is excluded from the MDS enumerator basis")
     if not (1 <= d <= n - 1 or d == n + 1):
         raise ValueError(f"need 1 <= d <= n-1 or d = n+1, got d={d}, n={n}")
-    return WeightEnumerator(n, _mds_coeffs(n, d, q), q=q)
+    return WeightEnumerator(n, _mds_coeffs(n, d, q))
 
 
 def solve_macwilliams(

@@ -8,8 +8,8 @@ encoding used by every file format in this package.
 
 There is no element object: every function takes and returns plain int
 indices, and :meth:`FieldSpec.element` is the one range-checked way in.
-Multiplication, inversion and powers run on discrete-log tables built once
-per field and cached at module level; addition is digit-wise modular
+Multiplication, inversion and powers run on discrete-log tables built on
+first use and kept on the field spec; addition is digit-wise modular
 arithmetic.  The q x q addition and multiplication tables hold indices in
 the narrowest unsigned dtype that fits q - 1 and are filled a block of rows
 at a time.  Field specs and tables are immutable after construction, so
@@ -20,24 +20,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-DEFAULT_ORDER_CAP = 1024
+MAX_ORDER = 1024  # largest field order GF accepts
 
-# Pinned moduli (full little-endian coefficient tuples, monic) for the
-# extension fields used most often.  Any other (p, m) gets the
-# lexicographically smallest monic irreducible, computed on demand; that
-# search is deterministic, so element encodings are stable across runs.
-_PINNED_MODULI = {
-    (2, 2): (1, 1, 1),     # t^2 + t + 1
-    (2, 3): (1, 1, 0, 1),  # t^3 + t + 1
-    (3, 2): (1, 0, 1),     # t^2 + 1
-}
-
-_SPEC_CACHE: dict[tuple, "FieldSpec"] = {}
-_DEFAULT_SPECS: dict[int, "FieldSpec"] = {}  # q -> GF(q) with its built-in modulus
-_TABLE_CACHE: dict[tuple, "_Tables"] = {}
+_FIELDS: dict[int, "FieldSpec"] = {}  # q -> the interned GF(q)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -82,10 +71,9 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Whether a monic polynomial of degree >= 1 is irreducible, by trial
+    division by every monic polynomial of degree <= deg/2."""
     m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] != 1:
-        return False
     work = list(coeffs)
     for deg in range(1, m // 2 + 1):
         for low in range(p**deg):
@@ -110,7 +98,9 @@ class FieldSpec:
 
     ``modulus`` is the full little-endian coefficient tuple of the monic
     irreducible reduction polynomial; it is None exactly when m == 1.
-    Instances are interned by :func:`GF`, so equality is cheap.
+    Instances are interned by :func:`GF`, so equality is cheap.  The
+    operation tables are built on the first read of ``tables`` and kept on
+    the instance; they take no part in equality, hashing or repr.
     """
 
     p: int
@@ -127,14 +117,9 @@ class FieldSpec:
 
     # -- index arithmetic ------------------------------------------------
 
-    @property
+    @cached_property
     def tables(self) -> "_Tables":
-        key = (self.p, self.m, self.modulus)
-        tab = _TABLE_CACHE.get(key)
-        if tab is None:
-            tab = _Tables(self)
-            _TABLE_CACHE[key] = tab
-        return tab
+        return _Tables(self)
 
     def add_idx(self, a: int, b: int) -> int:
         return int(self.tables.add[a, b])
@@ -163,11 +148,8 @@ class FieldSpec:
             if e < 0:
                 raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
             return 0
-        order = self.q - 1
-        if order == 0:
-            return 1
         tab = self.tables
-        return int(tab.exp[(int(tab.log[a]) * e) % order])
+        return int(tab.exp[(int(tab.log[a]) * e) % (self.q - 1)])
 
     def int_mul_idx(self, n: int, a: int) -> int:
         """n * a for an ordinary integer n (reduced through the prime subfield)."""
@@ -295,34 +277,19 @@ def _find_generator(spec: FieldSpec) -> int:
     raise RuntimeError(f"GF({spec.q}) has no multiplicative generator")
 
 
-def GF(q: int, modulus=None, cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
-    """Return the (interned) field of order q.
+def GF(q: int) -> FieldSpec:
+    """Return the interned field of order q, a prime power <= MAX_ORDER.
 
-    For m > 1 an explicit little-endian ``modulus`` may be supplied; it must
-    be monic of degree m and irreducible over GF(p).  Without one, the
-    built-in choice for (p, m) is used.
+    For m > 1 the modulus is the first monic irreducible of degree m over
+    GF(p) as its lower coefficients, read as a little-endian base-p number,
+    count up from 0; the search is deterministic, so element encodings are
+    stable across runs.
     """
-    if modulus is None and q <= cap and q in _DEFAULT_SPECS:
-        return _DEFAULT_SPECS[q]
-    p, m = _prime_power(q)
-    if q > cap:
-        raise ValueError(f"field order {q} exceeds the cap {cap}")
-    if m == 1:
-        if modulus is not None:
-            raise ValueError("prime fields take no reduction modulus")
-        mod = None
-    else:
-        if modulus is None:
-            mod = _PINNED_MODULI.get((p, m))
-            if mod is None:
-                mod = _smallest_irreducible(p, m)
-        else:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != m + 1 or mod[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not _poly_is_irreducible(mod, p):
-                raise ValueError(f"modulus {mod} is reducible over GF({p})")
-    spec = _SPEC_CACHE.setdefault((p, m, mod), FieldSpec(p=p, m=m, q=q, modulus=mod))
-    if modulus is None:
-        _DEFAULT_SPECS[q] = spec
+    spec = _FIELDS.get(q)
+    if spec is None:
+        p, m = _prime_power(q)
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds the cap {MAX_ORDER}")
+        mod = None if m == 1 else _smallest_irreducible(p, m)
+        spec = _FIELDS.setdefault(q, FieldSpec(p=p, m=m, q=q, modulus=mod))
     return spec

@@ -128,7 +128,7 @@ def test_criterion_1_reference_examples_exact():
 def test_criterion_2_extended_hamming_zeta():
     t0 = time.monotonic()
     c = code(2, HAMMING8)
-    enum = from_distribution(weight_distribution(c), q=2)
+    enum = from_distribution(weight_distribution(c))
     expected = (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     p1 = zeta_from_mds_basis(enum, 2)
     p2 = zeta_from_chinen(enum, 2)
@@ -157,11 +157,11 @@ def test_criterion_3_macwilliams_oracle_sweep(shared_corpus):
     for c in shared_corpus:
         q = c.spec.q
         d = dual(c)
-        lhs = macwilliams_dual(from_distribution(weight_distribution(c, budget), q=q), q, c.k)
+        lhs = macwilliams_dual(from_distribution(weight_distribution(c, budget)), q, c.k)
         if d.is_zero:
             ok = [int(x) for x in lhs.coeffs] == [1] + [0] * c.n
         else:
-            rhs = from_distribution(weight_distribution(d, budget), q=q)
+            rhs = from_distribution(weight_distribution(d, budget))
             ok = lhs.coeffs == rhs.coeffs
         assert ok, f"MacWilliams mismatch on [{c.n},{c.k}]_{q}"
         checked += 1
@@ -187,7 +187,7 @@ def test_criterion_4_duursma_theorem_suite(shared_corpus):
         d_dual = wdd.min_distance
         if d_dual is None or d_dual < 2:
             continue  # degenerate
-        enum = from_distribution(wd, q=q)
+        enum = from_distribution(wd)
         p = zeta_from_mds_basis(enum, q, dimension=c.k)
         p_chinen = zeta_from_chinen(enum, q, dimension=c.k)
         assert p.coeffs == p_chinen.coeffs
@@ -195,7 +195,7 @@ def test_criterion_4_duursma_theorem_suite(shared_corpus):
         assert p.evaluate(1) == 1
         assert corollary_ad_check(p, enum)
         if d >= 2:
-            enum_dual = from_distribution(wdd, q=q)
+            enum_dual = from_distribution(wdd)
             p_dual = zeta_from_mds_basis(enum_dual, q, dimension=dc.k)
             assert functional_dual(p).coeffs == p_dual.coeffs
         checked += 1
@@ -218,7 +218,7 @@ def test_criterion_5_mds_suite():
             else:
                 expected = [int(x) for x in mds_enumerator(q, q - k + 1, q).coeffs]
             assert list(wd.counts) == expected
-            p = zeta_from_mds_basis(from_distribution(wd, q=q), q, dimension=k)
+            p = zeta_from_mds_basis(from_distribution(wd), q, dimension=k)
             assert p.coeffs == (1,)
             checked += 1
         if q >= 5:  # proper subsets of the evaluation points

@@ -259,7 +259,7 @@ def test_grs_every_case_is_mds():
                 assert list(wd.counts) == [
                     int(x) for x in mds_enumerator(q, q - k + 1, q).coeffs
                 ]
-            e = from_distribution(wd, q=q)
+            e = from_distribution(wd)
             assert zeta_from_mds_basis(e, q, dimension=k).coeffs == (1,)
 
 

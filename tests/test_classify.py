@@ -58,7 +58,7 @@ def test_w8_classified_type_ii_extremal():
 
 
 def test_product_pattern_reported_as_type_i_with_flag():
-    e = WeightEnumerator(2, (1, 0, 1), q=2) ** 5
+    e = WeightEnumerator(2, (1, 0, 1)) ** 5
     rep = classify(e, 2)
     assert rep.type_label == "I"
     assert rep.v_pattern
@@ -69,7 +69,7 @@ def test_product_pattern_reported_as_type_i_with_flag():
 
 def test_tetra_is_extremal_type_iii():
     # self-dual, support {0, 3}, so 3-divisible with 4 | n
-    tetra = WeightEnumerator(4, (1, 0, 0, 8, 0), q=3)
+    tetra = WeightEnumerator(4, (1, 0, 0, 8, 0))
     rep = classify(tetra, 3)
     assert rep.virtually_self_dual
     assert rep.b_max == 3
@@ -81,7 +81,7 @@ def test_tetra_is_extremal_type_iii():
 def test_non_divisible_support_is_type_none():
     # x^2 + xy/2 + y^2/2 is fixed by the scaled binary transform but has
     # support gcd 1, so no divisibility type applies
-    e = WeightEnumerator(2, (1, Fraction(1, 2), Fraction(1, 2)), q=2)
+    e = WeightEnumerator(2, (1, Fraction(1, 2), Fraction(1, 2)))
     rep = classify(e, 2)
     assert rep.virtually_self_dual
     assert rep.b_max == 1
@@ -90,14 +90,14 @@ def test_non_divisible_support_is_type_none():
 
 
 def test_not_virtually_self_dual_reported():
-    rep = classify(WeightEnumerator(4, (1, 0, 0, 0, 1), q=2), 2)
+    rep = classify(WeightEnumerator(4, (1, 0, 0, 0, 1)), 2)
     assert not rep.virtually_self_dual
     assert rep.type_label == "none"
     assert rep.reason is not None
 
 
 def test_type_v_for_general_q():
-    e = WeightEnumerator(2, (1, 0, 4), q=5) ** 2
+    e = WeightEnumerator(2, (1, 0, 4)) ** 2
     rep = classify(e, 5)
     assert rep.virtually_self_dual
     assert rep.v_pattern
@@ -152,7 +152,7 @@ def test_w12_formal_checks():
     rep = formal_checks(w12())
     assert isinstance(rep, FormalReport)
     assert rep.symmetric
-    assert rep.support_multiple_of_4
+    assert all(i % 4 == 0 for i in w12().support)
     assert rep.n_mod_8 == 4
     assert rep.zeta.degree == 6
     assert rep.zeta.coeffs[0] == Fraction(-1, 15)
@@ -168,6 +168,9 @@ def test_w12_formal_checks():
 def test_formal_checks_rejects_non_formal():
     with pytest.raises(ValueError, match="formal"):
         formal_checks(w8())
+    # symmetric, but with support outside 4Z
+    with pytest.raises(ValueError, match="formal"):
+        formal_checks(WeightEnumerator(4, (1, 0, 2, 0, 1)))
 
 
 def test_transform_is_an_involution_up_to_scale():
@@ -201,7 +204,7 @@ def test_classification_report_fields(capsys, tmp_path):
     [
         (w8() * w12(), 2, 1),  # formal: classify, formal checks, zeta share one
         (w8(), 2, 1),  # type II with 4-divisible support
-        (WeightEnumerator(4, (1, 0, 0, 8, 0), q=3), 3, 1),  # tetracode, type III
+        (WeightEnumerator(4, (1, 0, 0, 8, 0)), 3, 1),  # tetracode, type III
         # 4-divisible support read over GF(3): one transform at q = 3, one at 2
         (w8(), 3, 2),
     ],
@@ -235,16 +238,16 @@ def test_classify_formal_report_runs_one_root_circle_verdict(
 def _v_pattern_inputs():
     """(x^2 + (q-1) y^2)^m for q = 2, 3, 4, and near misses of each."""
     for q in (2, 3, 4):
-        base = WeightEnumerator(2, (1, 0, q - 1), q=q)
+        base = WeightEnumerator(2, (1, 0, q - 1))
         for m in (1, 2, 5, 12):
             e = base**m
             yield e, q
             c = list(e.coeffs)
-            yield WeightEnumerator(e.n, tuple(c[:-1] + [c[-1] + 1]), q=q), q
-            yield WeightEnumerator(e.n, tuple(c[:2] + [c[2] - Fraction(1, 2)] + c[3:]), q=q), q
-            yield WeightEnumerator(e.n, tuple(c[:1] + [Fraction(1)] + c[2:]), q=q), q
+            yield WeightEnumerator(e.n, tuple(c[:-1] + [c[-1] + 1])), q
+            yield WeightEnumerator(e.n, tuple(c[:2] + [c[2] - Fraction(1, 2)] + c[3:])), q
+            yield WeightEnumerator(e.n, tuple(c[:1] + [Fraction(1)] + c[2:])), q
             yield e, q + 1  # the pattern of another field
-        yield WeightEnumerator(3, (1, 0, q - 1, 0), q=q), q  # odd length
+        yield WeightEnumerator(3, (1, 0, q - 1, 0)), q  # odd length
 
 
 def test_v_pattern_matches_enumerator_power():
@@ -252,7 +255,7 @@ def test_v_pattern_matches_enumerator_power():
 
     found = 0
     for e, q in _v_pattern_inputs():
-        base = WeightEnumerator(2, (1, 0, q - 1), q=q)
+        base = WeightEnumerator(2, (1, 0, q - 1))
         expected = e.n % 2 == 0 and (base ** (e.n // 2)).coeffs == e.coeffs
         assert _is_v_pattern(e, q) is expected
         found += expected

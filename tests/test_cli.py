@@ -253,7 +253,7 @@ def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
         out = exact(enum, q, k)
         coeffs = list(out.coeffs)
         coeffs[4] += Fraction(1, 2)  # 29/2 must not pass for 14
-        return enumerator.WeightEnumerator(out.n, tuple(coeffs), q=q)
+        return enumerator.WeightEnumerator(out.n, tuple(coeffs))
 
     monkeypatch.setattr(enumerator, "macwilliams_dual", off_by_half)
     payload = run_json(capsys, ["dual", hamming_file])
@@ -317,6 +317,33 @@ def test_grs_length_must_agree_with_alphas(capsys):
     agreeing = run_json(capsys, ["grs", "--q", "5", "--k", "2", "--n", "4", "--alphas", "0,1,2,3"])
     assert agreeing == run_json(capsys, ["grs", "--q", "5", "--k", "2", "--alphas", "0,1,2,3"])
     assert agreeing["n"] == 4
+
+
+@pytest.mark.parametrize("flag", ["--alphas", "--multipliers"])
+@pytest.mark.parametrize("value", ["", " "])
+def test_grs_empty_list_is_invalid(capsys, flag, value):
+    rc, out, err = run_with_err(capsys, ["grs", "--q", "5", "--k", "2", flag, value])
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag} needs at least one comma-separated integer\n"
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--alphas", "0,1,x", "'x'"),
+    ("--alphas", "0,,1", "''"),
+    ("--multipliers", "1,2.5,1,1,1", "'2.5'"),
+    ("--multipliers", "1,1,1,1,", "''"),
+])
+def test_grs_list_entry_must_be_an_integer(capsys, flag, value, token):
+    rc, out, err = run_with_err(capsys, ["grs", "--q", "5", "--k", "2", f"{flag}={value}"])
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag}: not an integer: {token}\n"
+
+
+def test_grs_lists_allow_spaces_around_entries(capsys):
+    spaced = run_json(capsys, ["grs", "--q", "7", "--k", "2",
+                               "--alphas", "0, 1, 3, 5", "--multipliers", " 1,2 ,3,1"])
+    assert spaced == run_json(capsys, ["grs", "--q", "7", "--k", "2",
+                                       "--alphas", "0,1,3,5", "--multipliers", "1,2,3,1"])
 
 
 def test_grs_length_beyond_field_order(capsys):
@@ -433,6 +460,13 @@ def test_mds_command_d_n_plus_one(capsys):
 def test_mds_command_invalid_d(capsys):
     rc, _, err = run_with_err(capsys, ["mds", "5", "5", "2"])
     assert rc == 1 and "excluded" in err
+
+
+@pytest.mark.parametrize("n, d", [("0", "1"), ("-1", "0")])
+def test_mds_command_needs_a_positive_length(capsys, n, d):
+    rc, out, err = run_with_err(capsys, ["mds", n, d, "2"])
+    assert rc == 1 and out == ""
+    assert err == f"error: length n must be >= 1, got n={n}\n"
 
 
 def test_elliptic_command(capsys, tmp_path):

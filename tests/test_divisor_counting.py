@@ -544,7 +544,7 @@ def test_elliptic_fiber_counts_past_the_field_cap(q, coeffs, delta):
     # effective divisors, so the a_i of one class sum to q^delta - 1 and the
     # budget boundary sits at N_1 times that
     e = EllipticCurve.from_indices(GF(q), coeffs)
-    assert q**delta > gf.DEFAULT_ORDER_CAP
+    assert q**delta > gf.MAX_ORDER
     pts = points(e)
     per_class = (q**delta - 1) // (q - 1)
     for P in pts[:3]:

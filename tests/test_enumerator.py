@@ -24,8 +24,8 @@ from zetacode.linear_code import (
 )
 
 
-def enum(n, coeffs, q=None):
-    return WeightEnumerator(n, tuple(Fraction(c) for c in coeffs), q=q)
+def enum(n, coeffs):
+    return WeightEnumerator(n, tuple(Fraction(c) for c in coeffs))
 
 
 # -- construction -------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_support_and_distance():
 def test_repetition_dual_closed_form():
     # dual of the q-ary repetition code, expanded exactly
     for q, n in ((2, 5), (3, 4), (5, 3)):
-        rep = enum(n, [1] + [0] * (n - 1) + [q - 1], q=q)
+        rep = enum(n, [1] + [0] * (n - 1) + [q - 1])
         got = macwilliams_dual(rep, q, 1)
         expected = [
             Fraction(comb(n, j) * (q - 1) ** j + (q - 1) * comb(n, j) * (-1) ** j, q)
@@ -61,19 +61,19 @@ def test_repetition_dual_closed_form():
 
 
 def test_i2_fixed_by_transform():
-    e = enum(2, (1, 0, 1), q=2)
+    e = enum(2, (1, 0, 1))
     assert macwilliams_dual(e, 2, 1).coeffs == e.coeffs
 
 
 def test_tetra_fixed_by_transform():
     # (x+2y)^4 + 8(x+2y)(x-y)^3 = 9(x^4 + 8xy^3)
-    e = enum(4, (1, 0, 0, 8, 0), q=3)
+    e = enum(4, (1, 0, 0, 8, 0))
     assert macwilliams_dual(e, 3, 2).coeffs == e.coeffs
 
 
 def test_macwilliams_involution(unit_corpus):
     for c in unit_corpus:
-        e = from_distribution(weight_distribution(c), q=c.spec.q)
+        e = from_distribution(weight_distribution(c))
         back = macwilliams_dual(
             macwilliams_dual(e, c.spec.q, c.k), c.spec.q, c.n - c.k
         )
@@ -86,20 +86,20 @@ def test_macwilliams_matches_brute_force_dual(unit_corpus):
         if d.is_zero:
             continue
         lhs = macwilliams_dual(
-            from_distribution(weight_distribution(c), q=c.spec.q), c.spec.q, c.k
+            from_distribution(weight_distribution(c)), c.spec.q, c.k
         )
-        rhs = from_distribution(weight_distribution(d), q=c.spec.q)
+        rhs = from_distribution(weight_distribution(d))
         assert lhs.coeffs == rhs.coeffs
 
 
 def test_negative_coefficients_flagged_not_rejected():
-    virtual = enum(2, (1, 3, 0), q=2)
+    virtual = enum(2, (1, 3, 0))
     out = macwilliams_dual(virtual, 2, 1)
     assert out.has_negative
 
 
 def test_transform_is_kept_per_enumerator_and_q(transform_log):
-    e = enum(4, (1, 0, 0, 8, 0), q=3)
+    e = enum(4, (1, 0, 0, 8, 0))
     assert macwilliams_substitute(e, 3) is macwilliams_substitute(e, 3)
     assert macwilliams_dual(e, 3, 2).coeffs == e.coeffs
     assert is_virtually_self_dual(e, 3)
@@ -109,23 +109,23 @@ def test_transform_is_kept_per_enumerator_and_q(transform_log):
 
 
 def test_equal_enumerators_do_not_share_transforms(transform_log):
-    a = enum(4, (1, 0, 0, 8, 0), q=3)
-    b = enum(4, (1, 0, 0, 8, 0), q=3)
+    a = enum(4, (1, 0, 0, 8, 0))
+    b = enum(4, (1, 0, 0, 8, 0))
     sub_a, sub_b = macwilliams_substitute(a, 3), macwilliams_substitute(b, 3)
     assert sub_a == sub_b and sub_a is not sub_b
     assert len(transform_log) == 2
 
 
 def test_kept_transform_leaves_equality_hash_and_repr_alone():
-    a = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1), q=2)
-    b = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1), q=2)
+    a = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
+    b = enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
     before = (hash(a), repr(a))
     macwilliams_substitute(a, 2)
     macwilliams_substitute(a, 3)
     assert (hash(a), repr(a)) == before
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "_transforms" not in repr(a)
-    assert a != enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 2), q=2)
+    assert a != enum(8, (1, 0, 0, 0, 14, 0, 0, 0, 2))
 
 
 # -- virtual self-duality --------------------------------------------------------
@@ -164,6 +164,12 @@ def test_mds_full_space():
 def test_mds_d_equals_n_rejected():
     with pytest.raises(ValueError, match="excluded"):
         mds_enumerator(5, 5, 2)
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (-1, 0)])
+def test_mds_needs_a_positive_length(n, d):
+    with pytest.raises(ValueError, match=f"got n={n}$"):
+        mds_enumerator(n, d, 2)
 
 
 def test_mds_coefficients_nonnegative_integers():
@@ -255,7 +261,7 @@ def test_enumerator_reconstructs_from_zeta_expansion(unit_corpus):
 
     for c in unit_corpus[:15]:
         q = c.spec.q
-        e = from_distribution(weight_distribution(c), q=q)
+        e = from_distribution(weight_distribution(c))
         d = e.min_distance
         try:
             p = zeta_from_mds_basis(e, q, dimension=c.k)

@@ -113,15 +113,15 @@ def reference_zeta_chinen(enum, q, dimension=None):
 # -- inputs -------------------------------------------------------------------------
 
 
-def _enum(coeffs, q=None):
-    return WeightEnumerator(len(coeffs) - 1, tuple(coeffs), q=q)
+def _enum(coeffs):
+    return WeightEnumerator(len(coeffs) - 1, tuple(coeffs))
 
 
-TETRA = _enum([1, 0, 0, 8, 0], q=3)
-GOLAY12 = _enum([1, 0, 0, 0, 0, 0, 264, 0, 0, 440, 0, 0, 24], q=3)
-HEXA = _enum([1, 0, 0, 0, 45, 0, 18], q=4)
-XY = _enum([1, 0, 1], q=2)
-Q4_PAIR = _enum([1, 0, 3], q=4)
+TETRA = _enum([1, 0, 0, 8, 0])
+GOLAY12 = _enum([1, 0, 0, 0, 0, 0, 264, 0, 0, 440, 0, 0, 24])
+HEXA = _enum([1, 0, 0, 0, 45, 0, 18])
+XY = _enum([1, 0, 1])
+Q4_PAIR = _enum([1, 0, 3])
 
 
 def gleason(family: str, n: int) -> tuple[int, WeightEnumerator]:
@@ -165,8 +165,8 @@ def _random_rational(rng: random.Random) -> Fraction:
 def test_substitute_matches_reference_on_corpus(unit_corpus):
     for c in unit_corpus:
         q = c.spec.q
-        for e in (from_distribution(weight_distribution(c), q=q),
-                  from_distribution(weight_distribution(dual(c)), q=q)):
+        for e in (from_distribution(weight_distribution(c)),
+                  from_distribution(weight_distribution(dual(c)))):
             assert _substitute(e, q).coeffs == reference_substitute(e, q)
 
 
@@ -212,7 +212,7 @@ def test_zeta_matches_reference_on_corpus(unit_corpus):
     admissible = 0
     for c in unit_corpus:
         q = c.spec.q
-        e = from_distribution(weight_distribution(c), q=q)
+        e = from_distribution(weight_distribution(c))
         admissible += isinstance(_both_against_reference(e, q, c.k), tuple)
     assert admissible >= 10
 

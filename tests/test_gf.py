@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetacode import gf
-from zetacode.gf import DEFAULT_ORDER_CAP, GF, _digits, _raw_mul
+from zetacode.gf import GF, MAX_ORDER, FieldSpec, _digits, _raw_mul
 from test_divisor_counting import extension_field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81)
@@ -65,15 +65,16 @@ def test_mul_table_matches_raw_product(q):
 
 
 @pytest.mark.parametrize("q, cap, dtype", [
-    (256, DEFAULT_ORDER_CAP, np.uint8),
-    (512, DEFAULT_ORDER_CAP, np.uint16),
-    (1024, DEFAULT_ORDER_CAP, np.uint16),
-    (1031, 2048, np.uint16),
+    (256, MAX_ORDER, np.uint8),
+    (512, MAX_ORDER, np.uint16),
+    (1024, MAX_ORDER, np.uint16),
 ])
 def test_narrow_tables_at_the_dtype_boundary(q, cap, dtype):
     # add and mul in the narrowest unsigned dtype, mul built in row chunks;
-    # neg, inv, exp and log stay signed (log of 0 is -1)
-    spec = GF(q, cap=cap)
+    # neg, inv, exp and log stay signed (log of 0 is -1); uint16 covers
+    # every field up to the cap
+    assert q <= cap
+    spec = GF(q)
     tab = spec.tables
     assert tab.add.dtype == tab.mul.dtype == dtype
     assert tab.add.shape == tab.mul.shape == (q, q)
@@ -105,9 +106,29 @@ def test_elements_order_and_identities():
         assert f.mul_idx(1, 1) == 1
 
 
-def test_pinned_moduli():
-    assert GF(8).modulus == (1, 1, 0, 1)
-    assert GF(9).modulus == (1, 0, 1)
+def test_moduli_of_the_small_extension_fields():
+    assert GF(4).modulus == (1, 1, 1)  # t^2 + t + 1
+    assert GF(8).modulus == (1, 1, 0, 1)  # t^3 + t + 1
+    assert GF(9).modulus == (1, 0, 1)  # t^2 + 1
+
+
+def test_every_modulus_is_the_smallest_irreducible():
+    # the encoding rule, against sympy's irreducibility test: the first
+    # monic irreducible when the low coefficients, read as a little-endian
+    # base-p number, count up from 0
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    extensions = sorted(p**m for p in primes for m in range(2, 11) if p**m <= MAX_ORDER)
+    assert len(extensions) == 26
+    for q in extensions:
+        spec = GF(q)
+        p, m = spec.p, spec.m
+        for low in range(p**m):
+            cand = _digits(low, p, m) + (1,)
+            if sympy.Poly(list(reversed(cand)), x, modulus=p).is_irreducible:
+                break
+        assert spec.modulus == cand, q
 
 
 def test_field_axioms_random_triples():
@@ -147,12 +168,6 @@ def test_inverse_of_zero_rejected():
         GF(7).div_idx(3, 0)
 
 
-def test_reducible_modulus_rejected():
-    # t^2 + 1 = (t+1)^2 over GF(2)
-    with pytest.raises(ValueError, match="reducible"):
-        GF(4, modulus=(1, 0, 1))
-
-
 def test_non_prime_power_rejected():
     with pytest.raises(ValueError, match="prime power"):
         GF(6)
@@ -161,13 +176,18 @@ def test_non_prime_power_rejected():
 def test_order_cap():
     with pytest.raises(ValueError, match="cap"):
         GF(2048)
-    assert GF(DEFAULT_ORDER_CAP).q == 1024
+    assert GF(MAX_ORDER).q == 1024
 
 
-def test_order_cap_is_configurable():
-    f = GF(1031, cap=2048)
-    assert f.q == 1031 and f.m == 1
-    assert f.mul_idx(f.inv_idx(2), 2) == 1
+@pytest.mark.parametrize("q", [1031, 2048, 3**7])
+def test_order_cap_checked_before_any_modulus_search(monkeypatch, q):
+    def search(p, m):
+        raise AssertionError("modulus searched for a field over the cap")
+
+    monkeypatch.setattr(gf, "_smallest_irreducible", search)
+    with pytest.raises(ValueError, match="cap"):
+        GF(q)
+    assert q not in gf._FIELDS
 
 
 def test_element_index_range_checked():
@@ -181,18 +201,40 @@ def test_element_index_range_checked():
 
 
 def test_repeated_gf_reuses_the_interned_field(monkeypatch):
-    first = GF(256)
+    first = {q: GF(q) for q in SUPPORTED + (256,)}
 
     def search(p, m):
         raise AssertionError("modulus searched again")
 
     monkeypatch.setattr(gf, "_smallest_irreducible", search)
-    assert GF(256) is first
-    assert GF(3) is GF(3)
-    # the cap still applies to a field that is already interned
-    assert GF(1031, cap=2048).q == 1031
-    with pytest.raises(ValueError, match="cap"):
-        GF(1031)
+    for q, spec in first.items():
+        assert GF(q) is spec
+
+
+def test_tables_are_built_once_per_field(monkeypatch):
+    built = []
+    real = gf._Tables
+
+    def counting(spec):
+        built.append(spec.q)
+        return real(spec)
+
+    monkeypatch.setattr(gf, "_FIELDS", {})  # fresh specs, no tables read yet
+    monkeypatch.setattr(gf, "_Tables", counting)
+    for q in (4, 9, 4, 9, 7):
+        for _ in range(3):
+            assert GF(q).tables is GF(q).tables
+    assert built == [4, 9, 7]
+
+
+def test_tables_stay_out_of_equality_hash_and_repr():
+    a = FieldSpec(p=2, m=3, q=8, modulus=(1, 1, 0, 1))
+    b = FieldSpec(p=2, m=3, q=8, modulus=(1, 1, 0, 1))
+    before = (hash(a), repr(a))
+    assert a.tables.mul.shape == (8, 8)
+    assert (hash(a), repr(a)) == before == (hash(b), repr(b)) == (hash(GF(8)), "GF(8)")
+    assert a == b == GF(8)
+    assert "tables" not in b.__dict__
 
 
 def test_subfield_power_compatibility():
