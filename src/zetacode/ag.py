@@ -4,22 +4,19 @@ Elliptic curves are kept in long Weierstrass form with the full
 characteristic-2/3 group-law formulas, so every small field works.  Weight
 statistics of the evaluation codes can be cross-checked three independent
 ways: brute-force codeword enumeration (module linear_code), the
-minimum-count recursion for [n, k, n-k] elliptic codes, and a direct count
-of effective divisors in a divisor class (``fiber_count``), which reduces
+minimum-count recursion for [n, k, n-k] elliptic codes, and a count of
+effective divisors in a divisor class (``fiber_counts``), which reduces
 linear equivalence to the group structure on the rational points.
 
-Effective divisors are counted, not listed: a dynamic program takes the
-places a group of one degree and class point at a time, as in the Euler
-product Z(t) = prod_P (1 - t^deg P)^-1, so its cost grows with the number of
-places and classes rather than with the number of divisors.  That product
-needs only how many places there are of each degree and class, never the
-places themselves, so no extension field is built.  On the projective line
-the count per degree is the number of monic irreducibles.  On an elliptic
-curve N_1 fixes every N_r = #E(GF(q^r)), and the group law on the rational
-points splits the places of degree r among the classes through the traces
-of points of exact degree r (Duursma, "From weight enumerators to zeta
-functions", 2001); deg G is then bounded by the budget alone, not by the
-field-order cap of module gf.
+Effective divisors are counted in closed form, not listed.  By
+Riemann-Roch each divisor class of degree k >= 1 on a genus-1 curve holds
+(q^k - 1) / (q - 1) of them, and on the projective line the
+(q^(k+1) - 1) / (q - 1) of degree k form one class (Duursma, "From weight
+enumerators to zeta functions", 2001; Tsfasman, Vladut and Nogin,
+"Algebraic Geometric Codes: Basic Notions", 2007).  Only the subsets of D
+of size deg G whose points sum to the class of G go through the group law,
+so no place of degree 2 or more and no extension field enters, and deg G
+is bounded by the budget alone, not by the field-order cap of module gf.
 """
 
 from __future__ import annotations
@@ -599,67 +596,32 @@ def amin_onepoint(n: int, k: int, q: int) -> int:
     return val.numerator
 
 
-# -- closed places and the divisor-class counting oracle -------------------
+# -- the divisor-class counting oracle -------------------------------------
 
 
-def _elliptic_place_counts(curve: EllipticCurve, plus, pairs, max_degree: int):
-    """counts[r][i], r = 2..max_degree: the places of degree r whose
-    Frobenius orbit sums to the rational point pairs[i], from N_1 and the
-    group law alone; ``pairs`` lists every rational point.
-
-    With a = q + 1 - N_1 and s_0 = 2, s_1 = a, s_r = a s_(r-1) - q s_(r-2),
-    there are N_r = q^r + 1 - s_r points over GF(q^r).  Their trace to the
-    rational points is onto with fibers of N_r / N_1 points, and a point of
-    exact degree s | r has trace (r/s) times its degree-s trace, so the
-    points of exact degree r with trace P number
-    f_r(P) = N_r / N_1 - sum_(s | r, s < r) sum_((r/s) P' = P) f_s(P'),
-    with f_1 = 1; each place of degree r is r of them.
-    """
-    q, n1 = curve.spec.q, len(pairs)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    a = q + 1 - n1
-    s_prev, s_r = 2, a
-    f = {1: [1] * n1}
-    images = {}  # m -> index of m * pairs[i], for each i
-    counts = {}
-    for r in range(2, max_degree + 1):
-        s_prev, s_r = s_r, a * s_r - q * s_prev
-        # N_r / N_1 = (1 - alpha^r)(1 - beta^r) / ((1 - alpha)(1 - beta)),
-        # alpha and beta the roots of T^2 - a T + q, is an integer
-        f_r = [(q**r + 1 - s_r) // n1] * n1
-        for s in range(1, r):
-            if r % s:
-                continue
-            m = r // s
-            if m not in images:
-                images[m] = [index[_multiple(curve, plus, m, pair)] for pair in pairs]
-            for i, c in zip(images[m], f[s]):
-                f_r[i] -= c
-        if any(c < 0 or c % r for c in f_r):
-            raise RuntimeError(f"degree-{r} points by class are not r times a place count: {f_r}")
-        f[r] = f_r
-        counts[r] = [c // r for c in f_r]
-    return counts
-
-
-def _mobius(n: int) -> int:
-    out, f = 1, 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            out = -out
-        f += 1
-    return -out if n > 1 else out
-
-
-def _line_place_count(q: int, r: int) -> int:
-    """Places of degree r on the projective line over GF(q): q + 1 for
-    r = 1, else the monic irreducibles (1/r) sum_{d | r} mu(d) q^(r/d)."""
-    if r == 1:
-        return q + 1
-    return sum(_mobius(d) * q ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+def _class_subsets(curve: EllipticCurve, G: Divisor, d_pairs, m: int) -> int:
+    """The m-subsets of the distinct rational points ``d_pairs`` whose
+    points sum to the class of G, one dict (subset sum -> subsets) per size."""
+    plus = _group_law(curve)
+    target = None
+    for point, mult in G.entries:
+        target = plus(target, _multiple(curve, plus, mult, _pair(point)))
+    if m == 0:
+        return int(target is None)
+    sums = [{None: 1}] + [{} for _ in range(m - 1)]
+    hits = 0
+    for seen, pair in enumerate(d_pairs):
+        # an (m-1)-subset of the points before this one completes a hit
+        hits += sums[m - 1].get(plus(target, _negate(curve, pair)), 0)
+        shifted = {}  # s -> s + pair, shared by every size
+        for k in range(min(seen, m - 2), -1, -1):
+            bigger = sums[k + 1]
+            for s, c in sums[k].items():
+                t = shifted.get(s)
+                if t is None:
+                    t = shifted[s] = plus(s, pair)
+                bigger[t] = bigger.get(t, 0) + c
+    return hits
 
 
 def fiber_counts(
@@ -668,106 +630,52 @@ def fiber_counts(
     """Counts a_i of codewords with exactly i zeros, i = 0..deg G.
 
     a_i is (q - 1) times the number of effective divisors H linearly
-    equivalent to G whose support meets D in exactly i places.  Genus 1
-    tests equivalence through the group structure of the rational points;
-    on the projective line every divisor class of one degree coincides, so
-    only the number of places of each degree matters.  Every point of G and
-    D must lie on ``curve``.
+    equivalent to G whose support meets D in exactly i places.  Every point
+    of G and D must lie on ``curve``.
 
-    The effective divisors are counted, not listed: a dynamic program over
-    (degree used, class, places of D met) takes the places a group at a
-    time, a group being the places of one degree and one class point, in
-    D or not.  ``budget`` bounds the number of effective divisors of degree
-    deg G in all classes (the coefficient of t^deg G in the zeta function);
-    more of them raise BudgetExceededError.
+    The effective divisors, with x marking degree and y the places of D
+    met, sum to Z(x) prod_(P in D) (1 + (y - 1) x [P]) in the group ring of
+    the divisor classes, Z(x) being the sum of all effective divisors.  On
+    the projective line a class is its degree, and holds
+    (q^(k+1) - 1) / (q - 1) effective divisors of degree k.  On an
+    elliptic curve, by Riemann-Roch, each of the N_1 classes of degree
+    k >= 1 holds s_k = (q^k - 1) / (q - 1), so with m = deg G and n distinct
+    points in D, hist(y) = sum_(t<m) s_(m-t) C(n, t) (y - 1)^t + N_G (y - 1)^m,
+    where N_G counts the m-subsets of D whose points sum to the class of G.
+    Places of degree 2 and up never enter.
+
+    ``budget`` bounds the number of effective divisors of degree deg G in
+    all classes (the coefficient of t^deg G in the zeta function), which is
+    computed, not walked; more of them raise BudgetExceededError.
     """
-    delta = G.degree
-    if delta < 0:
-        raise ValueError(f"divisor degree must be nonnegative, got {delta}")
+    m = G.degree
+    if m < 0:
+        raise ValueError(f"divisor degree must be nonnegative, got {m}")
     if not isinstance(curve, (EllipticCurve, ProjectiveLine)):
         raise TypeError(f"unsupported curve type {type(curve).__name__}")
     D_points = tuple(D_points)
     for point in G.support + D_points:
         _require_on_curve(curve, point)
+    q = curve.spec.q
     d_set = set(D_points)
-    groups: dict[tuple, int] = {}  # (degree, in D, class point) -> places
-    plus = target = None
+    n = len(d_set)
     if isinstance(curve, EllipticCurve):
-        plus = _group_law(curve)
-        for point, mult in G.entries:
-            target = plus(target, _multiple(curve, plus, mult, _pair(point)))
-        pairs = [None] + _affine_point_indices(curve.spec, curve.coefficient_indices())
-        d_pairs = {_pair(p) for p in d_set}
-        for pair in pairs:
-            groups[(1, pair in d_pairs, pair)] = 1
-        for r, counts in _elliptic_place_counts(curve, plus, pairs, delta).items():
-            for pair, c in zip(pairs, counts):
-                groups[(r, False, pair)] = c
+        n1 = 1 + len(_affine_point_indices(curve.spec, curve.coefficient_indices()))
+        per_class = [(q**k - 1) // (q - 1) for k in range(m + 1)]  # s_k
+        total = n1 * per_class[m] if m else 1
     else:
-        q = curve.spec.q
-        groups[(1, True, None)] = len(d_set)
-        groups[(1, False, None)] = q + 1 - len(d_set)
-        for r in range(2, delta + 1):
-            groups[(r, False, None)] = _line_place_count(q, r)
-
-    sums: dict[tuple, object] = {}
-
-    def shift(cls, step):
-        if plus is None or step is None:
-            return cls
-        key = (cls, step)
-        out = sums.get(key)
-        if out is None:
-            out = sums[key] = plus(cls, step)
-        return out
-
-    # (degree used, class) -> number of effective divisors by places of D met
-    states = {(0, None): [1] + [0] * delta}
-    for (degree, in_d, step), c in groups.items():
-        if c == 0:
-            continue
-        top = delta // degree
-        steps = [None]
-        for _ in range(top):
-            steps.append(shift(steps[-1], step))
-        # (j, ways) to give the group total multiplicity m meeting j places:
-        # C(c, j) C(m-1, j-1) compositions for D, C(c+m-1, m) multisets else
-        if in_d:
-            ways = [[(0, 1)]] + [
-                [(j, comb(c, j) * comb(m - 1, j - 1)) for j in range(1, min(c, m) + 1)]
-                for m in range(1, top + 1)
-            ]
-        else:
-            ways = [[(0, comb(c + m - 1, m))] for m in range(top + 1)]
-        nxt: dict[tuple, list[int]] = {}
-        for (used, cls), counts in states.items():
-            # a divisor of degree `used` meets at most `used` places, so
-            # h + j never passes delta
-            nonzero = [(h, v) for h, v in enumerate(counts) if v]
-            for m in range((delta - used) // degree + 1):
-                key = (used + m * degree, shift(cls, steps[m]))
-                out = nxt.get(key)
-                if out is None:
-                    out = nxt[key] = [0] * (delta + 1)
-                for j, w in ways[m]:
-                    for h, v in nonzero:
-                        out[h + j] += w * v
-        states = nxt
-    total = sum(sum(counts) for (used, _), counts in states.items() if used == delta)
+        per_class = [(q ** (k + 1) - 1) // (q - 1) for k in range(m + 1)]
+        total = per_class[m]
     if total > budget:
         raise BudgetExceededError(f"effective-divisor enumeration exceeded budget {budget}")
-    hist = states.get((delta, target), [0] * (delta + 1))
-    return tuple((curve.spec.q - 1) * h for h in hist)
-
-
-def fiber_count(
-    curve, G: Divisor, D_points, i: int, budget: int = DEFAULT_FIBER_BUDGET
-) -> int:
-    """The single count a_i; see :func:`fiber_counts`."""
-    counts = fiber_counts(curve, G, D_points, budget)
-    if not 0 <= i <= G.degree:
-        return 0
-    return counts[i]
+    # coefficients of hist(y) in powers of (y - 1)
+    coeffs = [per_class[m - t] * comb(n, t) for t in range(m + 1)]
+    if isinstance(curve, EllipticCurve):
+        coeffs[m] = _class_subsets(curve, G, [_pair(p) for p in d_set], m)
+    return tuple(
+        (q - 1) * sum((-1) ** (t - i) * comb(t, i) * coeffs[t] for t in range(i, m + 1))
+        for i in range(m + 1)
+    )
 
 
 # -- binomial-moment coefficients of AG codes ------------------------------

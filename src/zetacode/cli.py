@@ -88,7 +88,8 @@ def _check(name: str, passed: bool) -> dict:
 
 
 def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+    # -0.0 + 0.0 is 0.0, so a zero never prints as "-0"
+    return f"{x + 0.0:.17g}"
 
 
 def _rh_block(verdict: zeta.RhVerdict) -> dict:

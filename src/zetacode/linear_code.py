@@ -301,7 +301,7 @@ def dual(code: LinearCode) -> LinearCode:
         return LinearCode.zero(spec, n)
     red, pivots = code._echelon
     pivots = list(pivots)
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = np.delete(np.arange(n), pivots)
     h = np.zeros((n - k, n), dtype=np.int64)
     h[np.arange(n - k), free] = 1
     h[:, pivots] = spec.tables.neg[red.array[:, free]].T

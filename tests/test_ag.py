@@ -31,7 +31,6 @@ from zetacode.ag import (
     curve_rh,
     elliptic_code,
     elliptic_distribution_from_amin,
-    fiber_count,
     fiber_counts,
     format_curve_text,
     format_divisor_text,
@@ -419,7 +418,7 @@ def test_amin_coprime_against_divisor_count():
     cls = deg2[0].class_point
     g_div = Divisor.of([(cls, 1), (CurvePoint.infinity(), 1)])
     assert g_div.degree == 2
-    a2 = fiber_count(e, g_div, pts, 2)
+    a2 = fiber_counts(e, g_div, pts)[2]
     assert a2 == amin_coprime(9, 2, 7) == 24
 
 
@@ -492,9 +491,13 @@ def test_fiber_budget():
 
 
 def test_fiber_count_out_of_range_is_zero():
+    # an effective divisor of degree 2 meets at most 2 places, so a_7 = 0
+    # and the counts stop at a_2
     e = curve(5, [0, 0, 0, 1, 1])
     g_div = Divisor.of({CurvePoint.infinity(): 2})
-    assert fiber_count(e, g_div, points(e)[1:], 7) == 0
+    counts = fiber_counts(e, g_div, points(e)[1:])
+    assert len(counts) == 3
+    assert sum(counts) == 5**2 - 1
 
 
 def test_fiber_rejects_points_off_the_curve():

@@ -103,6 +103,15 @@ def test_rh_command(capsys):
     assert payload["rh"]["holds"] is False
 
 
+def test_rh_root_at_zero_prints_no_negative_zero(capsys):
+    # P(T) = T has its root at -0.0 + 0j in numpy
+    payload = run_json(capsys, ["rh", "--q", "2", "0", "1"])
+    assert payload["rh"]["roots"] == [{"re": "0", "im": "0"}]
+    rc, out = run(capsys, ["rh", "--q", "2", "0", "1", "--format", "text"])
+    assert rc == 0
+    assert "    re: 0\n    im: 0\n" in out
+
+
 def test_classify_command(capsys, tmp_path):
     p = tmp_path / "w8.txt"
     p.write_text(W8_ENUM)

@@ -1,12 +1,15 @@
-"""Point finding, place counts and the effective-divisor counting DP against
-the algorithms they replaced, kept here as reference oracles: brute-force
-point search, and closed places listed as Frobenius orbits over GF(q^r)."""
+"""Point finding and the closed-form effective-divisor counts against the
+algorithms they replaced, kept here as reference oracles: brute-force point
+search, closed places listed as Frobenius orbits over GF(q^r), a recursion
+over every effective divisor, and a DP over places counted by degree and
+class."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import pytest
@@ -280,6 +283,147 @@ def reference_fiber_counts(curve, G: Divisor, D_points, budget: int = 10**6):
     return tuple((curve.spec.q - 1) * h for h in hist)
 
 
+# -- reference oracle: the divisor DP over places counted by degree and class ---------
+
+
+def elliptic_place_counts(curve: EllipticCurve, plus, pairs, max_degree: int):
+    """counts[r][i], r = 2..max_degree: the places of degree r whose
+    Frobenius orbit sums to the rational point pairs[i], from N_1 and the
+    group law alone; ``pairs`` lists every rational point.
+
+    With a = q + 1 - N_1 and s_0 = 2, s_1 = a, s_r = a s_(r-1) - q s_(r-2),
+    there are N_r = q^r + 1 - s_r points over GF(q^r).  Their trace to the
+    rational points is onto with fibers of N_r / N_1 points, and a point of
+    exact degree s | r has trace (r/s) times its degree-s trace, so the
+    points of exact degree r with trace P number
+    f_r(P) = N_r / N_1 - sum_(s | r, s < r) sum_((r/s) P' = P) f_s(P'),
+    with f_1 = 1; each place of degree r is r of them.
+    """
+    q, n1 = curve.spec.q, len(pairs)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    a = q + 1 - n1
+    s_prev, s_r = 2, a
+    f = {1: [1] * n1}
+    images = {}  # m -> index of m * pairs[i], for each i
+    counts = {}
+    for r in range(2, max_degree + 1):
+        s_prev, s_r = s_r, a * s_r - q * s_prev
+        # N_r / N_1 = (1 - alpha^r)(1 - beta^r) / ((1 - alpha)(1 - beta)),
+        # alpha and beta the roots of T^2 - a T + q, is an integer
+        f_r = [(q**r + 1 - s_r) // n1] * n1
+        for s in range(1, r):
+            if r % s:
+                continue
+            m = r // s
+            if m not in images:
+                images[m] = [index[ag._multiple(curve, plus, m, pair)] for pair in pairs]
+            for i, c in zip(images[m], f[s]):
+                f_r[i] -= c
+        if any(c < 0 or c % r for c in f_r):
+            raise RuntimeError(f"degree-{r} points by class are not r times a place count: {f_r}")
+        f[r] = f_r
+        counts[r] = [c // r for c in f_r]
+    return counts
+
+
+def _mobius(n: int) -> int:
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+def line_place_count(q: int, r: int) -> int:
+    """Places of degree r on the projective line over GF(q): q + 1 for
+    r = 1, else the monic irreducibles (1/r) sum_{d | r} mu(d) q^(r/d)."""
+    if r == 1:
+        return q + 1
+    return sum(_mobius(d) * q ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+
+
+def dp_fiber_counts(curve, G: Divisor, D_points, budget: int = 10**6):
+    """``fiber_counts`` by a dynamic program over (degree used, class, places
+    of D met), as in the Euler product Z(t) = prod_P (1 - t^deg P)^-1: the
+    places are taken a group at a time, a group being the places of one
+    degree and one class point, in D or not.  The budget bounds the
+    effective divisors of degree deg G in all classes, counted by the DP."""
+    delta = G.degree
+    d_set = set(D_points)
+    groups: dict[tuple, int] = {}  # (degree, in D, class point) -> places
+    plus = target = None
+    if isinstance(curve, EllipticCurve):
+        plus = ag._group_law(curve)
+        for point, mult in G.entries:
+            target = plus(target, ag._multiple(curve, plus, mult, ag._pair(point)))
+        pairs = [None] + ag._affine_point_indices(curve.spec, curve.coefficient_indices())
+        d_pairs = {ag._pair(p) for p in d_set}
+        for pair in pairs:
+            groups[(1, pair in d_pairs, pair)] = 1
+        for r, counts in elliptic_place_counts(curve, plus, pairs, delta).items():
+            for pair, c in zip(pairs, counts):
+                groups[(r, False, pair)] = c
+    else:
+        q = curve.spec.q
+        groups[(1, True, None)] = len(d_set)
+        groups[(1, False, None)] = q + 1 - len(d_set)
+        for r in range(2, delta + 1):
+            groups[(r, False, None)] = line_place_count(q, r)
+
+    sums: dict[tuple, object] = {}
+
+    def shift(cls, step):
+        if plus is None or step is None:
+            return cls
+        key = (cls, step)
+        out = sums.get(key)
+        if out is None:
+            out = sums[key] = plus(cls, step)
+        return out
+
+    # (degree used, class) -> number of effective divisors by places of D met
+    states = {(0, None): [1] + [0] * delta}
+    for (degree, in_d, step), c in groups.items():
+        if c == 0:
+            continue
+        top = delta // degree
+        steps = [None]
+        for _ in range(top):
+            steps.append(shift(steps[-1], step))
+        # (j, ways) to give the group total multiplicity m meeting j places:
+        # C(c, j) C(m-1, j-1) compositions for D, C(c+m-1, m) multisets else
+        if in_d:
+            ways = [[(0, 1)]] + [
+                [(j, comb(c, j) * comb(m - 1, j - 1)) for j in range(1, min(c, m) + 1)]
+                for m in range(1, top + 1)
+            ]
+        else:
+            ways = [[(0, comb(c + m - 1, m))] for m in range(top + 1)]
+        nxt: dict[tuple, list[int]] = {}
+        for (used, cls), counts in states.items():
+            # a divisor of degree `used` meets at most `used` places, so
+            # h + j never passes delta
+            nonzero = [(h, v) for h, v in enumerate(counts) if v]
+            for m in range((delta - used) // degree + 1):
+                key = (used + m * degree, shift(cls, steps[m]))
+                out = nxt.get(key)
+                if out is None:
+                    out = nxt[key] = [0] * (delta + 1)
+                for j, w in ways[m]:
+                    for h, v in nonzero:
+                        out[h + j] += w * v
+        states = nxt
+    total = sum(sum(counts) for (used, _), counts in states.items() if used == delta)
+    if total > budget:
+        raise BudgetExceededError(f"effective-divisor enumeration exceeded budget {budget}")
+    hist = states.get((delta, target), [0] * (delta + 1))
+    return tuple((curve.spec.q - 1) * h for h in hist)
+
+
 # -- corpus ---------------------------------------------------------------------------
 
 
@@ -403,7 +547,7 @@ def test_line_place_counts_equal_places():
         delta = max(d for d in range(1, 6) if q**d <= 1024)
         pls = places_up_to(line, delta)
         for r in range(1, delta + 1):
-            assert ag._line_place_count(q, r) == len([p for p in pls if p.degree == r])
+            assert line_place_count(q, r) == len([p for p in pls if p.degree == r])
 
 
 # -- place counts by degree and class ----------------------------------------------
@@ -412,7 +556,7 @@ def test_line_place_counts_equal_places():
 def _count_table(e, delta):
     """(degree, class pair) -> places, from N_1 and the group law."""
     pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
-    counts = ag._elliptic_place_counts(e, ag._group_law(e), pairs, delta)
+    counts = elliptic_place_counts(e, ag._group_law(e), pairs, delta)
     return {(r, pair): c for r, cs in counts.items() for pair, c in zip(pairs, cs) if c}
 
 
@@ -475,10 +619,10 @@ def test_place_counts_check_their_result(monkeypatch):
     e = EllipticCurve.from_indices(GF(2), [0, 0, 1, 1, 0])
     pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
     assert len(pairs) == 5
-    assert ag._elliptic_place_counts(e, ag._group_law(e), pairs, 2)[2] == [0, 0, 0, 0, 0]
+    assert elliptic_place_counts(e, ag._group_law(e), pairs, 2)[2] == [0, 0, 0, 0, 0]
     monkeypatch.setattr(ag, "_multiple", lambda curve, plus, m, pair: None)
     with pytest.raises(RuntimeError, match=r"degree-2 points by class .*\[-4, 1, 1, 1, 1\]"):
-        ag._elliptic_place_counts(e, ag._group_law(e), pairs, 2)
+        elliptic_place_counts(e, ag._group_law(e), pairs, 2)
 
 
 # -- fiber counts ---------------------------------------------------------------------
@@ -537,6 +681,7 @@ def test_fiber_counts_on_the_line_past_the_field_cap():
     (5, [0, 0, 0, 1, 0], 5),
     (5, [0, 0, 0, 1, 0], 7),
     (7, [0, 0, 0, 0, 2], 6),
+    (31, [0, 0, 0, 1, 3], 3),
 ])
 def test_elliptic_fiber_counts_past_the_field_cap(q, coeffs, delta):
     # q^delta is over the cap of GF, and no extension field is built.  By
@@ -549,12 +694,16 @@ def test_elliptic_fiber_counts_past_the_field_cap(q, coeffs, delta):
     per_class = (q**delta - 1) // (q - 1)
     for P in pts[:3]:
         G = Divisor.of([(CurvePoint.infinity(), delta - 1), (P, 1)])
-        assert sum(fiber_counts(e, G, pts[1:])) == q**delta - 1
+        hist = fiber_counts(e, G, pts[1:])
+        assert sum(hist) == q**delta - 1
+        assert hist == dp_fiber_counts(e, G, pts[1:])
     G = Divisor.of({CurvePoint.infinity(): delta})
     hist = fiber_counts(e, G, pts[1:], budget=len(pts) * per_class)
     assert sum(hist) == q**delta - 1
-    with pytest.raises(BudgetExceededError):
-        fiber_counts(e, G, pts[1:], budget=len(pts) * per_class - 1)
+    assert hist == dp_fiber_counts(e, G, pts[1:], budget=len(pts) * per_class)
+    for count in (fiber_counts, dp_fiber_counts):
+        with pytest.raises(BudgetExceededError):
+            count(e, G, pts[1:], budget=len(pts) * per_class - 1)
 
 
 def test_line_past_the_cap_against_polynomial_roots():

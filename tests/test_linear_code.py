@@ -6,6 +6,10 @@ import re
 
 import dataclasses
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,6 +440,23 @@ def test_dual_makes_no_rref_call(unit_corpus, monkeypatch):
     red, rank, pivots = rref(d.gen)
     assert d.rref_matrix().index_rows() == red.index_rows() and rank == d.k
     assert len(calls) == 1
+
+
+def test_dual_leaves_numpy_ma_unimported():
+    # np.setdiff1d goes through np.unique, whose first call imports numpy.ma
+    # (about 11 ms and 1 MB resident); a fresh process shows whether dual does
+    script = (
+        "import sys\n"
+        "from zetacode.gf import GF\n"
+        "from zetacode.linear_code import LinearCode, Matrix, dual\n"
+        "d = dual(LinearCode(Matrix.from_indices(GF(3), [[1, 0, 2, 1], [0, 1, 1, 2]])))\n"
+        "print(d.gen.index_rows(), 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(linear_code.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[[1, 2, 1, 0], [2, 1, 0, 1]] False\n"
 
 
 def test_dual_dual_row_space(unit_corpus):
