@@ -356,12 +356,6 @@ class Divisor:
     def support(self) -> tuple:
         return tuple(p for p, _ in self.entries)
 
-    def multiplicity(self, point) -> int:
-        for p, m in self.entries:
-            if p == point:
-                return m
-        return 0
-
 
 # -- curve zeta -----------------------------------------------------------
 
@@ -724,10 +718,9 @@ def bl_bounds(n: int, m: int, g: int, q: int) -> list[tuple[int, int]]:
     return out
 
 
-# -- text formats ----------------------------------------------------------
+# -- text format -----------------------------------------------------------
 #
 # curve:    one line "q a1 a2 a3 a4 a6" of element indices
-# divisor:  one line per entry, "O mult" or "x,y mult"
 
 
 def parse_curve_text(text: str) -> EllipticCurve:
@@ -745,46 +738,3 @@ def parse_curve_text(text: str) -> EllipticCurve:
         if not 0 <= v < spec.q:
             raise ValueError(f"field {pos}: index {v} out of range for GF({spec.q})")
     return EllipticCurve.from_indices(spec, vals[1:])
-
-
-def format_curve_text(curve: EllipticCurve) -> str:
-    return " ".join(
-        str(v) for v in (curve.spec.q,) + curve.coefficient_indices()
-    ) + "\n"
-
-
-def parse_divisor_text(curve: EllipticCurve, text: str) -> Divisor:
-    spec = curve.spec
-    items = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        toks = line.split()
-        if not toks:
-            continue
-        if len(toks) != 2:
-            raise ValueError(f"line {ln}: expected 'point multiplicity', found {len(toks)} fields")
-        pt_tok, mult_tok = toks
-        try:
-            mult = int(mult_tok)
-        except ValueError:
-            raise ValueError(f"line {ln}: multiplicity is not an integer: {mult_tok!r}") from None
-        if pt_tok == "O":
-            point = CurvePoint.infinity()
-        else:
-            pieces = pt_tok.split(",")
-            if len(pieces) != 2:
-                raise ValueError(f"line {ln}: point must be 'O' or 'x,y', got {pt_tok!r}")
-            try:
-                xi, yi = int(pieces[0]), int(pieces[1])
-            except ValueError:
-                raise ValueError(f"line {ln}: non-integer coordinate in {pt_tok!r}") from None
-            if not (0 <= xi < spec.q and 0 <= yi < spec.q):
-                raise ValueError(f"line {ln}: coordinate out of range for GF({spec.q})")
-            point = CurvePoint(xi, yi)
-            if not curve.contains(point):
-                raise ValueError(f"line {ln}: point {pt_tok} is not on the curve")
-        items.append((point, mult))
-    return Divisor.of(items)
-
-
-def format_divisor_text(div: Divisor) -> str:
-    return "".join(f"{point} {mult}\n" for point, mult in div.entries)

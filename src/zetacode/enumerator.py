@@ -79,17 +79,6 @@ class WeightEnumerator:
                 return i
         return None
 
-    @property
-    def has_negative(self) -> bool:
-        return any(c < 0 for c in self.coeffs)
-
-    def evaluate(self, x, y) -> Fraction:
-        x, y = _as_fraction(x), _as_fraction(y)
-        return sum(
-            (c * x ** (self.n - i) * y**i for i, c in enumerate(self.coeffs)),
-            start=_F0,
-        )
-
     def total(self) -> Fraction:
         """The value at (1, 1); q^k for the enumerator of an [n, k] code."""
         return sum(self.coeffs, start=_F0)
@@ -171,7 +160,7 @@ def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator
     """q^(-k) F(x + (q-1)y, x - y): the enumerator of the dual code.
 
     The result may have negative coefficients when the input is only a
-    virtual enumerator; callers can inspect ``has_negative`` on the result.
+    virtual enumerator.
     """
     if not 0 <= k <= enum.n:
         raise ValueError(f"dimension k={k} out of range for length {enum.n}")
@@ -322,7 +311,3 @@ def parse_enumerator_text(text: str) -> WeightEnumerator:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"token {pos}: not a rational: {tok!r}") from None
     return WeightEnumerator(n, tuple(coeffs))
-
-
-def format_enumerator_text(enum: WeightEnumerator) -> str:
-    return " ".join([str(enum.n)] + [str(c) for c in enum.coeffs]) + "\n"

@@ -138,9 +138,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return int(self.tables.inv[a])
 
-    def div_idx(self, a: int, b: int) -> int:
-        return self.mul_idx(a, self.inv_idx(b))
-
     def pow_idx(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:

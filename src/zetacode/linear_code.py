@@ -101,8 +101,8 @@ def rref(mat: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 class LinearCode:
     """A linear [n, k] code given by a full-row-rank generator matrix.
 
-    The k = 0 zero code exists only as the output of :func:`dual` or
-    :func:`puncture_degenerate`; it cannot be built directly and the
+    The k = 0 zero code exists only as :meth:`zero` and as the dual of a
+    full-space code; it cannot be built from a generator matrix and the
     distribution operations reject it.
     """
 
@@ -323,8 +323,6 @@ def puncture_degenerate(code: LinearCode) -> LinearCode:
     keep = arr.any(axis=0)
     if keep.all():
         return code
-    if not keep.any():
-        raise ValueError("cannot puncture a code with no nonzero coordinate")
     return LinearCode(Matrix(code.spec, arr[:, keep]))
 
 
@@ -407,10 +405,3 @@ def parse_matrix_text(text: str) -> LinearCode:
         if lines[extra_ln].split():
             raise ValueError(f"line {extra_ln + 1}: unexpected extra row")
     return LinearCode(Matrix.from_indices(spec, rows))
-
-
-def format_matrix_text(code: LinearCode) -> str:
-    lines = [f"{code.spec.q} {code.n} {code.k}"]
-    for row in code.gen.index_rows():
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -82,10 +82,6 @@ class RhVerdict:
     tolerance: float
     residuals: tuple[float, ...]
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return any(r > 1e-6 for r in self.residuals)
-
 
 def _infer_dimension(enum: WeightEnumerator, q: int) -> int:
     """k with F(1,1) = q^k; falls back to n/2 for sign-alternating inputs."""

@@ -32,13 +32,10 @@ from zetacode.ag import (
     elliptic_code,
     elliptic_distribution_from_amin,
     fiber_counts,
-    format_curve_text,
-    format_divisor_text,
     grs_code,
     negate_point,
     one_point_basis,
     parse_curve_text,
-    parse_divisor_text,
     points,
     scalar_point_mul,
     within_hasse_bound,
@@ -629,13 +626,11 @@ def test_bl_bounds_elliptic(corpus_curves):
                     assert lo == hi == v
 
 
-# -- text formats -----------------------------------------------------------------
+# -- text format ------------------------------------------------------------------
 
 
 def test_curve_text_round_trip():
-    e = curve(5, [0, 0, 0, 1, 1])
-    back = parse_curve_text(format_curve_text(e))
-    assert back == e
+    assert parse_curve_text("5 0 0 0 1 1\n") == curve(5, [0, 0, 0, 1, 1])
 
 
 def test_curve_text_errors():
@@ -645,22 +640,3 @@ def test_curve_text_errors():
         parse_curve_text("5 x 0 0 1 1\n")
     with pytest.raises(ValueError, match="field 6"):
         parse_curve_text("5 0 0 0 1 9\n")
-
-
-def test_divisor_text_round_trip():
-    e = curve(5, [0, 0, 0, 1, 1])
-    p = points(e)[1]
-    d = Divisor.of({CurvePoint.infinity(): 2, p: -1})
-    text = format_divisor_text(d)
-    assert parse_divisor_text(e, text) == d
-    assert d.degree == 1
-
-
-def test_divisor_text_errors():
-    e = curve(5, [0, 0, 0, 1, 1])
-    with pytest.raises(ValueError, match="line 1"):
-        parse_divisor_text(e, "O\n")
-    with pytest.raises(ValueError, match="not on the curve"):
-        parse_divisor_text(e, "0,3 1\n")
-    with pytest.raises(ValueError, match="multiplicity"):
-        parse_divisor_text(e, "O x\n")

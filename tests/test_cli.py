@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetacode import ag, cli, enumerator, linear_code
+from zetacode import ag, cli, enumerator, linear_code, zeta
 from zetacode.cli import main
 from zetacode.gf import GF
 
@@ -159,8 +159,9 @@ def test_zeta_expands_two_transforms(capsys, tmp_path, hamming_file, transform_l
 
 
 def _matrix_file(tmp_path, code, name="code.txt"):
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in code.gen.index_rows())
     p = tmp_path / name
-    p.write_text(linear_code.format_matrix_text(code))
+    p.write_text(f"{code.spec.q} {code.n} {code.k}\n{rows}")
     return str(p)
 
 
@@ -572,6 +573,14 @@ def test_exit_code_missing_file(capsys):
 def test_exit_code_budget(capsys, hamming_file):
     rc, _ = run(capsys, ["wdist", hamming_file, "--budget", "4"])
     assert rc == 2
+
+
+def test_exit_code_internal_error(capsys, hamming_file, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(zeta, "zeta_from_chinen", boom)
+    assert run_with_err(capsys, ["zeta", hamming_file]) == (3, "", "internal error: boom\n")
 
 
 def test_env_budget_override(capsys, hamming_file, monkeypatch):
