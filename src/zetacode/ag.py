@@ -4,7 +4,7 @@ Elliptic curves are kept in long Weierstrass form with the full
 characteristic-2/3 group-law formulas, so every small field works.  Weight
 statistics of the evaluation codes can be cross-checked three independent
 ways: brute-force codeword enumeration (module linear_code), the
-minimum-count recursion for [n, k, n-k] elliptic codes, and a count of
+binomial-moment equations for [n, k, n-k] elliptic codes, and a count of
 effective divisors in a divisor class (``fiber_counts``), which reduces
 linear equivalence to the group structure on the rational points.
 
@@ -35,7 +35,8 @@ from .linear_code import (
     Matrix,
     WeightDistribution,
 )
-from .zeta import RhVerdict, roots_on_circle_verdict
+from .enumerator import solve_macwilliams
+from .zeta import RhVerdict, functional_equation_holds, roots_on_circle_verdict
 
 DEFAULT_FIBER_BUDGET = 10**6
 
@@ -378,26 +379,10 @@ class CurveZeta:
             )
         if self.coeffs[0] != 1:
             raise ValueError("curve zeta numerator must have constant term 1")
-        i = _functional_equation_failure(self.q, self.coeffs)
-        if i is not None:
+        if not functional_equation_holds(self.q, self.coeffs):
             raise ValueError(
-                f"coefficients violate the functional equation at index {i}: {self.coeffs}"
+                f"coefficients violate the functional equation: {self.coeffs}"
             )
-
-
-def _functional_equation_failure(q: int, coeffs) -> int | None:
-    """The first i <= g with a_(2g-i) != q^(g-i) a_i, or None."""
-    g = (len(coeffs) - 1) // 2
-    for i in range(g + 1):
-        if coeffs[i] * q ** (g - i) != coeffs[2 * g - i]:
-            return i
-    return None
-
-
-def functional_equation_holds(q: int, coeffs) -> bool:
-    """Whether a_(2g-i) = q^(g-i) a_i for i = 0..2g, the functional equation
-    of a curve zeta numerator a_0 + a_1 T + ... + a_(2g) T^(2g)."""
-    return len(coeffs) % 2 == 1 and _functional_equation_failure(q, coeffs) is None
 
 
 def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
@@ -529,37 +514,18 @@ def elliptic_distribution_from_amin(
 ) -> WeightDistribution:
     """Full weight distribution of an [n, k, n-k]_q elliptic-type code.
 
-    Only the minimum-weight count is free; the rest follows from the
-    binomial-moment identities:
-
-        A_(n-k+l) = C(n, k-l) sum_{i=0}^{l-1} (-1)^i C(n-k+l, i) (q^(l-i) - 1)
-                    + (-1)^l C(k, k-l) A_(n-k).
-
-    Raises on any negative intermediate count or when the completed counts
-    do not sum to q^k (both signal an invalid A_(n-k)).
+    Only the minimum-weight count is free: the dual is an [n, n-k, k]
+    code, so the binomial-moment equations of ``solve_macwilliams`` fix
+    A_(n-k+1) .. A_n from A_(n-k).  Their l = 0 equation makes the counts
+    sum to q^k; a count that would come out negative raises (it signals
+    an invalid A_(n-k)).
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     a_min = int(a_min)
     if a_min <= 0:
         raise ValueError(f"minimum-weight count must be positive, got {a_min}")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for l in range(k + 1):
-        s = sum(
-            (-1) ** i * comb(n - k + l, i) * (q ** (l - i) - 1) for i in range(l)
-        )
-        val = comb(n, k - l) * s + (-1) ** l * comb(k, k - l) * a_min
-        if val < 0:
-            raise ValueError(
-                f"invalid minimum-weight count {a_min}: A_{n - k + l} would be {val}"
-            )
-        counts[n - k + l] = val
-    if sum(counts) != q**k:
-        raise ValueError(
-            f"invalid minimum-weight count {a_min}: counts sum to {sum(counts)}, not q^k"
-        )
-    return WeightDistribution(n, tuple(counts))
+    return solve_macwilliams(n, k, q, n - k, k, [a_min])
 
 
 def amin_coprime(n: int, k: int, q: int) -> int:

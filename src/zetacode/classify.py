@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .enumerator import (
-    WeightEnumerator,
-    is_virtually_self_dual,
-    macwilliams_substitute,
-)
+from .enumerator import WeightEnumerator, is_virtually_self_dual
 from .zeta import (
     RhVerdict,
     ZetaPolynomial,
@@ -143,9 +138,7 @@ def is_formal_weight_enumerator(enum: WeightEnumerator) -> bool:
         return False
     if any(c and i % 4 for i, c in enumerate(enum.coeffs)):
         return False
-    scale = -(Fraction(2) ** (enum.n // 2))
-    sub = macwilliams_substitute(enum, 2)
-    return all(s == scale * c for s, c in zip(sub.coeffs, enum.coeffs))
+    return is_virtually_self_dual(enum, 2, -1)
 
 
 @dataclass(frozen=True)

@@ -429,7 +429,7 @@ def _cmd_curve_zeta(args, config: RunConfig) -> dict:
         "coefficients": list(cz.coeffs),
         "rh": rh,
         "checks": [
-            _check("functional_equation", ag.functional_equation_holds(cz.q, cz.coeffs)),
+            _check("functional_equation", zeta.functional_equation_holds(cz.q, cz.coeffs)),
             _check("roots_on_circle", verdict.holds),
         ],
     }

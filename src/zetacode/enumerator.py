@@ -169,16 +169,17 @@ def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator
     return WeightEnumerator(enum.n, tuple(scale * c for c in sub.coeffs))
 
 
-def is_virtually_self_dual(enum: WeightEnumerator, q: int) -> bool:
-    """Whether q^(n/2) F equals F(x + (q-1)y, x - y) exactly.
+def is_virtually_self_dual(enum: WeightEnumerator, q: int, sign: int = 1) -> bool:
+    """Whether sign q^(n/2) F equals F(x + (q-1)y, x - y) exactly.
 
-    This integral identity is equivalent to invariance under the
-    sqrt(q)-normalized substitution and avoids irrational arithmetic;
-    it only makes sense for even n.
+    With sign = 1 this integral identity is equivalent to invariance under
+    the sqrt(q)-normalized substitution and avoids irrational arithmetic;
+    sign = -1 asks for the substitution to negate F instead, as it does
+    for formal weight enumerators.  It only makes sense for even n.
     """
     if enum.n % 2:
         raise ValueError(f"virtual self-duality needs an even length, got n={enum.n}")
-    scale = Fraction(q) ** (enum.n // 2)
+    scale = sign * q ** (enum.n // 2)
     sub = macwilliams_substitute(enum, q)
     return all(scale * c == s for c, s in zip(enum.coeffs, sub.coeffs))
 
@@ -254,36 +255,28 @@ def solve_macwilliams(
             f"no knowns admissible only in the MDS case d + d_dual = n + 2; "
             f"got d={d}, d_dual={d_dual}, n={n}"
         )
-    counts: dict[int, int] = {0: 1}
-    for i in range(1, d):
-        counts[i] = 0
+    counts = [1] + [0] * (d - 1)  # A_i at index i; A_top is appended in turn
     for off, a in enumerate(knowns):
         a = int(a)
         if a < 0:
             raise ValueError(f"known count A_{d + off} = {a} is negative")
-        counts[d + off] = a
+        counts.append(a)
     for l in range(d_dual - 1, -1, -1):
         rhs = comb(n, l) * (q ** (k - l) - 1)
         top = n - l
-        acc = 0
-        for i in range(d, top):
-            if i in counts:
-                acc += comb(n - i, l) * counts[i]
-        if top < d or top in counts:
-            if top >= d:
-                acc += comb(n - top, l) * counts[top]
-            if acc != rhs:
+        if top < d:
+            if rhs:
                 raise ValueError(
-                    f"inconsistent knowns: moment equation l={l} gives {acc} != {rhs}"
+                    f"inconsistent knowns: moment equation l={l} gives 0 != {rhs}"
                 )
             continue
-        val = rhs - acc
+        val = rhs - sum(comb(n - i, l) * counts[i] for i in range(d, top))
         if val < 0:
             raise ValueError(
                 f"inconsistent knowns: A_{top} would be negative ({val})"
             )
-        counts[top] = val
-    return WeightDistribution(n, tuple(counts.get(i, 0) for i in range(n + 1)))
+        counts.append(val)
+    return WeightDistribution(n, tuple(counts))
 
 
 # -- enumerator text format ----------------------------------------------

@@ -221,13 +221,18 @@ def functional_dual(p: ZetaPolynomial) -> ZetaPolynomial:
     )
 
 
-def _reciprocal_holds(p: ZetaPolynomial, sign: int) -> bool:
-    g = p.g
-    if p.degree != 2 * g or p.g != p.g_dual:
+def functional_equation_holds(q: int, coeffs, sign: int = 1) -> bool:
+    """Whether a_(2g-i) = sign q^(g-i) a_i for i = 0..g, where the tuple
+    a_0, ..., a_(2g) has odd length 2g + 1.
+
+    sign = 1 is the functional equation of a curve zeta numerator and of
+    the zeta polynomial of a formally self-dual code; sign = -1 is its
+    sign-flipped form, which formal weight enumerators satisfy.
+    """
+    if len(coeffs) % 2 == 0:
         return False
-    qf = Fraction(p.q)
-    a = p.coeffs
-    return all(a[j] == sign * qf ** (j - g) * a[2 * g - j] for j in range(2 * g + 1))
+    g = (len(coeffs) - 1) // 2
+    return all(coeffs[2 * g - i] == sign * q ** (g - i) * coeffs[i] for i in range(g + 1))
 
 
 def self_reciprocal_check(p: ZetaPolynomial) -> bool:
@@ -235,7 +240,7 @@ def self_reciprocal_check(p: ZetaPolynomial) -> bool:
 
     Holds for the zeta polynomial of any formally self-dual source.
     """
-    return _reciprocal_holds(p, +1)
+    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.coeffs, 1)
 
 
 def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
@@ -243,7 +248,7 @@ def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
 
     Holds for enumerators that the binary transform negates.
     """
-    return _reciprocal_holds(p, -1)
+    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.coeffs, -1)
 
 
 def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:

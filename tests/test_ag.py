@@ -11,6 +11,7 @@ from zetacode.enumerator import from_distribution, mds_enumerator
 from zetacode.linear_code import (
     BudgetExceededError,
     LinearCode,
+    WeightDistribution,
     dual,
     is_formally_self_dual,
     weight_distribution,
@@ -341,8 +342,56 @@ def test_recursion_l0_reduces_to_amin():
 
 
 def test_recursion_rejects_invalid_amin():
-    with pytest.raises(ValueError, match="invalid"):
+    with pytest.raises(ValueError, match="negative"):
         elliptic_distribution_from_amin(8, 2, 5, 1)
+
+
+def inverted_moment_distribution(n, k, q, a_min):
+    """The binomial-moment equations of an [n, k, n-k] code with an
+    [n, n-k, k] dual, inverted by hand:
+
+        A_(n-k+l) = C(n, k-l) sum_{i=0}^{l-1} (-1)^i C(n-k+l, i) (q^(l-i) - 1)
+                    + (-1)^l C(k, k-l) A_(n-k).
+
+    Raises on a negative count or counts that do not sum to q^k."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
+    a_min = int(a_min)
+    if a_min <= 0:
+        raise ValueError(f"minimum-weight count must be positive, got {a_min}")
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    for l in range(k + 1):
+        s = sum((-1) ** i * math.comb(n - k + l, i) * (q ** (l - i) - 1) for i in range(l))
+        val = math.comb(n, k - l) * s + (-1) ** l * math.comb(k, k - l) * a_min
+        if val < 0:
+            raise ValueError(f"A_{n - k + l} would be {val}")
+        counts[n - k + l] = val
+    if sum(counts) != q**k:
+        raise ValueError(f"counts sum to {sum(counts)}, not q^k")
+    return WeightDistribution(n, tuple(counts))
+
+
+def test_moment_solver_matches_inverted_formula():
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except ValueError:
+            return ValueError
+
+    equal = raised = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for n in range(2, 13):
+            for k in range(1, n):
+                for a_min in range(1, 200, 3):
+                    want = outcome(inverted_moment_distribution, n, k, q, a_min)
+                    got = outcome(elliptic_distribution_from_amin, n, k, q, a_min)
+                    assert got == want, (n, k, q, a_min)
+                    if want is ValueError:
+                        raised += 1
+                    else:
+                        equal += 1
+    assert equal > 1000 and raised > 1000
 
 
 def test_dual_minimum_counts_match(corpus_curves):

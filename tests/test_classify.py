@@ -198,6 +198,31 @@ def test_classification_report_fields(capsys, tmp_path):
     assert rep12["formal"]["anti_functional_equation"] is True
 
 
+def test_hexacode_is_extremal_type_iv(capsys, tmp_path):
+    hexacode = WeightEnumerator(6, (1, 0, 0, 0, 45, 0, 18))
+    rep = classify(hexacode, 4)
+    assert rep.type_label == "IV"
+    assert rep.b_max == 2 and rep.d_bound == 4 and rep.extremal
+    report = classify_report(capsys, tmp_path, hexacode, 4)
+    assert report["type"] == "IV"
+    assert report["b_max"] == 2 and report["d_bound"] == 4
+    assert report["extremal"] is True
+    assert report["zeta"]["coefficients"] == ["1"]
+
+
+def test_formal_enumerator_with_empty_support_reports_zeta_error(capsys, tmp_path):
+    report = classify_report(capsys, tmp_path, WeightEnumerator(4, (0, 0, 0, 0, 0)), 2)
+    assert report["formal_weight_enumerator"] is True
+    assert report["zeta"] == {"error": "formal enumerator with empty support"}
+
+
+def test_zeta_dimension_falls_back_to_half_length(capsys, tmp_path):
+    # F(1, 1) = 5 is no power of 2, so the zeta polynomial takes k = n/2
+    report = classify_report(capsys, tmp_path, WeightEnumerator(4, (1, 0, 3, 0, 1)), 2)
+    assert report["zeta"]["coefficients"] == ["1/2", "0", "1/2"]
+    assert report["zeta"]["g"] == report["zeta"]["g_dual"] == 1
+
+
 @pytest.mark.parametrize(
     "enum, q, expected",
     [

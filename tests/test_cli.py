@@ -301,6 +301,13 @@ def test_rh_coefficient_beyond_float_range(capsys, coeffs, message):
     assert message in err
 
 
+@pytest.mark.parametrize("token", ["x", "1/0"])
+def test_rh_coefficient_not_a_rational(capsys, token):
+    rc, out, err = run_with_err(capsys, ["rh", "--q", "2", "1", token])
+    assert rc == 1 and out == ""
+    assert "coefficient 2: not a rational" in err
+
+
 @pytest.mark.parametrize("multipliers", ["7,1,1,1,1", "-1,1,1,1,1", "0,1,1,1,1"])
 def test_grs_multiplier_out_of_range(capsys, multipliers):
     rc, out, err = run_with_err(
@@ -530,7 +537,7 @@ def test_curve_zeta_functional_equation_is_computed(capsys, monkeypatch):
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks["functional_equation"] is True
     seen = []
-    monkeypatch.setattr(ag, "functional_equation_holds", lambda q, c: seen.append((q, c)) or False)
+    monkeypatch.setattr(zeta, "functional_equation_holds", lambda q, c: seen.append((q, c)) or False)
     payload = run_json(capsys, ["curve-zeta", "--q", "5", "--genus", "1", "9"])
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert seen == [(5, (1, 3, 5))]

@@ -22,11 +22,11 @@ from zetacode.ag import (
     LinePoint,
     ProjectiveLine,
     fiber_counts,
-    functional_equation_holds,
     points,
 )
 from zetacode.gf import GF, FieldSpec, _digits
 from zetacode.linear_code import BudgetExceededError
+from zetacode.zeta import functional_equation_holds
 
 # -- reference oracles: places as Frobenius orbits over GF(q^r) -----------------------
 
@@ -761,3 +761,5 @@ def test_functional_equation_helper():
     assert not functional_equation_holds(2, (1, 5, 3))   # a_2 != q a_0
     assert not functional_equation_holds(3, (1, 2, 6, 5, 9))  # a_3 != q a_1
     assert not functional_equation_holds(2, (1, 2))      # odd degree
+    assert functional_equation_holds(2, (1, 0, -2), -1)  # a_2 = -q a_0
+    assert not functional_equation_holds(2, (1, 0, -2))

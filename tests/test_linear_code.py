@@ -543,6 +543,10 @@ def test_matrix_parse_errors_name_position():
         parse_matrix_text("3 4 1\n1 0 1 3\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_matrix_text("2 2 2\n1 0\n")
+    with pytest.raises(ValueError, match="line 3: unexpected extra row"):
+        parse_matrix_text("2 3 1\n1 1 1\n0 1 1\n")
+    with pytest.raises(ValueError, match="line 1: non-integer header field"):
+        parse_matrix_text("2 x 1\n1 1 1\n")
 
 
 def test_weight_distribution_type_checks():
