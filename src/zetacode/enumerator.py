@@ -9,9 +9,11 @@ virtual enumerators (arbitrary rationals with f_0 = 1), and the
 
 The MacWilliams transform and the MDS closed form are integer kernels:
 the transform puts the coefficients over one common denominator and
-sums integer Krawtchouk columns, and the MDS weights come from a
-one-term recurrence.  A ``Fraction`` is made only for each coefficient
-returned.
+expands the substitution by two Kronecker substitutions, each a Horner
+pass over one big integer that packs a polynomial's coefficients as
+signed b-bit digits, so no step multiplies two big integers; the MDS
+weights come from a one-term recurrence.  A ``Fraction`` is made only
+for each coefficient returned.
 """
 
 from __future__ import annotations
@@ -135,25 +137,40 @@ def _over_one_denominator(pairs) -> tuple[list[int], int]:
     return [p * (den // m) for p, m in pairs], den
 
 
+def _signed_digits(x: int, b: int, count: int) -> list[int]:
+    """d_0 .. d_(count-1) with x = sum d_j 2^(jb) and |d_j| < 2^(b-1), b a
+    multiple of 8: adding 2^(b-1) to every digit makes them all
+    nonnegative, so one ``to_bytes`` splits x without borrows."""
+    width = b // 8
+    half = 1 << (b - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = memoryview((x + offset).to_bytes(width * count, "little"))
+    return [int.from_bytes(raw[j : j + width], "little") - half for j in range(0, len(raw), width)]
+
+
 def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
-    """sum_i f_i K_k(i) over the integer numerators f_i D, one Krawtchouk
-    column K_0(i) .. K_n(i) at a time: K_k(i) is the coefficient of y^k in
-    (x + (q-1)y)^(n-i) (x - y)^i, and
-    K_k(i+1) = K_k(i) - K_(k-1)(i) - (q-1) K_(k-1)(i+1)."""
+    """sum_i f_i (1 + (q-1)y)^(n-i) (1 - y)^i over the integer numerators
+    f_i D, by two Kronecker substitutions that evaluate at w = 2^b.
+
+    H(w) = sum_i f_i (q - (q-1)w)^(n-i) w^i comes from one Horner pass,
+    and G(y) = H(1 - y) is the transform, from a second pass over the
+    digits of H.  Every coefficient of H and of G is at most
+    sum |f_i| (2q)^n in size, so 2^b > 4 sum |f_i| (2q)^n keeps each
+    signed digit apart, and no step multiplies two big integers.
+    """
     n = enum.n
     nums, den = _over_one_denominator((c.numerator, c.denominator) for c in enum.coeffs)
-    col = [comb(n, k) * (q - 1) ** k for k in range(n + 1)]
-    out = [0] * (n + 1)
+    bound = 4 * sum(map(abs, nums)) * (2 * q) ** n
+    b = max(8, (bound.bit_length() + 7) // 8 * 8)  # a multiple of 8 with 2^b > bound
+    acc = 0
     for i, f in enumerate(nums):
-        if i:
-            nxt = [1]
-            for k in range(1, n + 1):
-                nxt.append(col[k] - col[k - 1] - (q - 1) * nxt[k - 1])
-            col = nxt
+        acc = acc * q - ((acc * (q - 1)) << b)
         if f:
-            for k in range(n + 1):
-                out[k] += f * col[k]
-    return WeightEnumerator(n, tuple(Fraction(c, den) for c in out))
+            acc += f << i * b
+    acc_g = 0
+    for h in reversed(_signed_digits(acc, b, n + 1)):
+        acc_g = acc_g - (acc_g << b) + h
+    return WeightEnumerator(n, tuple(Fraction(c, den) for c in _signed_digits(acc_g, b, n + 1)))
 
 
 def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator:
@@ -198,8 +215,8 @@ def _mds_sums(n: int, d: int, q: int) -> list[int]:
 def _mds_coeffs(n: int, d: int, q: int) -> tuple[int, ...]:
     """Closed-form MDS coefficient vector; d = n+1 encodes x^n.
 
-    Internal variant that also admits d = n (needed as one rung of the
-    triangular basis used for zeta expansion).
+    Internal variant that also admits d = n, the distance of the [n, 1]
+    codes that ``grs`` checks against it.
     """
     if d == n + 1:
         return (1,) + (0,) * n
@@ -300,7 +317,11 @@ def parse_enumerator_text(text: str) -> WeightEnumerator:
     coeffs = []
     for pos, tok in enumerate(toks[1:], start=2):
         try:
-            coeffs.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"token {pos}: not a rational: {tok!r}") from None
+            coeffs.append(int(tok))
+        except ValueError:
+            # every token int() accepts, Fraction() accepts with the same value
+            try:
+                coeffs.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"token {pos}: not a rational: {tok!r}") from None
     return WeightEnumerator(n, tuple(coeffs))

@@ -5,10 +5,11 @@ the triangular basis of MDS enumerators, and the solve of the lower
 triangular moment system from the generating-function characterization.
 Both produce the same exact rational coefficients for every admissible
 input; tests lean on that redundancy, so neither calls the other's
-kernel.  Both run on integer numerators over one common denominator, with
-their matrix entries generated by recurrences (``_mds_sums`` for the
-basis, ``_moment_sums`` for the moment system); a ``Fraction`` is made
-only for each coefficient returned.
+kernel.  Both run on integer numerators over one common denominator: the
+basis is inverted in closed form, as a binomial transform by pairwise
+sums (``_mds_basis_coordinates``), and the moment system is solved with
+entries generated by a recurrence (``_moment_sums``); a ``Fraction`` is
+made only for each coefficient returned.
 
 Degenerate inputs, meaning the transform side has a weight-one term
 (d_dual = 1), are refused: puncture the code first (see
@@ -22,15 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import numpy as np
 
-from .enumerator import (
-    WeightEnumerator,
-    _mds_sums,
-    _over_one_denominator,
-    macwilliams_substitute,
-)
+from .enumerator import WeightEnumerator, _over_one_denominator, macwilliams_substitute
 
 _F0 = Fraction(0)
 
@@ -56,8 +53,17 @@ class ZetaPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, t) -> Fraction:
+        """P(t) for a rational t = x/y: Horner over the integer numerators
+        c_j of the coefficients over one denominator D, as
+        sum_j c_j x^j y^(r-j) / (D y^r)."""
         t = Fraction(t)
-        return sum((c * t**j for j, c in enumerate(self.coeffs)), start=_F0)
+        x, y = t.numerator, t.denominator
+        nums, den = _over_one_denominator((c.numerator, c.denominator) for c in self.coeffs)
+        acc, y_pow = 0, 1
+        for c in reversed(nums):
+            acc = acc * x + c * y_pow
+            y_pow *= y
+        return Fraction(acc, den * (y_pow // y))
 
     def at_zero(self) -> Fraction:
         return self.coeffs[0]
@@ -134,32 +140,48 @@ def _finish(enum, q, d, d_dual, k, a: list[Fraction]) -> ZetaPolynomial:
     )
 
 
+def _mds_basis_coordinates(u: list[int], d: int, q: int) -> list[int]:
+    """p_0 .. p_(n-d) with u_j = sum_i p_(i-d) s_j(i) for j = d..n, where
+    ``u`` holds u_d .. u_n and s_j(i) are the MDS weights of ``_mds_coeffs``
+    divided by C(n, j)(q-1).
+
+    s_j(i) = sum_m (-1)^m C(j-1, m) q^(j-i-m) makes u_1 .. u_n (zero below
+    d) the inverse binomial transform of Q_t = [T^t] P(T)/(1 - qT) shifted
+    by d, so Q_(w+1-d) = sum_l C(w, l) u_(l+1): after w passes of pairwise
+    sums the leading entry is Q_(w+1-d).  While w < d - 1 the zeros ahead
+    of u_d only pass its leading entry on, so ``row`` holds from u_d on.
+    Then p_t = Q_t - q Q_(t-1).
+    """
+    row = u
+    for _ in range(d - 1):
+        row = [row[0], *map(add, row, row[1:])]
+    big_q = []
+    for _ in u:
+        big_q.append(row[0])
+        row = [*map(add, row, row[1:])]
+    return [x - q * prev for x, prev in zip(big_q, [0] + big_q)]
+
+
 def zeta_from_mds_basis(
     enum: WeightEnumerator, q: int, dimension: int | None = None
 ) -> ZetaPolynomial:
     """Expand the enumerator in the MDS basis M_{n,d}, M_{n,d+1}, ...
 
-    Triangular elimination: the basis element with lowest support index i
-    cancels the lowest unmatched coefficient, and the x^n residue is
-    carried by the constant basis element.  Column j is divided by
-    C(n, j)(q-1), so that row i holds the integers s_j of ``_mds_sums`` and
-    the work vector u_j = f_j / (C(n, j)(q-1)) its numerators over one
-    denominator.
+    Column j is divided by C(n, j)(q-1), so that u_j = f_j / (C(n, j)(q-1))
+    are numerators over one denominator, and ``_mds_basis_coordinates``
+    inverts the basis in closed form.  The x^n residue is carried by the
+    constant basis element.
     """
     d, d_dual, k = _source_parameters(enum, q, dimension)
     n = enum.n
     f = enum.coeffs
-    (f0, *work), den = _over_one_denominator(
+    (f0, *u), den = _over_one_denominator(
         [(f[0].numerator, f[0].denominator)]
         + [(f[j].numerator, f[j].denominator * comb(n, j) * (q - 1)) for j in range(d, n + 1)]
     )
-    for i in range(d, n + 1):
-        lead = work[i - d]
-        if lead:
-            for j, s in enumerate(_mds_sums(n, i, q)[1:], start=i + 1 - d):
-                work[j] -= lead * s
+    p = _mds_basis_coordinates(u, d, q)
     # the x^n slot, the degree-(n+1-d) basis element
-    a = [Fraction(x, den) for x in work + [f0 - sum(work)]]
+    a = [Fraction(x, den) for x in p + [f0 - sum(p)]]
     return _finish(enum, q, d, d_dual, k, a)
 
 

@@ -246,6 +246,25 @@ def test_enumerator_text_errors():
         parse_enumerator_text("1 1 y")
 
 
+@pytest.mark.parametrize(
+    "tok,value",
+    [("1_000", 1000), ("+3", 3), ("-0", 0), ("3/6", Fraction(1, 2)), ("٣", 3), ("-7/1", -7)],
+)
+def test_enumerator_text_tokens_read_as_fractions_do(tok, value):
+    """A coefficient token parsed as an integer first means what Fraction()
+    makes of it."""
+    e = parse_enumerator_text(f"1 1 {tok}")
+    assert e.coeffs == (1, value) == (1, Fraction(tok))
+    assert all(type(c) is Fraction for c in e.coeffs)
+
+
+@pytest.mark.parametrize("tok", ["x", "1/0", "1.2.3", "0x10", "1__0"])
+def test_enumerator_text_token_errors_keep_their_message(tok):
+    with pytest.raises(ValueError) as exc:
+        parse_enumerator_text(f"1 1 {tok}")
+    assert str(exc.value) == f"token 3: not a rational: {tok!r}"
+
+
 def test_to_distribution_requires_counts():
     with pytest.raises(ValueError):
         to_distribution(enum(2, (1, Fraction(1, 2), 0)))
