@@ -6,7 +6,10 @@ module builds every report block; the other modules return only typed
 values (``ZetaPolynomial``, ``RhVerdict``, ``DivisibilityReport``, ...).
 Output is deterministic: rationals are rendered as exact "p/q" strings and
 every float is printed with 17 significant digits, so identical inputs
-produce byte-identical reports.
+produce byte-identical reports.  JSON is written by ``_json_text``, which
+gives the bytes of ``json.dumps(report, indent=2)`` but joins a list of
+strings or of integers in one pass instead of one item at a time; a report
+value it does not know, such as a float, is an internal error.
 
 Exit codes: 0 ok, 1 invalid input (usage errors included), 2 enumeration
 budget exceeded, 3 internal invariant violation.  The environment variable
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import ag, classify as classify_mod, enumerator, linear_code, zeta
 from .gf import GF, _prime_power
@@ -260,6 +263,8 @@ def _cmd_rh(args, config: RunConfig) -> dict:
             raise ValueError(f"coefficient {pos}: not a rational: {tok!r}") from None
     if not coeffs or all(c == 0 for c in coeffs):
         raise ValueError("need a nonzero polynomial")
+    if coeffs[0] == 0:
+        raise ValueError("the constant term is 0, and no zeta polynomial has a zero constant term")
     verdict = zeta.roots_on_circle_verdict(coeffs, args.q, config.tol)
     return {
         "q": args.q,
@@ -454,9 +459,48 @@ def _render_text(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """The text ``json.dumps(value, indent=2)`` gives for a report value:
+    dicts with str keys, lists, tuples, str, int, bool and None.  A list
+    whose items all have one of these scalar types is joined in one pass
+    (``[1, True]`` is not: bool is not int here).  Anything else, a float
+    or a ``Fraction`` included, is a TypeError: reports carry floats and
+    rationals as strings."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else (_json_text(v, inner) for v in value)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"a report value must not be a {kind.__name__}: {value!r}")
+    sep = ",\n" + inner
+    return f"{opening}\n{inner}{sep.join(items)}\n{pad}{closing}"
+
+
 def _emit(payload: dict, config: RunConfig) -> None:
     if config.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = _render_text(payload) + "\n"
     if config.out:

@@ -82,8 +82,10 @@ class WeightEnumerator:
         return None
 
     def total(self) -> Fraction:
-        """The value at (1, 1); q^k for the enumerator of an [n, k] code."""
-        return sum(self.coeffs, start=_F0)
+        """The value at (1, 1); q^k for the enumerator of an [n, k] code.
+        Summed as integer numerators over one denominator."""
+        nums, den = _over_one_denominator((c.numerator, c.denominator) for c in self.coeffs)
+        return Fraction(sum(nums), den)
 
     def __mul__(self, other: "WeightEnumerator") -> "WeightEnumerator":
         if not isinstance(other, WeightEnumerator):
@@ -198,7 +200,11 @@ def is_virtually_self_dual(enum: WeightEnumerator, q: int, sign: int = 1) -> boo
         raise ValueError(f"virtual self-duality needs an even length, got n={enum.n}")
     scale = sign * q ** (enum.n // 2)
     sub = macwilliams_substitute(enum, q)
-    return all(scale * c == s for c, s in zip(enum.coeffs, sub.coeffs))
+    # scale c = s for c = a/b and s = u/v in lowest terms, cross-multiplied
+    return all(
+        scale * c.numerator * s.denominator == s.numerator * c.denominator
+        for c, s in zip(enum.coeffs, sub.coeffs)
+    )
 
 
 def _mds_sums(n: int, d: int, q: int) -> list[int]:

@@ -328,12 +328,21 @@ def puncture_degenerate(code: LinearCode) -> LinearCode:
 
 def _gram(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product A B^T over GF(q) of two index arrays with equal column
-    counts: entry (i, j) is the inner product of row i of A and row j of B."""
-    tab = spec.tables
-    acc = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    for c in range(a.shape[1]):
-        acc = tab.add[acc, tab.mul[a[:, c, None], b[None, :, c]]]
-    return acc
+    counts: entry (i, j) is the inner product of row i of A and row j of B.
+
+    A block of rows of A gathers every product with B from the ``mul``
+    table at once, and the products are summed digit by digit: addition in
+    GF(p^m) adds the base-p digits of the indices mod p.  Blocks keep each
+    temporary within ``_CELLS`` cells."""
+    p, m = spec.p, spec.m
+    mul = spec.tables.mul
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    step = max(1, _CELLS // max(1, b.size))
+    for i in range(0, a.shape[0], step):
+        prod = mul[a[i : i + step, None, :], b[None, :, :]]
+        for j in range(m):
+            out[i : i + step] += (prod // p**j % p).sum(-1, dtype=np.int64) % p * p**j
+    return out
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:

@@ -309,6 +309,8 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
 
     desc = monic[::-1]
     deriv = [desc[i] * (r - i) for i in range(r)]
+    pairs = list(zip(desc, deriv))
+    last = desc[-1]
 
     def _horner(cs, x):
         acc = 0j
@@ -316,12 +318,17 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
             acc = acc * x + ci
         return acc
 
+    # one Newton step per root: P and P' by Horner in one loop, each
+    # accumulator in the operation order of its own pass, in Python
+    # complex arithmetic (numpy's complex multiply may round differently)
     polished = []
-    for x in roots:
-        x = complex(x)
-        dp = _horner(deriv, x)
+    for x in map(complex, roots.tolist()):
+        p = dp = 0j
+        for c, dc in pairs:
+            p = p * x + c
+            dp = dp * x + dc
         if abs(dp) > 1e-30:
-            x = x - _horner(desc, x) / dp
+            x = x - (p * x + last) / dp
         polished.append(x)
     polished.sort(key=lambda z: (z.real, z.imag))
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -103,13 +106,26 @@ def test_rh_command(capsys):
     assert payload["rh"]["holds"] is False
 
 
-def test_rh_root_at_zero_prints_no_negative_zero(capsys):
-    # P(T) = T has its root at -0.0 + 0j in numpy
-    payload = run_json(capsys, ["rh", "--q", "2", "0", "1"])
-    assert payload["rh"]["roots"] == [{"re": "0", "im": "0"}]
-    rc, out = run(capsys, ["rh", "--q", "2", "0", "1", "--format", "text"])
+def test_rh_prints_no_negative_zero(capsys):
+    # P(T) = 1 + 2T^2 has its root i/sqrt(2) at -0.0 + 0.707...j in numpy
+    payload = run_json(capsys, ["rh", "--q", "2", "1", "0", "2"])
+    assert [r["re"] for r in payload["rh"]["roots"]] == ["0", "0"]
+    rc, out = run(capsys, ["rh", "--q", "2", "1", "0", "2", "--format", "text"])
     assert rc == 0
-    assert "    re: 0\n    im: 0\n" in out
+    assert out.count("    re: 0\n") == 2 and "re: -0" not in out
+
+
+def test_rh_rejects_zero_constant_term(capsys):
+    rc, out, err = run_with_err(capsys, ["rh", "--q", "2", "0", "1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: the constant term is 0, and no zeta polynomial has a zero constant term\n"
+
+
+def test_rh_accepts_zero_leading_coefficient(capsys):
+    # a zero top coefficient only lowers the degree: P(T) = 1
+    payload = run_json(capsys, ["rh", "--q", "2", "1", "0"])
+    assert payload["coefficients"] == ["1", "0"]
+    assert payload["rh"]["holds"] is True and payload["rh"]["roots"] == []
 
 
 def test_classify_command(capsys, tmp_path):
@@ -219,6 +235,70 @@ def test_one_side_enumerated(capsys, tmp_path, unit_corpus, enumerations, comman
         # the dual is built only when it has fewer words; on a tie the
         # code is the side enumerated
         assert enumerations["dual_calls"] == (1 if n - k < k else 0)
+
+
+def test_json_writer_matches_json_dumps_on_corpus_reports(capsys, tmp_path, unit_corpus,
+                                                           monkeypatch):
+    written = []
+    emit = cli._emit
+
+    def checked(payload, config):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+        written.append(payload["command"])
+        emit(payload, config)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+    enum_file, curve_file = tmp_path / "w8.txt", tmp_path / "curve.txt"
+    enum_file.write_text(W8_ENUM)
+    curve_file.write_text(CURVE5)
+    invocations = [
+        ["classify", str(enum_file), "2"],
+        ["rh", "--q", "2", "1/5", "2/5", "2/5"],
+        ["mds", "12", "5", "7"],
+        ["grs", "--q", "7", "--k", "3"],
+        ["elliptic", str(curve_file), "2"],
+        ["curve-zeta", "--q", "5", "--genus", "2", "4", "22"],
+    ]
+    for i, code in enumerate(unit_corpus):
+        path = _matrix_file(tmp_path, code, f"c{i}.txt")
+        invocations += [["wdist", path], ["dual", path], ["zeta", path]]
+    for argv in invocations:
+        for fmt in ("json", "text"):
+            rc, _ = run(capsys, argv + ["--format", fmt])
+            assert rc in (0, 1)
+    assert set(written) == {argv[0] for argv in invocations}
+    assert len(written) > 2 * len(unit_corpus) * 3
+
+
+def test_json_writer_refuses_floats_and_fractions():
+    for value in (1.5, [1.5], [1, 2.0], {"x": [0.0]}, Fraction(1, 2), {"x": Fraction(3)}):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+    with pytest.raises(TypeError):
+        cli._json_text({1: "a"})  # keys must be str
+
+
+def test_json_report_leaves_no_reference_cycle(tmp_path):
+    # a report leaves the cyclic collector nothing to collect
+    enum_file = tmp_path / "w8.txt"
+    enum_file.write_text(W8_ENUM)
+    argvs = [["classify", str(enum_file), "2"], ["rh", "--q", "2", "1/5", "2/5", "2/5"]]
+
+    def reports():
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+    reports()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        reports()
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def _binary_20_16():

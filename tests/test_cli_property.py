@@ -1,14 +1,17 @@
-"""Property test of the command line on well-formed and malformed input.
+"""Property tests of the command line on well-formed and malformed input,
+and of its JSON writer.
 
 Every command either answers (exit 0), rejects its input (exit 1) or
 stops at the codeword budget (exit 2); none may end in an internal
-error or a traceback.
+error or a traceback.  The JSON writer gives the bytes of
+``json.dumps(value, indent=2)`` on every value a report may hold.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -147,3 +150,38 @@ def test_every_command_exits_0_1_or_2_without_internal_error(input_path, case):
     assert rc in (0, 1, 2), (argv, text, err.getvalue())
     assert "internal error" not in err.getvalue(), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, text, err.getvalue())
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+awkward_text = st.text(st.sampled_from(['a', '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                                        "\u00e9", "\u2028", "\u2603", "\U0001f600", " "]))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    st.text(),
+    awkward_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), awkward_text), inner, max_size=5),
+        # one scalar type throughout, or ints with bools mixed in
+        st.lists(st.integers(), max_size=8),
+        st.lists(awkward_text, max_size=8),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+        st.lists(st.booleans(), max_size=4),
+        st.lists(st.none(), max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)

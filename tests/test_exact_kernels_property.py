@@ -1,5 +1,6 @@
-"""Property tests of the Kronecker MacWilliams transform and the closed-form
-MDS expansion against the Fraction reference oracles."""
+"""Property tests of the Kronecker MacWilliams transform, the closed-form
+MDS expansion and the integer self-duality and total checks against the
+Fraction reference oracles."""
 
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_exact_kernels import reference_substitute, reference_zeta_mds_basis
 
-from zetacode.enumerator import WeightEnumerator, _mds_coeffs, _substitute
+from zetacode.enumerator import (
+    WeightEnumerator,
+    _mds_coeffs,
+    _substitute,
+    is_virtually_self_dual,
+)
 from zetacode.gf import MAX_ORDER
 from zetacode.zeta import zeta_from_mds_basis
 
@@ -102,3 +108,36 @@ def test_zeta_from_mds_basis_matches_reference(e_q, dimension, t):
         assert zeta_from_mds_basis(e, q, dimension).evaluate(t) == sum(
             (c * t**j for j, c in enumerate(got)), start=Fraction(0)
         )
+
+
+@st.composite
+def self_duality_cases(draw) -> tuple[WeightEnumerator, int, int]:
+    """(enumerator of even length up to 24, q, sign): F itself, or
+    G = q^(n/2) F + sign F(x + (q-1)y, x - y), which the substitution maps
+    to sign q^(n/2) G, with one coefficient moved by 1 half of the time."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 27]))
+    sign = draw(st.sampled_from([1, -1]))
+    n = 2 * draw(st.integers(0, 12))
+    f = draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        sub = reference_substitute(WeightEnumerator(n, tuple(f)), q)
+        f = [q ** (n // 2) * a + sign * b for a, b in zip(f, sub)]
+        if draw(st.booleans()):
+            f[draw(st.integers(0, n))] += 1
+    return WeightEnumerator(n, tuple(f)), q, sign
+
+
+@SETTINGS
+@given(self_duality_cases())
+def test_is_virtually_self_dual_matches_fraction_form(case):
+    e, q, sign = case
+    scale = sign * q ** (e.n // 2)
+    want = all(scale * c == s for c, s in zip(e.coeffs, reference_substitute(e, q)))
+    assert is_virtually_self_dual(e, q, sign) is want
+
+
+@SETTINGS
+@given(enumerators())
+def test_total_matches_fraction_sum(e):
+    got = e.total()
+    assert type(got) is Fraction and got == sum(e.coeffs, start=Fraction(0))

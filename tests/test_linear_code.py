@@ -422,6 +422,47 @@ def test_generator_times_dual_transpose(unit_corpus):
         assert _gram(c.spec, g, perturbed).any()
 
 
+def _gram_by_columns(spec, a, b):
+    """A B^T one column at a time through the add and mul tables."""
+    tab = spec.tables
+    acc = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for c in range(a.shape[1]):
+        acc = tab.add[acc, tab.mul[a[:, c, None], b[None, :, c]]]
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_gram_equals_column_loop_across_blocks(q, monkeypatch):
+    spec = GF(q)
+    rng = np.random.default_rng(q)
+    # 300 cells per row of A against B: blocks of 3 rows, the last one short
+    monkeypatch.setattr(linear_code, "_CELLS", 1000)
+    for rows_a, rows_b, n in ((10, 15, 20), (1, 1, 1), (7, 0, 5), (0, 4, 6), (4, 60, 30)):
+        a = rng.integers(0, q, (rows_a, n))
+        b = rng.integers(0, q, (rows_b, n))
+        got = _gram(spec, a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _gram_by_columns(spec, a, b))
+
+
+def test_gram_blocks_keep_temporaries_small():
+    import tracemalloc
+
+    spec = GF(4)
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 4, (48, 400))
+    b = rng.integers(0, 4, (352, 400))  # 6.8M products in all
+    want = _gram_by_columns(spec, a, b)
+    tracemalloc.start()
+    try:
+        got = _gram(spec, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 8 * linear_code._CELLS
+
+
 def test_dual_makes_no_rref_call(unit_corpus, monkeypatch):
     from zetacode import linear_code
 

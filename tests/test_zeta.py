@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetacode.gf import GF
@@ -191,6 +193,102 @@ def test_rh_counts_roots_with_degree(unit_corpus):
         except ValueError:
             continue
         assert len(riemann_hypothesis(p).roots) == p.degree
+
+
+def _reference_roots(coeffs):
+    """(polished roots, residuals) as three separate Horner passes: P' then
+    P at each eigenvalue for one Newton step, and P at each polished root."""
+    c = [float(x) for x in coeffs]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    r = len(c) - 1
+    monic = [ci / c[-1] for ci in c]
+    companion = np.zeros((r, r), dtype=float)
+    companion[0, :] = [-monic[r - 1 - j] for j in range(r)]
+    for i in range(1, r):
+        companion[i, i - 1] = 1.0
+    desc = monic[::-1]
+    deriv = [desc[i] * (r - i) for i in range(r)]
+
+    def horner(cs, x):
+        acc = 0j
+        for ci in cs:
+            acc = acc * x + ci
+        return acc
+
+    polished = []
+    for x in np.linalg.eigvals(companion):
+        x = complex(x)
+        dp = horner(deriv, x)
+        if abs(dp) > 1e-30:
+            x = x - horner(desc, x) / dp
+        polished.append(x)
+    polished.sort(key=lambda z: (z.real, z.imag))
+    scale = max(1.0, max(abs(z) for z in polished)) ** r
+    return tuple(polished), tuple(abs(horner(desc, z)) / scale for z in polished)
+
+
+def _poly_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _gleason(family, n):
+    """(q, enumerator) of the Gleason-type inputs of the transform benchmark
+    workload: products of w8, xy, the tetracode, the ternary Golay code,
+    the hexacode, x^2 + 3y^2 and the formal w12."""
+    w8 = WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
+    xy = WeightEnumerator(2, (1, 0, 1))
+    tetra = WeightEnumerator(4, (1, 0, 0, 8, 0))
+    golay = WeightEnumerator(12, (1, 0, 0, 0, 0, 0, 264, 0, 0, 440, 0, 0, 24))
+    hexa = WeightEnumerator(6, (1, 0, 0, 0, 45, 0, 18))
+    pair4 = WeightEnumerator(2, (1, 0, 3))
+    w12 = WeightEnumerator(12, (1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1))
+    if family == "II":
+        return 2, w8 ** (n // 8)
+    if family == "I":
+        b = (n - 2) // 8
+        return 2, xy ** ((n - 8 * b) // 2) * w8**b
+    if family == "III":
+        b = (n - 4) // 12
+        return 3, tetra ** ((n - 12 * b) // 4) * golay**b
+    if family == "IV":
+        return 4, hexa ** (n // 6 - 1) * pair4**3
+    return 2, w8 ** ((n - 12) // 8) * w12
+
+
+GLEASON_SHAPES = [("formal", 44), ("III", 48), ("I", 54), ("IV", 60),
+                  ("II", 64), ("formal", 68), ("I", 76), ("III", 88)]
+
+
+def _curve_numerators():
+    """Products of one to three factors 1 - aT + qT^2 with a^2 <= 4q,
+    repeated factors included."""
+    for q in (2, 3, 4, 5, 7, 9, 16, 25):
+        traces = [a for a in range(-4 * q, 4 * q + 1) if a * a <= 4 * q][:: max(1, q // 3)]
+        for size in (1, 2, 3):
+            for combo in itertools.islice(itertools.combinations_with_replacement(traces, size), 6):
+                poly = [1]
+                for a in combo:
+                    poly = _poly_mul(poly, [1, -a, q])
+                yield q, poly
+
+
+def test_polished_roots_and_residuals_equal_three_pass_reference():
+    inputs = []
+    for family, n in GLEASON_SHAPES:
+        q, enum = _gleason(family, n)
+        inputs.append((q, zeta_from_mds_basis(enum, q).coeffs))
+    assert [len(c) - 1 for _, c in inputs] == [38, 44, 52, 58, 58, 62, 74, 84]
+    inputs += list(_curve_numerators())
+    assert len(inputs) > 100
+    for q, coeffs in inputs:
+        v = roots_on_circle_verdict(coeffs, q)
+        roots, residuals = _reference_roots(coeffs)
+        assert v.roots == roots and v.residuals == residuals, (q, coeffs)
 
 
 def test_rh_tolerance_validated(hamming_zeta):
