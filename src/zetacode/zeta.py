@@ -19,6 +19,7 @@ coordinates without changing the enumerator shape.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,17 +274,223 @@ def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
     return p.degree == 2 * p.g and functional_equation_holds(p.q, p.coeffs, -1)
 
 
+def _boundary_factors(nums: list[int], s: int) -> tuple[list[int], list[int]]:
+    """Divide every factor 1 - tT, t = s or -s, exactly out of the integer
+    polynomial sum_i nums[i] T^i: the quotient, and the t of each factor
+    removed (the root T = 1/t), with multiplicity.
+
+    P(1/t) = 0 is tested first by Horner on t^r P(1/t) = sum nums[i] t^(r-i);
+    the synthetic division q_i = nums[i] + t q_(i-1) runs only when it holds.
+    """
+    found = []
+    for t in (s, -s):
+        while len(nums) > 1:
+            acc = 0
+            for c in nums:
+                acc = acc * t + c
+            if acc:
+                break
+            quot = [nums[0]]
+            for c in nums[1:-1]:
+                quot.append(c + t * quot[-1])
+            nums = quot
+            found.append(t)
+    return nums, found
+
+
+# From this many roots on, one numpy pass over all of them beats a Python
+# loop per root (the Newton step and the residuals of the half-degree path)
+_ROOTS_PER_ARRAY = 9
+
+# The relative error of a root on the circle above which the half-degree
+# path refines it in exact arithmetic
+_ROOT_TOL = 1e-14
+
+
+def _horner(cs, x):
+    """sum_i cs[i] x^(n-i), cs descending, by Horner in complex arithmetic."""
+    acc = 0j
+    for ci in cs:
+        acc = acc * x + ci
+    return acc
+
+
+def _clenshaw(c, x):
+    """f(x) and f'(x) for f = sum_k c_k T_k(x), at a number or at every
+    entry of an array: b_k = c_k + 2x b_(k+1) - b_(k+2), f = c_0 + x b_1 - b_2,
+    and the same recurrence differentiated."""
+    tx = 2 * x
+    b1 = b2 = d1 = d2 = 0
+    for k in range(len(c) - 1, 0, -1):
+        d1, d2 = tx * d1 - d2 + 2 * b1, d1
+        b1, b2 = tx * b1 - b2 + c[k], b1
+    return c[0] + x * b1 - b2, x * d1 - d2 + b1
+
+
+def _colleague_roots(c: list[float]) -> tuple[list[complex], list[float]]:
+    """The roots with imag >= 0 of sum_k c_k T_k(x), of degree h >= 3, and
+    |f'| at each: eigenvalues of the colleague matrix (Good, 1961) in its
+    symmetrized and rotated form, each moved by one Newton step.  The
+    conjugate of each complex root is a root too."""
+    h = len(c) - 1
+    mat = np.zeros((h, h))
+    mat.flat[1 :: h + 1] = 0.5
+    mat.flat[h :: h + 1] = 0.5
+    mat[0, 1] = mat[1, 0] = math.sqrt(0.5)
+    col = [-0.5 * ck / c[-1] for ck in c[:-1]]
+    col[0] *= math.sqrt(2.0)
+    mat[:, -1] += col
+    xs = [complex(x) for x in np.linalg.eigvals(mat[::-1, ::-1]).tolist() if x.imag >= 0]
+    if len(xs) >= _ROOTS_PER_ARRAY:
+        x = np.array(xs)
+        f, fp = _clenshaw(c, x)
+        x = x - np.divide(f, fp, out=np.zeros_like(f), where=abs(fp) > 1e-30)
+        return x.tolist(), abs(fp).tolist()
+    out, slopes = [], []
+    for x in xs:
+        f, fp = _clenshaw(c, x)
+        out.append(x - f / fp if abs(fp) > 1e-30 else x)
+        slopes.append(abs(fp))
+    return out, slopes
+
+
+def _exact_newton(w: list[int], q: int, z: float) -> float:
+    """The root near z of R(z) = w_h + sum_m w_(h-m) D_m(z), the Dickson
+    polynomials D_0 = 2, D_1 = z, D_m = z D_(m-1) - q D_(m-2): Newton steps
+    with R and R' exact at the dyadic z = Z/2^E, each new z rounded once.
+    The roots lie in [-2 sqrt(q), 2 sqrt(q)], and once a step moves z by
+    under 2^-32 of that the next would move it by less than rounding, as
+    Newton converges quadratically; at most 8 steps.
+
+    Clenshaw's b_m = w_(h-m) + z b_(m+1) - q b_(m+2), R = w_h + z b_1 - 2q b_2
+    runs on the integers B_m = b_m 2^(E(h-m)), and its derivative
+    b'_m = b_(m+1) + z b'_(m+1) - q b'_(m+2), R' = b_1 + z b'_1 - 2q b'_2
+    on B'_m = b'_m 2^(E(h-m-1)).
+    """
+    h = len(w) - 1
+    settled = math.sqrt(q) * 2.0**-31
+    for _ in range(8):
+        num, den = z.as_integer_ratio()
+        e = den.bit_length() - 1
+        b1 = b2 = d1 = d2 = 0
+        for m in range(h, 0, -1):
+            d1, d2 = b1 + num * d1 - (q * d2 << 2 * e), d1
+            b1, b2 = (w[h - m] << e * (h - m)) + num * b1 - (q * b2 << 2 * e), b1
+        r = (w[h] << e * h) + num * b1 - (2 * q * b2 << 2 * e)
+        rp = b1 + num * d1 - (2 * q * d2 << 2 * e)
+        if rp == 0:
+            break
+        z, moved = (num * rp - r) / (den * rp), z
+        if abs(z - moved) <= settled:
+            break
+    return z
+
+
+def _half_degree_roots(nums: list[int], den: int, sign: int, q: int):
+    """The roots of P(T) = sum_i nums[i] T^i / den, which satisfies
+    a_(2g-i) = sign q^(g-i) a_i, as (roots, mirrored): the conjugate of
+    each root whose ``mirrored`` flag is set is a root too, not listed.
+
+    With u = sqrt(q) T and b_i = a_i q^(-i/2), u^(-g) P = b_g +
+    sum_m b_(g-m) (u^(-m) + sign u^m), and for x = (u + 1/u)/2,
+    u^m + u^(-m) = 2 T_m(x) and u^m - u^(-m) = (u - 1/u) U_(m-1)(x) (the
+    reduction z = qT + 1/T = 2 sqrt(q) x of Duursma, "Extremal weight
+    enumerators and ultraspherical polynomials", 2003).  So the roots are
+    T = (x +- sqrt(x^2 - 1))/sqrt(q) over the roots x of a Chebyshev
+    series of degree h <= g: closed forms for h <= 2, the colleague
+    matrix above.  A real x in [-1, 1] gives a conjugate pair on the
+    circle |T| = 1/sqrt(q).  In z = 2 sqrt(q) x the series times
+    den q^(h/2) is R(z) = w_h + sum_m w_(h-m) D_m(z), with the integers w
+    the coefficients are made from, so a root on the circle that floats
+    may place worse than ``_ROOT_TOL`` is refined exactly (``_exact_newton``).
+
+    - q = s^2: the exact roots +-1/s are divided out first
+      (``_boundary_factors``).  What is left has sign +1 and even degree,
+      since an odd degree or sign -1 forces a root at u = +-1.
+    - sign +1: c_0 = b_g, c_m = 2 b_(g-m).
+    - sign -1: b_g = 0, the roots +-1/sqrt(q) are exact, and the rest are
+      those of sum_m b_(g-m) U_(m-1), whose T-coefficients are sums over
+      every other index, U_n = 2(T_n + T_(n-2) + ...) ending in T_0 or
+      2 T_1: with rho_i = nums[i] + q rho_(i-2), those sums are
+      rho_i / (den q^(i/2)), and c_0 = that sum at i = g - 1,
+      c_m = twice the sum at i = g - 1 - m.
+    """
+    s = math.isqrt(q)
+    square = s * s == q
+    if square:
+        nums, found = _boundary_factors(nums, s)
+        sigma, boundary = float(s), [1 / t for t in found]
+        w = nums[: len(nums) // 2 + 1]
+    else:
+        sigma, g = math.sqrt(q), len(nums) // 2
+        if sign > 0:
+            boundary, w = [], nums[: g + 1]
+        else:
+            boundary, w = [1 / sigma, -1 / sigma], nums[:g]
+            for i in range(2, g):
+                w[i] += q * w[i - 2]
+    # v_i = w_i / (den sigma^i) with sigma^i = q^(i // 2) sigma^(i % 2):
+    # rounded once, and once more for odd i when sigma = sqrt(q) is irrational
+    v = [wi / (den * q ** (i // 2) * (s if square and i % 2 else 1)) for i, wi in enumerate(w)]
+    if not square:
+        v[1::2] = [vi / sigma for vi in v[1::2]]
+    h = len(w) - 1
+    if h == 0:
+        xs = []
+    elif h == 1:
+        xs = [-v[1] / (2 * v[0])]
+    elif h == 2:
+        # 4 v_0 x^2 + 2 v_1 x + (v_2 - 2 v_0) = 0; a quarter of its
+        # discriminant is delta / (den^2 q), delta an exact integer
+        delta = w[1] * w[1] - 4 * w[0] * w[2] + 8 * q * w[0] * w[0]
+        rt = math.sqrt(abs(delta) / (den * den * q))
+        if delta < 0:
+            xs = [complex(-v[1], rt) / (4 * v[0])]
+        else:
+            x1 = (-v[1] - math.copysign(rt, v[1])) / (4 * v[0])
+            const = (w[2] - 2 * q * w[0]) / (den * q)  # v_2 - 2 v_0, rounded once
+            xs = [x1, const / (4 * v[0] * x1) if x1 else 0.0]
+    else:
+        c = [v[h]] + [2 * vi for vi in v[h - 1 :: -1]]
+        xs, slopes = _colleague_roots(c)
+        # f(x) in floats is off by up to about h eps sum |c_k| for |x| <= 1,
+        # which moves a root x by that over |f'(x)|, and T by that over
+        # sqrt(1 - x^2) relative (dT/dx = T / sqrt(x^2 - 1)): refine such a
+        # root exactly
+        err = h * math.ulp(1.0) * sum(map(abs, c))
+        for i, (x, slope) in enumerate(zip(xs, slopes)):
+            if x.imag == 0 and -1 < x.real < 1:
+                if err > _ROOT_TOL * slope * math.sqrt((1 - x.real) * (1 + x.real)):
+                    xs[i] = _exact_newton(w, q, 2 * sigma * x.real) / (2 * sigma)
+    roots = [complex(t) for t in boundary]
+    mirrored = [False] * len(roots)
+    for x in map(complex, xs):
+        wx = cmath.sqrt((x - 1) * (x + 1))
+        if x.imag == 0 and -1 <= x.real <= 1:
+            roots.append((x + wx) / sigma)
+            mirrored.append(True)
+        else:
+            roots += [(x + wx) / sigma, (x - wx) / sigma]
+            mirrored += [x.imag != 0] * 2
+    return roots, mirrored
+
+
 def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
     """Locate the roots of a polynomial and test |root| sqrt(q) = 1.
 
     ``coeffs`` is the ascending coefficient sequence (exact rationals or
-    ints); a degree-0 polynomial holds vacuously.  Roots come from the
-    eigenvalues of the companion matrix of the monic normalization, each
-    polished by one Newton step.  A coefficient, or its ratio to the
-    leading one, that a float cannot hold is a ValueError naming it.
+    ints); a degree-0 polynomial holds vacuously.  A polynomial with the
+    functional equation a_(2g-i) = +-q^(g-i) a_i takes its roots from the
+    half-degree Chebyshev problem (``_half_degree_roots``), and each
+    residual is computed once per conjugate pair.  Any other polynomial
+    takes them from the eigenvalues of the companion matrix of the monic
+    normalization, each polished by one Newton step.  A coefficient, or
+    its ratio to the leading one, that a float cannot hold is a
+    ValueError naming it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+    coeffs = list(coeffs)
     c = []
     for j, x in enumerate(coeffs):
         try:
@@ -301,22 +508,37 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
             raise ValueError(
                 f"the coefficient of T^{j} divided by the leading one is outside float range"
             )
+    desc = monic[::-1]
+    sq = math.sqrt(q)
+
+    try:
+        nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs[: r + 1])
+    except AttributeError:  # float coefficients take the companion path
+        nums = ()
+    for sign in (1, -1):
+        if functional_equation_holds(q, nums, sign):
+            pts, mirrored = _half_degree_roots(nums, den, sign, q)
+            scale = max(1.0, max(map(abs, pts))) ** r
+            if len(pts) >= _ROOTS_PER_ARRAY:
+                vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
+            else:
+                vals = [_horner(desc, z) for z in pts]
+            found = [(z, abs(val) / scale) for z, val in zip(pts, vals)]
+            found += [(z.conjugate(), e) for (z, e), m in zip(found, mirrored) if m]
+            found.sort(key=lambda p: (p[0].real, p[0].imag))
+            roots = tuple(z for z, _ in found)
+            max_dev = max(abs(abs(z) * sq - 1.0) for z in roots)
+            return RhVerdict(max_dev <= tol, roots, max_dev, tol, tuple(e for _, e in found))
+
     companion = np.zeros((r, r), dtype=float)
     companion[0, :] = [-monic[r - 1 - j] for j in range(r)]
     for i in range(1, r):
         companion[i, i - 1] = 1.0
     roots = np.linalg.eigvals(companion)
 
-    desc = monic[::-1]
     deriv = [desc[i] * (r - i) for i in range(r)]
     pairs = list(zip(desc, deriv))
     last = desc[-1]
-
-    def _horner(cs, x):
-        acc = 0j
-        for ci in cs:
-            acc = acc * x + ci
-        return acc
 
     # one Newton step per root: P and P' by Horner in one loop, each
     # accumulator in the operation order of its own pass, in Python
@@ -332,7 +554,6 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
         polished.append(x)
     polished.sort(key=lambda z: (z.real, z.imag))
 
-    sq = math.sqrt(q)
     devs = [abs(abs(z) * sq - 1.0) for z in polished]
     scale = max(1.0, max(abs(z) for z in polished)) ** r
     residuals = tuple(abs(_horner(desc, z)) / scale for z in polished)

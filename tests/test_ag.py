@@ -42,7 +42,7 @@ from zetacode.ag import (
     within_hasse_bound,
     zeta_from_point_counts,
 )
-from test_divisor_counting import places_up_to
+from test_divisor_counting import reference_places
 
 # (q, [a1, a2, a3, a4, a6], expected point count)
 CURVES = [
@@ -459,7 +459,7 @@ def test_amin_coprime_against_divisor_count():
     e = curve(7, [0, 0, 0, 0, 2])
     pts = points(e)
     assert len(pts) == 9
-    deg2 = [pl for pl in places_up_to(e, 2) if pl.degree == 2]
+    deg2 = [pl for pl in reference_places(e, 2) if pl.degree == 2]
     assert deg2
     cls = deg2[0].class_point
     g_div = Divisor.of([(cls, 1), (CurvePoint.infinity(), 1)])
@@ -597,7 +597,7 @@ def test_fiber_inputs_built_like_the_benchmark(q, a, delta, step, expected):
 
 def test_places_have_expected_degrees():
     e = curve(5, [0, 0, 0, 1, 1])
-    pls = places_up_to(e, 3)
+    pls = reference_places(e, 3)
     deg1 = [p for p in pls if p.degree == 1]
     assert len(deg1) == 9
     # degree-2 places: (N_2 - N_1) / 2 with N_2 = q^2 + 1 - (a^2 - 2q)

@@ -604,6 +604,28 @@ def test_elliptic_hasse_bound_is_exact_at_the_boundary(capsys, tmp_path, curve, 
     assert payload["rational_points"] == n1
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks["hasse_bound"] is True
+    # 1 - aT + qT^2 = (1 -+ sT)^2: the double root +-1/s is divided out exactly
+    assert checks["curve_rh"] is True
+    assert payload["curve_rh_max_deviation"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, roots",
+    [
+        # (1 - 2T)^2, (1 + 3T)^2, (1 - 3T)^2 (1 + 3T)^2, (1 - 2T)^2 (1 + 2T)^2
+        (["--q", "4", "--genus", "1", "1"], ["0.5"] * 2),
+        (["--q", "9", "--genus", "1", "16"], ["-0.33333333333333331"] * 2),
+        (["--q", "9", "--genus", "2", "10", "46"],
+         ["-0.33333333333333331"] * 2 + ["0.33333333333333331"] * 2),
+        (["--q", "4", "--genus", "2", "5", "1"], ["-0.5"] * 2 + ["0.5"] * 2),
+    ],
+)
+def test_curve_zeta_boundary_factors_hold(capsys, argv, roots):
+    payload = run_json(capsys, ["curve-zeta", *argv])
+    assert payload["rh"]["holds"] is True
+    assert payload["rh"]["max_deviation"] == "0"
+    assert [z["re"] for z in payload["rh"]["roots"]] == roots
+    assert all(z["im"] == "0" for z in payload["rh"]["roots"])
 
 
 def test_curve_zeta_command(capsys):
@@ -617,10 +639,15 @@ def test_curve_zeta_functional_equation_is_computed(capsys, monkeypatch):
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks["functional_equation"] is True
     seen = []
-    monkeypatch.setattr(zeta, "functional_equation_holds", lambda q, c: seen.append((q, c)) or False)
+    monkeypatch.setattr(
+        zeta, "functional_equation_holds",
+        lambda q, c, sign=1: seen.append((q, tuple(c), sign)) or False,
+    )
     payload = run_json(capsys, ["curve-zeta", "--q", "5", "--genus", "1", "9"])
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
-    assert seen == [(5, (1, 3, 5))]
+    # the root-circle verdict asks for both signs first, then the check
+    # asks for sign +1 on the report's coefficients
+    assert seen == [(5, (1, 3, 5), 1), (5, (1, 3, 5), -1), (5, (1, 3, 5), 1)]
     assert checks["functional_equation"] is False
 
 

@@ -24,47 +24,11 @@ from zetacode.ag import (
     fiber_counts,
     points,
 )
-from zetacode.gf import GF, FieldSpec, _digits
+from zetacode.gf import GF, _digits
 from zetacode.linear_code import BudgetExceededError
 from zetacode.zeta import functional_equation_holds
 
-# -- reference oracles: places as Frobenius orbits over GF(q^r) -----------------------
-
-
-def extension_field(base: FieldSpec, r: int):
-    """GF(q^r) together with the index table embedding ``base`` into it.
-
-    Returns (ext_spec, embed) where embed[i] is the index in the extension
-    of base element i.  The embedding fixes the prime subfield and sends
-    the base generator t to the smallest-index root of the base modulus in
-    the extension, so it is deterministic.
-    """
-    if r < 1:
-        raise ValueError(f"extension degree must be >= 1, got {r}")
-    if r == 1:
-        return base, tuple(range(base.q))
-    ext = GF(base.p ** (base.m * r))
-    if base.m == 1:
-        return ext, tuple(range(base.p))
-    # Horner steps over the tables, every candidate root at once; the
-    # coefficients of the modulus lie in the prime subfield, whose
-    # elements have the same indices in every field of characteristic p
-    tab = ext.tables
-    cands = np.arange(ext.q)
-    acc = np.zeros(ext.q, dtype=np.int32)
-    for c in reversed(base.modulus):
-        acc = tab.add[tab.mul[acc, cands], c]
-    roots = np.flatnonzero(acc == 0)
-    if roots.size == 0:
-        raise RuntimeError(f"base modulus has no root in GF({ext.q})")
-    theta = int(roots[0])
-    # base element a = sum_j d_j t^j goes to sum_j d_j theta^j, by Horner
-    # from the top digit
-    a = np.arange(base.q)
-    embed = np.zeros(base.q, dtype=np.int32)
-    for j in reversed(range(base.m)):
-        embed = tab.add[tab.mul[embed, theta], a // base.p**j % base.p]
-    return ext, tuple(embed.tolist())
+# -- reference oracles: the brute-force algorithms ----------------------------------
 
 
 @dataclass(frozen=True)
@@ -80,76 +44,6 @@ class Place:
     rational_point: object | None
     class_point: object | None
 
-
-def _orbits(q: int, r: int, ext: FieldSpec, pts):
-    """The Frobenius orbits of exactly r points among ``pts``, index tuples
-    over ext = GF(q^r) closed under x -> x^q coordinate-wise.  A shorter
-    orbit is defined over a proper subfield and counted at its own degree."""
-    tab = ext.tables
-    log = tab.log.astype(np.int64)  # log of 0 is -1, masked below
-    frob = np.where(log < 0, 0, tab.exp[log * q % (ext.q - 1)]).tolist()
-    seen: set[tuple] = set()
-    for pt in pts:
-        if pt in seen:
-            continue
-        orbit = [pt]
-        nxt = tuple(frob[c] for c in pt)
-        while nxt != pt:
-            orbit.append(nxt)
-            nxt = tuple(frob[c] for c in nxt)
-        seen.update(orbit)
-        if len(orbit) == r:
-            yield orbit
-
-
-def _elliptic_places(curve: EllipticCurve, max_degree: int) -> list[Place]:
-    spec = curve.spec
-    out = [Place(1, (1,) + p.sort_key(), p, p) for p in points(curve)]
-    for r in range(2, max_degree + 1):
-        ext, embed = extension_field(spec, r)
-        inv_embed = {e: i for i, e in enumerate(embed)}
-        ext_curve = EllipticCurve.from_indices(
-            ext, [embed[c] for c in curve.coefficient_indices()]
-        )
-        plus = ag._group_law(ext_curve)
-        ext_points = ag._affine_point_indices(ext, ext_curve.coefficient_indices())
-        for orbit in _orbits(spec.q, r, ext, ext_points):
-            acc = None
-            for pt in orbit:
-                acc = plus(acc, pt)
-            if acc is not None:
-                acc = (inv_embed.get(acc[0]), inv_embed.get(acc[1]))
-                if None in acc:
-                    raise RuntimeError("orbit sum not fixed by Frobenius")
-            rep = min(orbit)
-            out.append(Place(r, (r, 1, rep[0], rep[1]), None, ag._point(acc)))
-    out.sort(key=lambda pl: pl.key)
-    return out
-
-
-def _line_places(line: ProjectiveLine, max_degree: int) -> list[Place]:
-    spec = line.spec
-    out = [Place(1, (1,) + p.sort_key(), p, None) for p in line.points()]
-    for r in range(2, max_degree + 1):
-        ext, _ = extension_field(spec, r)
-        for orbit in _orbits(spec.q, r, ext, ((x,) for x in range(ext.q))):
-            out.append(Place(r, (r, 1, min(orbit)[0], 0), None, None))
-    out.sort(key=lambda pl: pl.key)
-    return out
-
-
-def places_up_to(curve, max_degree: int) -> list[Place]:
-    """All closed points of degree <= max_degree, deterministically ordered."""
-    if max_degree < 1:
-        return []
-    if isinstance(curve, EllipticCurve):
-        return _elliptic_places(curve, max_degree)
-    if isinstance(curve, ProjectiveLine):
-        return _line_places(curve, max_degree)
-    raise TypeError(f"unsupported curve type {type(curve).__name__}")
-
-
-# -- reference oracles: the brute-force algorithms ----------------------------------
 
 
 def reference_affine_points(spec, coeffs) -> list[tuple[int, int]]:
@@ -509,43 +403,14 @@ def test_char_2_with_a1_has_one_x_with_b_zero():
     assert len([p for p in pts if p[0] == x0]) == 1
 
 
-# -- extension fields and places ------------------------------------------------------
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
-def test_extension_field_equals_root_search(q):
-    base = GF(q)
-    r = 1
-    while q ** r <= 1024:
-        assert extension_field(base, r) == reference_extension_field(base, r)
-        r += 1
-
-
-def _place_signature(places):
-    return [(p.degree, p.key, p.rational_point, p.class_point) for p in places]
-
-
-def test_places_equal_brute_force():
-    curves = [e for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32) for e in _seeded_curves(q, 2, 5)]
-    for e in curves:
-        q = e.spec.q
-        delta = max(d for d in range(1, 6) if q**d <= 1024)
-        assert _place_signature(places_up_to(e, delta)) == _place_signature(
-            reference_places(e, delta)
-        ), (q, e.coefficient_indices())
-    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
-        line = ProjectiveLine(GF(q))
-        delta = max(d for d in range(1, 6) if q**d <= 1024)
-        assert _place_signature(places_up_to(line, delta)) == _place_signature(
-            reference_places(line, delta)
-        )
+# -- places -------------------------------------------------------------------------
 
 
 def test_line_place_counts_equal_places():
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
         line = ProjectiveLine(GF(q))
         delta = max(d for d in range(1, 6) if q**d <= 1024)
-        pls = places_up_to(line, delta)
+        pls = reference_places(line, delta)
         for r in range(1, delta + 1):
             assert line_place_count(q, r) == len([p for p in pls if p.degree == r])
 

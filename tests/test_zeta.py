@@ -26,6 +26,7 @@ from zetacode.zeta import (
     anti_self_reciprocal_check,
     corollary_ad_check,
     functional_dual,
+    functional_equation_holds,
     min_distance_from_roots,
     riemann_hypothesis,
     roots_on_circle_verdict,
@@ -264,6 +265,13 @@ GLEASON_SHAPES = [("formal", 44), ("III", 48), ("I", 54), ("IV", 60),
                   ("II", 64), ("formal", 68), ("I", 76), ("III", 88)]
 
 
+def _weil_product(q, traces):
+    poly = [1]
+    for a in traces:
+        poly = _poly_mul(poly, [1, -a, q])
+    return poly
+
+
 def _curve_numerators():
     """Products of one to three factors 1 - aT + qT^2 with a^2 <= 4q,
     repeated factors included."""
@@ -271,24 +279,150 @@ def _curve_numerators():
         traces = [a for a in range(-4 * q, 4 * q + 1) if a * a <= 4 * q][:: max(1, q // 3)]
         for size in (1, 2, 3):
             for combo in itertools.islice(itertools.combinations_with_replacement(traces, size), 6):
-                poly = [1]
-                for a in combo:
-                    poly = _poly_mul(poly, [1, -a, q])
-                yield q, poly
+                yield q, _weil_product(q, combo)
 
 
 def test_polished_roots_and_residuals_equal_three_pass_reference():
+    # the companion path, taken by polynomials without a functional
+    # equation: the eight transform Gleason zeta polynomials and the Weil
+    # products, each with its leading coefficient doubled
     inputs = []
     for family, n in GLEASON_SHAPES:
         q, enum = _gleason(family, n)
-        inputs.append((q, zeta_from_mds_basis(enum, q).coeffs))
+        c = zeta_from_mds_basis(enum, q).coeffs
+        inputs.append((q, c[:-1] + (2 * c[-1],)))
     assert [len(c) - 1 for _, c in inputs] == [38, 44, 52, 58, 58, 62, 74, 84]
-    inputs += list(_curve_numerators())
+    inputs += [(q, poly[:-1] + [2 * poly[-1]]) for q, poly in _curve_numerators()]
     assert len(inputs) > 100
     for q, coeffs in inputs:
+        assert not functional_equation_holds(q, coeffs, 1)
+        assert not functional_equation_holds(q, coeffs, -1)
         v = roots_on_circle_verdict(coeffs, q)
         roots, residuals = _reference_roots(coeffs)
         assert v.roots == roots and v.residuals == residuals, (q, coeffs)
+
+
+def _extremal_type_ii(n):
+    """The extremal type II enumerator of length n, 8 | n: A_0 = 1 and
+    A_4 = ... = A_(4 floor(n/24)) = 0, in Gleason's basis
+    g8^((n - 24j)/8) Delta24^j with Delta24 = x^4 y^4 (x^4 - y^4)^4, whose
+    j-th element starts at weight 4j with coefficient 1."""
+    g8 = WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
+    delta24 = [0] * 25
+    for k in range(5):
+        delta24[4 + 4 * k] = (-1) ** k * math.comb(4, k)
+    delta24 = WeightEnumerator(24, tuple(delta24))
+    basis = [g8 ** (n // 8)]
+    for j in range(1, n // 24 + 1):
+        basis.append(delta24**j if n == 24 * j else g8 ** ((n - 24 * j) // 8) * delta24**j)
+    coeffs = list(basis[0].coeffs)
+    for j, b in enumerate(basis[1:], start=1):
+        alpha = -coeffs[4 * j]
+        coeffs = [c + alpha * e for c, e in zip(coeffs, b.coeffs)]
+    assert coeffs[0] == 1 and not any(coeffs[4 : 4 * (n // 24) + 1])
+    return WeightEnumerator(n, tuple(coeffs))
+
+
+def _functional_equation_input(name):
+    """(q, coefficients, whether every root lies on the circle)."""
+    family, n = name.split("-")
+    if family == "extremal":
+        return 2, zeta_from_mds_basis(_extremal_type_ii(int(n)), 2).coeffs, True
+    if family == "weil":
+        # distinct traces a, a^2 < 4 * 97
+        traces = {
+            "2": (0, 19), "12": range(-17, 17, 3), "20": range(-19, 20, 2), "39": range(-19, 20)
+        }[n]
+        assert len(set(traces)) == int(n)
+        return 97, _weil_product(97, traces), True
+    q, enum = _gleason(family, int(n))
+    return q, zeta_from_mds_basis(enum, q).coeffs, False
+
+
+def _root_error_at_50_digits(coeffs, roots):
+    """The largest relative error of ``roots`` against the roots of the
+    exact polynomial: each root with imag >= 0 is moved by Newton steps at
+    50 digits on the exact coefficients until a step is under 1e-35 of it.
+    The roots so found, with the conjugates of the complex ones, must be
+    as many as the degree and pairwise apart, so they are all the roots."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        desc = [mpmath.mpf(c.numerator) / c.denominator for c in map(Fraction, reversed(coeffs))]
+        tiny = mpmath.mpf(10) ** -35
+        found, worst = [], 0.0
+        for z in roots:
+            if z.imag < 0:
+                continue
+            x = mpmath.mpc(z)
+            for _ in range(40):
+                p, dp = mpmath.polyval(desc, x, derivative=True)
+                x -= p / dp
+                if abs(p / dp) <= tiny * abs(x):
+                    break
+            else:
+                raise AssertionError(f"Newton at 50 digits does not settle near {z}")
+            worst = max(worst, float(abs(x - z) / abs(x)))
+            found += [x, mpmath.conj(x)] if z.imag > 0 else [x]
+        assert len(found) == len(coeffs) - 1
+        assert min(abs(a - b) for a, b in itertools.combinations(found, 2)) > 1e-9
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{family}-{n}" for family, n in GLEASON_SHAPES]
+    + ["extremal-72", "extremal-96", "extremal-120", "weil-2", "weil-12", "weil-20", "weil-39"],
+)
+def test_half_degree_roots_match_50_digit_roots(name):
+    # weil-2 has the root x = 0 beside x = 19 / (2 sqrt(97)) in closed form;
+    # the float Newton step takes the colleague roots from up to 4e-14 to
+    # under 4e-15 on these inputs, and the exact one takes the extremal and
+    # Weil roots from up to 1e-3 to under 3e-15
+    q, coeffs, on_circle = _functional_equation_input(name)
+    assert functional_equation_holds(q, coeffs, 1) or functional_equation_holds(q, coeffs, -1)
+    v = roots_on_circle_verdict(coeffs, q)
+    assert _root_error_at_50_digits(coeffs, v.roots) <= 1e-14
+    if on_circle:
+        assert v.holds and v.max_deviation <= 1e-15
+
+
+def test_iii_88_diagnostic_is_the_true_deviation():
+    # the companion path printed 1.85 here, with a root 6% off
+    q, coeffs, _ = _functional_equation_input("III-88")
+    v = roots_on_circle_verdict(coeffs, q)
+    assert not v.holds
+    assert abs(v.max_deviation - 0.7320508075688772) < 1e-12  # sqrt(3) - 1
+    assert max(v.residuals) < 1e-12
+
+
+def _weil_products():
+    """(q, traces, coefficients) for every product of one to three factors
+    1 - aT + qT^2 with a^2 <= 4q, repeated factors included."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49):
+        bound = math.isqrt(4 * q)
+        for size in (1, 2, 3):
+            for traces in itertools.combinations_with_replacement(range(-bound, bound + 1), size):
+                yield q, traces, _weil_product(q, traces)
+
+
+def test_verdict_on_weil_products_against_the_companion_path():
+    """Every input holds by Weil.  None with distinct factors may fail.
+    Among those with a repeated factor, the verdict must be right at least
+    as often as the companion path (the three-pass reference), so it is
+    over all inputs too.  A repeated factor with a^2 < 4q is a double root
+    that floats split, so a single call there may go either way."""
+    total = correct = companion = 0
+    for q, traces, poly in _weil_products():
+        total += 1
+        holds = roots_on_circle_verdict(poly, q).holds
+        if len(set(traces)) == len(traces):
+            assert holds, (q, traces)
+            continue
+        roots, _ = _reference_roots(poly)
+        companion += max(abs(abs(z) * math.sqrt(q) - 1.0) for z in roots) <= 1e-8
+        correct += holds
+    assert total == 15199
+    assert correct >= companion
 
 
 def test_rh_tolerance_validated(hamming_zeta):
