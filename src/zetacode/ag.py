@@ -159,17 +159,19 @@ class EllipticCurve:
             return False
         if point.is_infinity:
             return True
-        s = self.spec
-        x, y = point.x, point.y
-        if not _in_field(s, x, y):
+        if not _in_field(self.spec, point.x, point.y):
             return False
+        return bool(self._satisfied(point.x, point.y))
+
+    def _satisfied(self, x, y):
+        """Whether the Weierstrass equation holds at (x, y), for indices or,
+        elementwise, for index arrays."""
+        tab = self.spec.tables
+        mul, add = tab.mul, tab.add
         a1, a2, a3, a4, a6 = self.coefficient_indices()
-        lhs = s.add_idx(s.mul_idx(y, y), s.add_idx(s.mul_idx(s.mul_idx(a1, x), y), s.mul_idx(a3, y)))
-        x2 = s.mul_idx(x, x)
-        rhs = s.add_idx(
-            s.add_idx(s.mul_idx(x2, x), s.mul_idx(a2, x2)),
-            s.add_idx(s.mul_idx(a4, x), a6),
-        )
+        lhs = add[add[mul[y, y], mul[mul[a1, x], y]], mul[a3, y]]
+        x2 = mul[x, x]
+        rhs = add[add[mul[x2, x], mul[a2, x2]], add[mul[a4, x], a6]]
         return lhs == rhs
 
 
@@ -452,11 +454,12 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
         if not 0 < v < spec.q:
             raise ValueError(f"column multiplier {v} is not a nonzero element of GF({spec.q})")
         idx_v.append(v)
-    rows = [
-        [spec.mul_idx(idx_v[j], spec.pow_idx(idx_alpha[j], i)) for j in range(n)]
-        for i in range(k)
-    ]
-    return LinearCode(Matrix.from_indices(spec, rows))
+    # row i + 1 is row i times the alphas, one gather from the mul table
+    mul, alpha = spec.tables.mul, np.array(idx_alpha)
+    rows = [np.array(idx_v)]
+    for _ in range(k - 1):
+        rows.append(mul[rows[-1], alpha])
+    return LinearCode(Matrix(spec, np.array(rows)))
 
 
 def one_point_basis(k: int) -> list[tuple[int, int]]:
@@ -488,25 +491,33 @@ def elliptic_code(
         eval_points = points(curve)[1:]
     eval_points = list(eval_points)
     n = len(eval_points)
+    # the curve equation at every affine point with in-range coordinates at
+    # once; the checks below still go point by point, so the first bad
+    # point raises as curve.contains would have it
+    affine = [isinstance(p, CurvePoint) and _in_field(spec, p.x, p.y) for p in eval_points]
+    xs = np.array([p.x if a else 0 for p, a in zip(eval_points, affine)], dtype=np.int64)
+    ys = np.array([p.y if a else 0 for p, a in zip(eval_points, affine)], dtype=np.int64)
+    on_curve = (curve._satisfied(xs, ys) & np.array(affine, dtype=bool)).tolist()
     seen = set()
-    for p in eval_points:
+    for p, on in zip(eval_points, on_curve):
         if p.is_infinity:
             raise ValueError("evaluation points must avoid the pole point at infinity")
-        if not curve.contains(p):
+        if not on:
             raise ValueError(f"evaluation point {p} is not on the curve")
         if p in seen:
             raise ValueError(f"repeated evaluation point {p}")
         seen.add(p)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n = {n}, got k = {k}")
+    # x^i y^j with j <= 1: powers of x by repeated gathers from the mul table
+    mul = spec.tables.mul
+    x_pows = [np.ones(n, dtype=np.int64)]
     rows = []
     for i, j in one_point_basis(k):
-        row = [
-            spec.mul_idx(spec.pow_idx(p.x, i), spec.pow_idx(p.y, j))
-            for p in eval_points
-        ]
-        rows.append(row)
-    return LinearCode(Matrix.from_indices(spec, rows))
+        while len(x_pows) <= i:
+            x_pows.append(mul[x_pows[-1], xs])
+        rows.append(mul[x_pows[i], ys] if j else x_pows[i])
+    return LinearCode(Matrix(spec, np.array(rows)))
 
 
 def elliptic_distribution_from_amin(

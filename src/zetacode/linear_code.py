@@ -1,14 +1,21 @@
 """Linear codes over GF(q): generator matrices, duals, and exhaustive
 weight and distance statistics.
 
+Row reduction swaps no rows and costs a fixed handful of whole-matrix
+gathers per pivot: one from a row of the ``mul`` table scales the pivot
+row, and one from each of the flattened ``mul`` and ``add`` tables, at
+indices x q + y, clears the pivot column in every row; the rows are put
+in order once, at the end.
+
 One weight-counting kernel serves every q.  The message digits split in
-two halves; the span of each half is built by doubling, at one field
-addition per word and coordinate, and the weight of each of the q^k
-codewords is the number of coordinates where a low-half word and a
-high-half word differ, so no field table is read per codeword.  Counts
-are merged per block of high words: results are deterministic and the
-working set small.  The distance distribution takes the q^k words from
-the same doubling; it checks weight counting, not enumeration.
+two halves.  One gather from the ``mul`` table reads every multiple of the
+rows of a half, and its span is built by doubling, at one field addition
+per word and coordinate.  The weight of each of the q^k codewords is the
+number of coordinates where a low-half word and a high-half word differ,
+so no field table is read per codeword.  Counts are merged per block of
+high words: results are deterministic and the working set small.  The
+distance distribution takes the q^k words from the same doubling; it
+checks weight counting, not enumeration.
 """
 
 from __future__ import annotations
@@ -72,30 +79,45 @@ class Matrix:
 def rref(mat: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row-echelon form over GF(q); returns (rref, rank, pivot cols).
 
-    One pass per column: the first nonzero row at or below the current
-    rank is swapped up and scaled to a leading 1, and every other row with
-    a nonzero entry in the column subtracts its multiple, as table gathers
-    over whole rows."""
-    tab = mat.spec.tables
-    a = np.array(mat.array)
-    nrows, ncols = a.shape
+    One pass per column, with no row swaps.  The column is read once, and
+    its first nonzero entry in a row not yet used as a pivot picks the
+    pivot row, which one gather from a row of the ``mul`` table scales to
+    a leading 1.  Every row i then adds -a_ic times the pivot row as two
+    gathers over the whole matrix at flat indices x q + y, one from the
+    ``mul`` table and one from the ``add`` table (XOR in characteristic 2);
+    this clears the pivot row too, and it is written back.  The pivot rows
+    in pivot order, then the other rows, all zero by then, are the RREF."""
+    spec = mat.spec
+    tab, q = spec.tables, spec.q
+    a = mat.array.astype(tab.mul.dtype)
+    wide = np.min_scalar_type(q * q - 1)
+    mul, add = tab.mul.ravel(), tab.add.ravel()
+    free = list(range(a.shape[0]))  # rows not yet used as pivots, in order
+    used: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(a.shape[1]):
+        if not free:
             break
-        below = np.flatnonzero(a[r:, c])
-        if below.size == 0:
+        col = a[:, c].tolist()
+        r = next((i for i in free if col[i]), None)
+        if r is None:
             continue
-        a[[r, r + below[0]]] = a[[r + below[0], r]]
-        a[r] = tab.mul[tab.inv[a[r, c]], a[r]]
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        # row_i - f_i row_r = row_i + (-f_i) row_r
-        a[others] = tab.add[a[others], tab.mul[tab.neg[a[others, c]][:, None], a[r]]]
+        inv = int(tab.inv[col[r]])
+        row = tab.mul[inv].take(a[r])
+        neg_row = row if spec.p == 2 else tab.mul[tab.neg[inv]].take(a[r])
+        # row_i - a_ic row_r = row_i + a_ic (-row_r)
+        prod = mul.take(np.multiply(a[:, c, None], q, dtype=wide) + neg_row)
+        if spec.p == 2:
+            a ^= prod
+        else:
+            idx = np.multiply(a, q, dtype=wide)
+            idx += prod
+            add.take(idx, out=a)
+        a[r] = row
+        free.remove(r)
+        used.append(r)
         pivots.append(c)
-        r += 1
-    return Matrix(mat.spec, a), r, tuple(pivots)
+    return Matrix(spec, a[used + free]), len(used), tuple(pivots)
 
 
 class LinearCode:
@@ -193,23 +215,28 @@ def _span(code: LinearCode, first: int, stop: int) -> np.ndarray:
     """The q^(stop - first) words sum_j c_j G[j] over generator rows
     first .. stop - 1, as a (words, n) index array in message-lex order.
 
-    Built by doubling from the last row: one field addition per word and
-    coordinate, XOR of indices in characteristic 2.  Entries keep the
+    One gather from the ``mul`` table reads every multiple of every row in
+    the range.  The span is then built by doubling from the last row, one
+    field addition per word and coordinate: XOR of indices in
+    characteristic 2, else one take from the flattened ``add`` table at
+    x q + y.  An empty range spans the zero word alone.  Entries keep the
     dtype of the field tables (uint8 up to GF(256))."""
     spec, n = code.spec, code.n
     tab = spec.tables
+    mults = tab.mul[:, code.gen.array[first:stop]]  # [c, j] = c G[first + j]
     if spec.p == 2:
         add = np.bitwise_xor
-    else:  # a take on the flat table is about twice as fast as tab.add[a, b]
+    else:
         flat = tab.add.ravel()
-        wide = np.min_scalar_type(spec.q**2 - 1)
+        # each multiple x times q: the start of its row in the flat table
+        mults = np.multiply(mults, spec.q, dtype=np.min_scalar_type(spec.q**2 - 1))
 
         def add(small, big):
-            return np.take(flat, small.astype(wide) * spec.q + big)
+            return flat.take(small + big)
 
     span = np.zeros((1, n), dtype=tab.mul.dtype)
-    for row in reversed(code.gen.array[first:stop]):
-        span = add(tab.mul[:, None, row], span[None]).reshape(-1, n)
+    for j in range(stop - first - 1, -1, -1):
+        span = add(mults[:, j, None], span[None]).reshape(-1, n)
     return span
 
 
@@ -323,7 +350,14 @@ def puncture_degenerate(code: LinearCode) -> LinearCode:
     keep = arr.any(axis=0)
     if keep.all():
         return code
-    return LinearCode(Matrix(code.spec, arr[:, keep]))
+    # row operations keep a zero column zero: the rows stay independent,
+    # and the RREF loses the same columns
+    spec = code.spec
+    punctured = LinearCode._full_rank(Matrix(spec, arr[:, keep]))
+    red, pivots = code._echelon
+    renumber = np.cumsum(keep) - 1
+    punctured._echelon = (Matrix(spec, red.array[:, keep]), tuple(int(renumber[c]) for c in pivots))
+    return punctured
 
 
 def _gram(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zetacode import enumerator
+from zetacode import enumerator, linear_code
 from zetacode.gf import GF
 from zetacode.linear_code import LinearCode, Matrix
 
@@ -41,6 +41,21 @@ def build_corpus(seed: int, per_q: int, max_words: int) -> list[LinearCode]:
 @pytest.fixture(scope="session")
 def unit_corpus() -> list[LinearCode]:
     return build_corpus(seed=7, per_q=6, max_words=2**12)
+
+
+@pytest.fixture()
+def rref_calls(monkeypatch) -> list[int]:
+    """The row count of every matrix given to ``linear_code.rref``, the
+    function that ``LinearCode`` calls for its rank check."""
+    calls = []
+    reduce = linear_code.rref
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return reduce(mat)
+
+    monkeypatch.setattr(linear_code, "rref", counted)
+    return calls
 
 
 @pytest.fixture()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,21 @@ def test_grs_every_case_is_mds():
             assert zeta_from_mds_basis(e, q, dimension=k).coeffs == (1,)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 27, 256, 1024])
+def test_grs_rows_match_scalar_powers(q):
+    spec = GF(q)
+    rng = random.Random(q)
+    n = min(q, 12)
+    alphas = rng.sample(range(q), n)
+    mults = [rng.randrange(1, q) for _ in range(n)]
+    for k in range(1, min(n, 5) + 1):
+        rows = grs_code(spec, alphas, mults, k).gen.index_rows()
+        assert rows == [
+            [spec.mul_idx(v, spec.pow_idx(a, i)) for a, v in zip(alphas, mults)]
+            for i in range(k)
+        ]
+
+
 def test_grs_input_validation():
     f5 = GF(5)
     with pytest.raises(ValueError, match="repeated"):
@@ -302,6 +318,38 @@ def test_elliptic_code_dimension_and_distance(corpus_curves):
             d = weight_distribution(c).min_distance
             assert n - k <= d <= n - k + 1  # designed distance n - deg G
             assert n + 1 - 1 <= k + d <= n + 1
+
+
+def test_elliptic_code_rows_match_scalar_powers(corpus_curves):
+    for e, n1 in corpus_curves:
+        spec, pts = e.spec, points(e)[1:]
+        for k in range(1, min(n1 - 1, 7)):
+            rows = elliptic_code(e, k).gen.index_rows()
+            assert rows == [
+                [spec.mul_idx(spec.pow_idx(p.x, i), spec.pow_idx(p.y, j)) for p in pts]
+                for i, j in one_point_basis(k)
+            ]
+
+
+# (0, 0) is on the second curve, so no point outside the field may be read
+# as (0, 0)
+@pytest.mark.parametrize("coeffs", [[0, 0, 0, 1, 3], [0, 0, 0, 1, 0]])
+def test_elliptic_code_names_the_first_bad_point(coeffs):
+    e = curve(7, coeffs)
+    pts = points(e)[1:]
+    off = CurvePoint(1, 1)
+    assert not e.contains(off)
+    cases = [
+        (pts[:2] + [off, pts[0]], "evaluation point 1,1 is not on the curve"),
+        (pts[:2] + [pts[0], off], f"repeated evaluation point {pts[0]}"),
+        (pts[:2] + [CurvePoint(7, 0)], "evaluation point 7,0 is not on the curve"),
+        (pts[:2] + [CurvePoint(-1, 0)], "evaluation point -1,0 is not on the curve"),
+        (pts[:2] + [LinePoint(1), off], "evaluation point 1 is not on the curve"),
+        (pts[:2] + [CurvePoint.infinity(), off], "avoid the pole point at infinity"),
+    ]
+    for eval_points, message in cases:
+        with pytest.raises(ValueError, match=message):
+            elliptic_code(e, 2, eval_points)
 
 
 def test_elliptic_code_rejects_pole_point():

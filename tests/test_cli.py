@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetacode import ag, cli, enumerator, linear_code, zeta
@@ -183,6 +184,20 @@ def _matrix_file(tmp_path, code, name="code.txt"):
 
 def _hamming7():
     return linear_code.parse_matrix_text(HAMMING7)
+
+
+@pytest.mark.parametrize("cmd", ["wdist", "dual", "zeta"])
+def test_code_commands_row_reduce_each_input_once(cmd, unit_corpus, rref_calls, tmp_path, capsys):
+    # each input code, and the same code with a zero coordinate in front,
+    # which zeta punctures away
+    for c in unit_corpus:
+        padded = linear_code.LinearCode(linear_code.Matrix(c.spec, np.pad(c.gen.array, ((0, 0), (1, 0)))))
+        for code in (c, padded):
+            path = _matrix_file(tmp_path, code)
+            del rref_calls[:]
+            main([cmd, path])
+            capsys.readouterr()
+            assert rref_calls == [c.k]
 
 
 def test_code_summary_matches_brute_force(unit_corpus):

@@ -122,13 +122,15 @@ def test_rref_matches_reference_on_corpus(unit_corpus):
         assert_rref_matches_reference(c.spec, c.gen.index_rows())
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
-def test_rref_matches_reference_on_random_matrices(q):
-    spec = GF(q)
-    rng = random.Random(q)
+def assert_random_rrefs_match_reference(spec, rng, draws, max_rows, max_cols):
+    """``draws`` random matrices of up to max_rows x max_cols, and for each
+    a rank-deficient one with twice the rows and a zero first column, all
+    against the reference; returns how many of the random ones had full
+    row rank."""
+    q = spec.q
     full_rank = 0
-    for _ in range(30):
-        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 13)
+    for _ in range(draws):
+        nrows, ncols = rng.randrange(1, max_rows + 1), rng.randrange(1, max_cols + 1)
         rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
         assert_rref_matches_reference(spec, rows)
         full_rank += rref(Matrix.from_indices(spec, rows))[1] == nrows
@@ -141,7 +143,31 @@ def test_rref_matches_reference_on_random_matrices(q):
         assert_rref_matches_reference(spec, deficient)
         _, rank, _ = rref(Matrix.from_indices(spec, deficient))
         assert rank < len(deficient)
-    assert full_rank >= 10
+    return full_rank
+
+
+# 243 and 256 keep uint8 tables, 512 and 1024 take uint16 ones; from 256 on
+# a flat index x q + y passes 2^16
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27, 243, 256, 512, 1024])
+def test_rref_matches_reference_on_random_matrices(q):
+    spec = GF(q)
+    rng = random.Random(q)
+    assert assert_random_rrefs_match_reference(spec, rng, 30, 8, 12) >= 10
+    # up to 17 x 29, the largest generator of the enumerate benchmark
+    assert assert_random_rrefs_match_reference(spec, rng, 6, 17, 29) >= 1
+    rows = [[rng.randrange(q) for _ in range(29)] for _ in range(17)]
+    assert_rref_matches_reference(spec, rows)
+    red, rank, pivots = rref(Matrix.from_indices(spec, [[0] * 5] * 3))
+    assert (red.index_rows(), rank, pivots) == ([[0] * 5] * 3, 0, ())
+    # a zero first column, then row 1 = f row 0 + row 2: the zero row goes
+    # last, after the pivot rows
+    rows = [[0] + [rng.randrange(q) for _ in range(9)] for _ in range(4)]
+    assert_rref_matches_reference(spec, rows)
+    f = rng.randrange(1, q)
+    rows[1] = [spec.add_idx(spec.mul_idx(f, a), b) for a, b in zip(rows[0], rows[2])]
+    assert_rref_matches_reference(spec, rows)
+    red, rank, pivots = rref(Matrix.from_indices(spec, rows))
+    assert pivots[0] > 0 and rank == 3 and red.index_rows()[3] == [0] * 10
 
 
 def test_matrix_from_indices_rejects_ragged_rows():
@@ -225,6 +251,33 @@ def reference_codewords(c: LinearCode):
             partial.append([add[a][b] for a, b in zip(partial[j], multiples[j][msg[j]])])
         previous = msg
         yield partial[-1]
+
+
+def reference_span(c: LinearCode, first: int, stop: int) -> list[list[int]]:
+    """The words sum_j m_j G[first + j] for every message m over rows
+    first .. stop - 1, message-lex order, by FieldSpec scalar arithmetic."""
+    spec, rows = c.spec, c.gen.index_rows()[first:stop]
+    words = []
+    for msg in itertools.product(range(spec.q), repeat=len(rows)):
+        word = [0] * c.n
+        for m, row in zip(msg, rows):
+            word = [spec.add_idx(w, spec.mul_idx(m, g)) for w, g in zip(word, row)]
+        words.append(word)
+    return words
+
+
+# (q, n, k) with q^k small enough for the scalar reference; 256 and 512
+# are the largest field with uint8 tables and the smallest with uint16
+# ones, and the k = 1 code has an empty high half
+@pytest.mark.parametrize("q, n, k", [(2, 9, 5), (3, 7, 4), (4, 6, 3), (9, 5, 2),
+                                     (256, 4, 2), (512, 3, 1)])
+def test_span_matches_scalar_reference(q, n, k):
+    c = make_random_code(random.Random(q), q, n, k)
+    for first in range(k + 1):
+        for stop in range(first, k + 1):
+            span = linear_code._span(c, first, stop)
+            assert span.dtype == c.spec.tables.mul.dtype
+            assert span.tolist() == reference_span(c, first, stop)
 
 
 def reference_distribution(words, n: int) -> tuple[int, ...]:
@@ -463,23 +516,30 @@ def test_gram_blocks_keep_temporaries_small():
     assert peak < 8 * linear_code._CELLS
 
 
-def test_dual_makes_no_rref_call(unit_corpus, monkeypatch):
-    from zetacode import linear_code
-
-    calls = []
-
-    def counted(mat):
-        calls.append(mat.rows)
-        return rref(mat)
-
-    monkeypatch.setattr(linear_code, "rref", counted)
+def test_dual_makes_no_rref_call(unit_corpus, rref_calls):
     for c in unit_corpus:
         d = dual(c)
-        assert not calls and d.k == c.n - c.k
+        assert not rref_calls and d.k == c.n - c.k
     # the dual's own RREF is computed on first read, and equals a fresh one
     red, rank, pivots = rref(d.gen)
     assert d.rref_matrix().index_rows() == red.index_rows() and rank == d.k
-    assert len(calls) == 1
+    assert len(rref_calls) == 1
+
+
+def test_punctured_code_keeps_the_rref_without_a_second_one(unit_corpus, rref_calls):
+    # zero columns in front and after the first coordinate of each code
+    for c in unit_corpus:
+        rows = [[0] + r[:1] + [0, 0] + r[1:] for r in c.gen.index_rows()]
+        padded = code(c.spec.q, rows)
+        del rref_calls[:]
+        p = puncture_degenerate(padded)
+        assert not rref_calls
+        red, rank, pivots = rref(p.gen)
+        assert p.rref_matrix().index_rows() == red.index_rows()
+        assert p._echelon[1] == pivots and rank == p.k
+        if not is_degenerate(c):
+            assert p.gen.index_rows() == c.gen.index_rows()
+    assert not rref_calls
 
 
 def test_dual_leaves_numpy_ma_unimported():
