@@ -298,8 +298,8 @@ def _boundary_factors(nums: list[int], s: int) -> tuple[list[int], list[int]]:
     return nums, found
 
 
-# From this many roots on, one numpy pass over all of them beats a Python
-# loop per root (the Newton step and the residuals of the half-degree path)
+# From this many roots on, the half-degree path alone takes its Newton step
+# and residuals in one numpy pass over all roots instead of a loop per root
 _ROOTS_PER_ARRAY = 9
 
 # The relative error of a root on the circle above which the half-degree
@@ -475,16 +475,48 @@ def _half_degree_roots(nums: list[int], den: int, sign: int, q: int):
     return roots, mirrored
 
 
+def _companion_roots(monic: list[float]):
+    """The roots of the monic polynomial sum_i monic[i] T^i, as (roots,
+    mirrored) like ``_half_degree_roots``: the eigenvalues with imag >= 0
+    of the companion matrix, each moved by one Newton step.  LAPACK gives
+    a real matrix's eigenvalues in exact conjugate pairs, and the Newton
+    step at a conjugate gives the conjugate result, so each complex root
+    stands for its conjugate too."""
+    r = len(monic) - 1
+    desc = monic[::-1]
+    companion = np.zeros((r, r))
+    companion[0] = [-m for m in desc[1:]]
+    companion.flat[r :: r + 1] = 1.0
+    pairs = list(zip(desc, [desc[i] * (r - i) for i in range(r)]))
+
+    # one Newton step per root: P and P' by Horner in one loop, each
+    # accumulator in the operation order of its own pass, in Python
+    # complex arithmetic (numpy's complex multiply may round differently)
+    roots, mirrored = [], []
+    for x in np.linalg.eigvals(companion).tolist():
+        if x.imag < 0:
+            continue
+        mirrored.append(x.imag > 0)
+        p = dp = 0j
+        for c, dc in pairs:
+            p = p * x + c
+            dp = dp * x + dc
+        if abs(dp) > 1e-30:
+            x = x - (p * x + desc[-1]) / dp
+        roots.append(x)
+    return roots, mirrored
+
+
 def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
     """Locate the roots of a polynomial and test |root| sqrt(q) = 1.
 
     ``coeffs`` is the ascending coefficient sequence (exact rationals or
     ints); a degree-0 polynomial holds vacuously.  A polynomial with the
     functional equation a_(2g-i) = +-q^(g-i) a_i takes its roots from the
-    half-degree Chebyshev problem (``_half_degree_roots``), and each
-    residual is computed once per conjugate pair.  Any other polynomial
-    takes them from the eigenvalues of the companion matrix of the monic
-    normalization, each polished by one Newton step.  A coefficient, or
+    half-degree Chebyshev problem (``_half_degree_roots``); any other
+    polynomial takes them from the companion matrix of the monic
+    normalization (``_companion_roots``).  Both list one root per conjugate
+    pair, so each residual is computed once per pair.  A coefficient, or
     its ratio to the leading one, that a float cannot hold is a
     ValueError naming it.
     """
@@ -509,56 +541,23 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
                 f"the coefficient of T^{j} divided by the leading one is outside float range"
             )
     desc = monic[::-1]
+
+    nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs[: r + 1])
+    sign = next((s for s in (1, -1) if functional_equation_holds(q, nums, s)), 0)
+    pts, mirrored = _half_degree_roots(nums, den, sign, q) if sign else _companion_roots(monic)
+    scale = max(1.0, max(map(abs, pts))) ** r
+    # each path keeps its own residual arithmetic: they differ in the last bits
+    if sign and len(pts) >= _ROOTS_PER_ARRAY:
+        vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
+    else:
+        vals = [_horner(desc, z) for z in pts]
+    found = [(z, abs(val) / scale) for z, val in zip(pts, vals)]
+    found += [(z.conjugate(), e) for (z, e), m in zip(found, mirrored) if m]
+    found.sort(key=lambda p: (p[0].real, p[0].imag))
+    roots = tuple(z for z, _ in found)
     sq = math.sqrt(q)
-
-    try:
-        nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs[: r + 1])
-    except AttributeError:  # float coefficients take the companion path
-        nums = ()
-    for sign in (1, -1):
-        if functional_equation_holds(q, nums, sign):
-            pts, mirrored = _half_degree_roots(nums, den, sign, q)
-            scale = max(1.0, max(map(abs, pts))) ** r
-            if len(pts) >= _ROOTS_PER_ARRAY:
-                vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
-            else:
-                vals = [_horner(desc, z) for z in pts]
-            found = [(z, abs(val) / scale) for z, val in zip(pts, vals)]
-            found += [(z.conjugate(), e) for (z, e), m in zip(found, mirrored) if m]
-            found.sort(key=lambda p: (p[0].real, p[0].imag))
-            roots = tuple(z for z, _ in found)
-            max_dev = max(abs(abs(z) * sq - 1.0) for z in roots)
-            return RhVerdict(max_dev <= tol, roots, max_dev, tol, tuple(e for _, e in found))
-
-    companion = np.zeros((r, r), dtype=float)
-    companion[0, :] = [-monic[r - 1 - j] for j in range(r)]
-    for i in range(1, r):
-        companion[i, i - 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-
-    deriv = [desc[i] * (r - i) for i in range(r)]
-    pairs = list(zip(desc, deriv))
-    last = desc[-1]
-
-    # one Newton step per root: P and P' by Horner in one loop, each
-    # accumulator in the operation order of its own pass, in Python
-    # complex arithmetic (numpy's complex multiply may round differently)
-    polished = []
-    for x in map(complex, roots.tolist()):
-        p = dp = 0j
-        for c, dc in pairs:
-            p = p * x + c
-            dp = dp * x + dc
-        if abs(dp) > 1e-30:
-            x = x - (p * x + last) / dp
-        polished.append(x)
-    polished.sort(key=lambda z: (z.real, z.imag))
-
-    devs = [abs(abs(z) * sq - 1.0) for z in polished]
-    scale = max(1.0, max(abs(z) for z in polished)) ** r
-    residuals = tuple(abs(_horner(desc, z)) / scale for z in polished)
-    max_dev = max(devs)
-    return RhVerdict(max_dev <= tol, tuple(polished), max_dev, tol, residuals)
+    max_dev = max(abs(abs(z) * sq - 1.0) for z in roots)
+    return RhVerdict(max_dev <= tol, roots, max_dev, tol, tuple(e for _, e in found))
 
 
 def riemann_hypothesis(p: ZetaPolynomial, tol: float = 1e-8) -> RhVerdict:

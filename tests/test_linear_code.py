@@ -216,6 +216,11 @@ def test_weight_distribution_formally_self_dual_10():
     assert not is_self_dual(c)
 
 
+def test_formally_self_dual_false_without_enumerating_unless_2k_equals_n():
+    c = make_random_code(random.Random(64), 2, 64, 6)
+    assert not is_formally_self_dual(c, budget=1)
+
+
 def test_distance_distribution_examples():
     assert distance_distribution(code(2, I2)).counts == (1, 0, 1)
     assert distance_distribution(code(3, TETRA)).counts == (1, 0, 0, 8, 0)

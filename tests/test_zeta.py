@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +188,17 @@ def test_rh_fails_off_circle():
     assert v.max_deviation > 0.4
 
 
+def test_rh_half_degree_closed_form_with_complex_x():
+    # (1 + T^2)(1 + 4T^2) has the functional equation for q = 2 and h = 2,
+    # and its Chebyshev quadratic has a negative discriminant
+    v = roots_on_circle_verdict((1, 0, 5, 0, 4), 2)
+    assert len(v.roots) == 4
+    for got, want in zip(v.roots, (-1j, -0.5j, 0.5j, 1j)):
+        assert abs(got - want) <= 1e-15
+    assert not v.holds
+    assert abs(v.max_deviation - (math.sqrt(2) - 1)) <= 1e-15
+
+
 def test_rh_counts_roots_with_degree(unit_corpus):
     for c in unit_corpus[:10]:
         e = from_distribution(weight_distribution(c))
@@ -282,10 +295,30 @@ def _curve_numerators():
                 yield q, _weil_product(q, combo)
 
 
+def _random_integer_polynomials(count, seed):
+    """(q, ascending coefficients) of ``count`` seeded integer polynomials of
+    degree 1-60; every third has one to four integer linear factors, so
+    some real roots."""
+    rng = random.Random(seed)
+    for j in range(count):
+        degree = 1 + j % 60
+        poly = [rng.choice((-3, -2, -1, 1, 2, 3))]
+        if j % 3 == 0:
+            for _ in range(min(degree, rng.randint(1, 4))):
+                poly = _poly_mul(poly, [rng.randint(1, 3), rng.randint(-3, 3) or 1])
+        rest = degree - (len(poly) - 1)
+        if rest:
+            middle = [rng.randint(-9, 9) for _ in range(rest - 1)]
+            poly = _poly_mul(poly, [rng.randint(1, 9), *middle, rng.choice((-5, -1, 1, 2, 7))])
+        yield rng.choice((2, 3, 4, 5, 7, 8, 9, 25)), poly
+
+
 def test_polished_roots_and_residuals_equal_three_pass_reference():
     # the companion path, taken by polynomials without a functional
     # equation: the eight transform Gleason zeta polynomials and the Weil
-    # products, each with its leading coefficient doubled
+    # products, each with its leading coefficient doubled, and seeded
+    # random integer polynomials, so that listing one root per conjugate
+    # pair is pinned beyond those families
     inputs = []
     for family, n in GLEASON_SHAPES:
         q, enum = _gleason(family, n)
@@ -294,6 +327,9 @@ def test_polished_roots_and_residuals_equal_three_pass_reference():
     assert [len(c) - 1 for _, c in inputs] == [38, 44, 52, 58, 58, 62, 74, 84]
     inputs += [(q, poly[:-1] + [2 * poly[-1]]) for q, poly in _curve_numerators()]
     assert len(inputs) > 100
+    randoms = list(_random_integer_polynomials(200, 23))
+    assert {len(c) - 1 for _, c in randoms} == set(range(1, 61))
+    inputs += randoms
     for q, coeffs in inputs:
         assert not functional_equation_holds(q, coeffs, 1)
         assert not functional_equation_holds(q, coeffs, -1)
@@ -446,6 +482,17 @@ def test_corollary_ad_hamming(hamming_zeta):
     p, e = hamming_zeta
     assert p.at_zero() == Fraction(1, 5)
     assert corollary_ad_check(p, e)
+
+
+def test_corollary_ad_false_branches(hamming_zeta):
+    p, e = hamming_zeta
+    # no positive support, so no minimum distance
+    assert not corollary_ad_check(p, WeightEnumerator(8, (1,) + (0,) * 8))
+    # P(0) = A_d / ((q - 1) C(n, d)) fails while the A_(d+1) identity,
+    # 0 = C(8, 5)(-2 P(0) + P'(0)), still holds
+    assert p.coeffs[:2] == (Fraction(1, 5), Fraction(2, 5))
+    wrong = dataclasses.replace(p, coeffs=(Fraction(1, 4), Fraction(1, 2)) + p.coeffs[2:])
+    assert not corollary_ad_check(wrong, e)
 
 
 def test_corollary_ad_mds():
