@@ -523,17 +523,19 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
     coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     c = []
     for j, x in enumerate(coeffs):
         try:
             c.append(float(x))
         except OverflowError:
             raise ValueError(f"the coefficient of T^{j} is outside float range") from None
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
     r = len(c) - 1
     if r == 0:
         return RhVerdict(True, (), 0.0, tol, ())
+    if c[-1] == 0.0:
+        raise ValueError(f"the coefficient of T^{r} is outside float range")
     monic = [ci / c[-1] for ci in c]  # ascending, monic[-1] == 1
     for j, m in enumerate(monic):
         if math.isinf(m):
@@ -542,7 +544,7 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
             )
     desc = monic[::-1]
 
-    nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs[: r + 1])
+    nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs)
     sign = next((s for s in (1, -1) if functional_equation_holds(q, nums, s)), 0)
     pts, mirrored = _half_degree_roots(nums, den, sign, q) if sign else _companion_roots(monic)
     scale = max(1.0, max(map(abs, pts))) ** r

@@ -11,7 +11,6 @@ from zetacode.gf import GF
 from zetacode.enumerator import from_distribution, mds_enumerator
 from zetacode.linear_code import (
     BudgetExceededError,
-    LinearCode,
     WeightDistribution,
     dual,
     is_formally_self_dual,
@@ -608,6 +607,12 @@ def test_fiber_rejects_points_off_the_curve():
         fiber_counts(line, Divisor.of({LinePoint.infinity(): 2}), [LinePoint(0), points(e)[1]])
 
 
+def test_fiber_counts_rejects_negative_degree():
+    e = curve(5, [0, 0, 0, 1, 1])
+    with pytest.raises(ValueError, match=r"^divisor degree must be nonnegative, got -1$"):
+        fiber_counts(e, Divisor.of({CurvePoint.infinity(): -1}), points(e)[1:])
+
+
 # (q, [a1, a2, a3, a4, a6] or None for the line, delta, step through the
 # affine points for D, fiber counts)
 BENCH_FIBERS = [
@@ -641,19 +646,6 @@ def test_fiber_inputs_built_like_the_benchmark(q, a, delta, step, expected):
     if a is not None and step == 1:  # against the brute-force code
         wd = weight_distribution(elliptic_code(crv, delta))
         assert list(expected) == [wd.counts[len(D) - i] for i in range(delta + 1)]
-
-
-def test_places_have_expected_degrees():
-    e = curve(5, [0, 0, 0, 1, 1])
-    pls = reference_places(e, 3)
-    deg1 = [p for p in pls if p.degree == 1]
-    assert len(deg1) == 9
-    # degree-2 places: (N_2 - N_1) / 2 with N_2 = q^2 + 1 - (a^2 - 2q)
-    n2 = 25 + 1 - ((-3) ** 2 - 10)
-    assert len([p for p in pls if p.degree == 2]) == (n2 - 9) // 2
-    for p in pls:
-        if p.degree > 1:
-            assert p.class_point is not None and e.contains(p.class_point)
 
 
 # -- moment coefficients of AG distributions ------------------------------------------

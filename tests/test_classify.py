@@ -8,7 +8,6 @@ import pytest
 from zetacode.gf import GF
 from zetacode.enumerator import (
     WeightEnumerator,
-    from_distribution,
     macwilliams_substitute,
 )
 from zetacode import cli, zeta

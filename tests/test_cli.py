@@ -388,6 +388,7 @@ def test_dual_builds_each_gram_product_once(capsys, hamming_file, monkeypatch):
         (["1e400", "1"], "the coefficient of T^0 is outside float range"),
         (["1", "0", "0", "0", "1e-320"],
          "the coefficient of T^0 divided by the leading one is outside float range"),
+        (["1", "1e-400"], "the coefficient of T^1 is outside float range"),
     ],
 )
 def test_rh_coefficient_beyond_float_range(capsys, coeffs, message):
@@ -418,6 +419,14 @@ def test_grs_empty_length_is_invalid(capsys, n):
     rc, out, err = run_with_err(capsys, ["grs", "--q", "5", "--k", "2", "--n", n])
     assert rc == 1 and out == ""
     assert "need 1 <= k <= n = 0, got k = 2" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "2", "--multipliers", "1,2"], "need 5 column multipliers, got 2"),
+    (["--k", "1", "--alphas", "0,7"], "evaluation point 7 out of range for GF(5)"),
+])
+def test_grs_list_that_does_not_fit_the_code(capsys, argv, message):
+    assert run_with_err(capsys, ["grs", "--q", "5", *argv]) == (1, "", f"error: {message}\n")
 
 
 def test_grs_length_must_agree_with_alphas(capsys):
@@ -552,6 +561,15 @@ def test_classify_degenerate_enumerator_names_the_transform(capsys, tmp_path, te
     assert payload["zeta"] == {
         "error": f"the enumerator's MacWilliams transform has {defect}, so no zeta polynomial exists"
     }
+
+
+@pytest.mark.parametrize(
+    "text, message", [("", "empty enumerator text"), ("-1 1\n", "token 1: negative length -1")]
+)
+def test_classify_unreadable_enumerator(capsys, tmp_path, text, message):
+    p = tmp_path / "enum.txt"
+    p.write_text(text)
+    assert run_with_err(capsys, ["classify", str(p), "2"]) == (1, "", f"error: {message}\n")
 
 
 def test_classify_command_ternary(capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Point finding and the closed-form effective-divisor counts against the
-algorithms they replaced, kept here as reference oracles: brute-force point
-search, closed places listed as Frobenius orbits over GF(q^r), a recursion
-over every effective divisor, and a DP over places counted by degree and
-class."""
+algorithms they replaced, kept here as reference oracles.
+``reference_affine_points`` (every pair (x, y) tried) checks
+``ag._affine_point_indices`` and ``ag.points``.  ``reference_fiber_counts``
+(a recursion over every effective divisor, on the Frobenius orbits that
+``reference_places`` lists) and ``dp_fiber_counts`` (a DP over places
+counted by degree and class) check ``ag.fiber_counts``.  No oracle is
+tested on its own: a fault in one can only fail a comparison with src."""
 
 from __future__ import annotations
 
@@ -361,6 +364,21 @@ def _seeded_corpus():
     return curves
 
 
+def _extreme_trace_curves(q):
+    """The first curves in coefficient order with trace 2 sqrt(q) and
+    -2 sqrt(q), so a^2 = 4q."""
+    spec, root, found = GF(q), round(q**0.5), {}
+    for a in itertools.product(range(q), repeat=5):
+        e = _nonsingular(spec, a)
+        if e is not None:
+            t = q + 1 - len(points(e))
+            if t * t == 4 * q:
+                found.setdefault(t, e)
+                if len(found) == 2:
+                    return [found[2 * root], found[-2 * root]]
+    raise AssertionError(f"no curves of trace +-{2 * root} over GF({q})")
+
+
 # -- points ---------------------------------------------------------------------------
 
 
@@ -403,93 +421,6 @@ def test_char_2_with_a1_has_one_x_with_b_zero():
     assert len([p for p in pts if p[0] == x0]) == 1
 
 
-# -- places -------------------------------------------------------------------------
-
-
-def test_line_place_counts_equal_places():
-    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
-        line = ProjectiveLine(GF(q))
-        delta = max(d for d in range(1, 6) if q**d <= 1024)
-        pls = reference_places(line, delta)
-        for r in range(1, delta + 1):
-            assert line_place_count(q, r) == len([p for p in pls if p.degree == r])
-
-
-# -- place counts by degree and class ----------------------------------------------
-
-
-def _count_table(e, delta):
-    """(degree, class pair) -> places, from N_1 and the group law."""
-    pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
-    counts = elliptic_place_counts(e, ag._group_law(e), pairs, delta)
-    return {(r, pair): c for r, cs in counts.items() for pair, c in zip(pairs, cs) if c}
-
-
-def _grouped_reference_places(e, delta):
-    out = {}
-    for pl in reference_places(e, delta):
-        if pl.degree > 1:
-            key = (pl.degree, ag._pair(pl.class_point))
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _extreme_trace_curves(q):
-    """The first curves in coefficient order with trace 2 sqrt(q) and
-    -2 sqrt(q), so a^2 = 4q."""
-    spec, root, found = GF(q), round(q**0.5), {}
-    for a in itertools.product(range(q), repeat=5):
-        e = _nonsingular(spec, a)
-        if e is not None:
-            t = q + 1 - len(points(e))
-            if t * t == 4 * q:
-                found.setdefault(t, e)
-                if len(found) == 2:
-                    return [found[2 * root], found[-2 * root]]
-    raise AssertionError(f"no curves of trace +-{2 * root} over GF({q})")
-
-
-def _count_table_corpus():
-    curves = []
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        if q % 2 == 0:
-            curves += _seeded_curves(q, 3, 10, a1_zero=False)
-            curves += _seeded_curves(q, 2, 11, a1_zero=True)
-        elif q % 3 == 0:
-            curves += _seeded_curves(q, 3, 12, a12_nonzero=True)
-            curves += _seeded_curves(q, 2, 13)
-        else:
-            curves += _seeded_curves(q, 4, 14)
-    return curves + _extreme_trace_curves(4) + _extreme_trace_curves(9)
-
-
-def test_place_counts_equal_grouped_orbits():
-    kinds = set()
-    for e in _count_table_corpus():
-        q, a = e.spec.q, e.coefficient_indices()
-        delta = max(d for d in range(1, 11) if q**d <= 1024)
-        assert _count_table(e, delta) == _grouped_reference_places(e, delta), (q, a)
-        t = q + 1 - len(points(e))
-        if t * t == 4 * q:
-            kinds.add(f"a = {t}, q = {q}")
-        if e.spec.p == 2 and a[0]:
-            kinds.add("char 2, a1 != 0")
-    assert kinds == {"a = 4, q = 4", "a = -4, q = 4", "a = 6, q = 9", "a = -6, q = 9",
-                     "char 2, a1 != 0"}
-
-
-def test_place_counts_check_their_result(monkeypatch):
-    # with every multiple sent to O, the 5-point curve over GF(2) would have
-    # N_2 / N_1 - N_1 = 1 - 5 points of degree 2 in the class of O
-    e = EllipticCurve.from_indices(GF(2), [0, 0, 1, 1, 0])
-    pairs = [None] + ag._affine_point_indices(e.spec, e.coefficient_indices())
-    assert len(pairs) == 5
-    assert elliptic_place_counts(e, ag._group_law(e), pairs, 2)[2] == [0, 0, 0, 0, 0]
-    monkeypatch.setattr(ag, "_multiple", lambda curve, plus, m, pair: None)
-    with pytest.raises(RuntimeError, match=r"degree-2 points by class .*\[-4, 1, 1, 1, 1\]"):
-        elliptic_place_counts(e, ag._group_law(e), pairs, 2)
-
-
 # -- fiber counts ---------------------------------------------------------------------
 
 
@@ -503,20 +434,23 @@ def _random_divisors(rng, pts, delta, count):
 
 
 def test_fiber_counts_equal_recursion_on_elliptic_curves():
+    # the seeded curves, then the curves with a^2 = 4q over GF(4) and GF(9),
+    # where T^2 - a T + q has a double root
     rng = random.Random(8)
+    curves = [e for q in (2, 3, 4, 5, 7, 8, 9, 16) for e in _seeded_curves(q, 2, 6)]
     checked = 0
-    for q in (2, 3, 4, 5, 7, 8, 9, 16):
-        for e in _seeded_curves(q, 2, 6):
-            pts = points(e)
-            for delta in range(0, 6):
-                if q ** max(delta, 1) > 256 or len(pts) * q**delta > 4000:
-                    break
-                for G in _random_divisors(rng, pts, delta, 3):
-                    D = rng.sample(pts, rng.randrange(0, len(pts) + 1))
-                    assert fiber_counts(e, G, D) == reference_fiber_counts(e, G, D), (
-                        q, e.coefficient_indices(), G, D,
-                    )
-                    checked += 1
+    for e in curves + _extreme_trace_curves(4) + _extreme_trace_curves(9):
+        q, pts = e.spec.q, points(e)
+        for delta in range(0, 6):
+            if q ** max(delta, 1) > 256 or len(pts) * q**delta > 4000:
+                break
+            for G in _random_divisors(rng, pts, delta, 3):
+                D = rng.sample(pts, rng.randrange(0, len(pts) + 1))
+                got = fiber_counts(e, G, D)
+                assert got == reference_fiber_counts(e, G, D) == dp_fiber_counts(e, G, D), (
+                    q, e.coefficient_indices(), G, D,
+                )
+                checked += 1
     assert checked > 100
 
 

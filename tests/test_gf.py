@@ -253,8 +253,3 @@ def test_subfield_power_compatibility():
         assert embed[base.add_idx(a, b)] == ext.add_idx(embed[a], embed[b])
         assert embed[base.mul_idx(a, b)] == ext.mul_idx(embed[a], embed[b])
 
-
-def test_prime_base_extension_is_identity_on_constants():
-    ext, embed = reference_extension_field(GF(5), 3)
-    assert ext.q == 125
-    assert embed == tuple(range(5))

@@ -1,4 +1,5 @@
-"""Every top-level import in ``src/zetacode`` is read by its module.
+"""Every top-level import in ``src/zetacode`` and ``tests`` is read by its
+module.
 
 No linter ships with the project, so this stdlib-``ast`` check catches an
 import that a deletion left behind.  ``from __future__`` imports and names
@@ -12,7 +13,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetacode"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CHECKED = sorted((ROOT / "src" / "zetacode").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,7 +45,7 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

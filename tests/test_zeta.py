@@ -179,6 +179,14 @@ def test_rh_degree_zero_vacuous():
     assert v.holds and v.roots == () and v.max_deviation == 0.0
 
 
+def test_rh_leading_coefficient_that_underflows_is_refused():
+    # 1 + 10^-400 T has the root -10^400, but its top coefficient is 0.0 as
+    # a float; exact zeros above it still only lower the degree
+    for coeffs in ([1, Fraction(1, 10**400)], [1, Fraction(1, 10**400), 0]):
+        with pytest.raises(ValueError, match=r"^the coefficient of T\^1 is outside float range$"):
+            roots_on_circle_verdict(coeffs, 2)
+
+
 def test_rh_fails_off_circle():
     # -2(1 - 2T)(1 - T/2) = -2 + 5T - 2T^2, normalized so P(1) = 1
     v = roots_on_circle_verdict((-2, 5, -2), 2, 1e-8)
