@@ -79,16 +79,16 @@ def _b_max(enum: WeightEnumerator) -> int:
 
 def _is_v_pattern(enum: WeightEnumerator, q: int) -> bool:
     """Whether enum is (x^2 + (q-1) y^2)^(n/2): C(n/2, t) (q-1)^t at index
-    2t and 0 at every odd index."""
-    if enum.n % 2:
+    2t and 0 at every odd index, all integers, so den = 1."""
+    if enum.n % 2 or enum.den != 1:
         return False
     half = enum.n // 2
     power = 1
     for t in range(half + 1):
-        if enum.coeffs[2 * t] != math.comb(half, t) * power:
+        if enum.nums[2 * t] != math.comb(half, t) * power:
             return False
         power *= q - 1
-    return not any(enum.coeffs[1::2])
+    return not any(enum.nums[1::2])
 
 
 def classify(enum: WeightEnumerator, q: int) -> DivisibilityReport:
@@ -136,7 +136,7 @@ def is_formal_weight_enumerator(enum: WeightEnumerator) -> bool:
     """
     if enum.n % 2:
         return False
-    if any(c and i % 4 for i, c in enumerate(enum.coeffs)):
+    if any(c and i % 4 for i, c in enumerate(enum.nums)):
         return False
     return is_virtually_self_dual(enum, 2, -1)
 
@@ -171,7 +171,7 @@ def formal_checks(enum: WeightEnumerator, tol: float = 1e-8) -> FormalReport:
     d = enum.min_distance
     if d is None:
         raise ValueError("formal enumerator with empty support")
-    symmetric = all(enum.coeffs[i] == enum.coeffs[n - i] for i in range(n + 1))
+    symmetric = enum.nums == enum.nums[::-1]
     p = zeta_from_mds_basis(enum, 2, dimension=n // 2)
     bound = 4 * ((n - 12) // 24) + 4
     return FormalReport(

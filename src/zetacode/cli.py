@@ -95,6 +95,13 @@ def _fmt_float(x: float) -> str:
     return f"{x + 0.0:.17g}"
 
 
+def _rationals(p) -> list[str]:
+    """The coefficients nums[i] / den of an exact polynomial as str(Fraction)
+    prints them: "a/b" in lowest terms, or the integer when b = 1."""
+    d = p.den
+    return [str(x // g) if (g := math.gcd(x, d)) == d else f"{x // g}/{d // g}" for x in p.nums]
+
+
 def _rh_block(verdict: zeta.RhVerdict) -> dict:
     """A root-circle verdict, every float as a 17-digit string."""
     return {
@@ -110,7 +117,7 @@ def _zeta_block(p: zeta.ZetaPolynomial, verdict: zeta.RhVerdict) -> dict:
     """Exact coefficients and parameters of P(T), with its root-circle verdict."""
     p_at_one = p.evaluate(1)
     return {
-        "coefficients": [str(c) for c in p.coeffs],
+        "coefficients": _rationals(p),
         "degree": p.degree,
         "q": p.q,
         "n": p.n,
@@ -192,9 +199,8 @@ def _cmd_dual(args, config: RunConfig) -> dict:
         if spec.q**code.k <= budget:
             enum = enumerator.from_distribution(linear_code.weight_distribution(code, budget))
             transform = enumerator.macwilliams_dual(enum, spec.q, code.k)
-            checks.append(
-                _check("macwilliams_transform_matches_dual_distribution", transform.coeffs == eq)
-            )
+            matches = transform.den == 1 and transform.nums == eq
+            checks.append(_check("macwilliams_transform_matches_dual_distribution", matches))
         out["dual_distribution"] = list(eq)
     out["checks"] = checks
     return out
@@ -229,7 +235,10 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
         p_dual = None
     out["zeta"] = _zeta_block(p_basis, zeta.riemann_hypothesis(p_basis, config.tol))
     checks = [
-        _check("both_zeta_algorithms_agree", p_basis.coeffs == p_chinen.coeffs),
+        _check(
+            "both_zeta_algorithms_agree",
+            (p_basis.nums, p_basis.den) == (p_chinen.nums, p_chinen.den),
+        ),
         _check(
             "degree_is_n_plus_2_minus_d_minus_d_dual",
             p_basis.degree == code.n + 2 - p_basis.d - p_basis.d_dual,
@@ -238,10 +247,11 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
         _check("low_order_coefficients_match_counts", zeta.corollary_ad_check(p_basis, enum)),
     ]
     if p_dual is not None:
+        f_dual = zeta.functional_dual(p_basis)
         checks.append(
             _check(
                 "functional_equation_matches_dual_zeta",
-                zeta.functional_dual(p_basis).coeffs == p_dual.coeffs,
+                (f_dual.nums, f_dual.den) == (p_dual.nums, p_dual.den),
             )
         )
     out["formally_self_dual"] = enum == dual_enum
@@ -326,13 +336,13 @@ def _cmd_classify(args, config: RunConfig) -> dict:
 def _cmd_mds(args, config: RunConfig) -> dict:
     _prime_power(args.q)  # every command-line q must be a field order
     enum = enumerator.mds_enumerator(args.n, args.d, args.q)
-    nonneg = all(c >= 0 and c.denominator == 1 for c in enum.coeffs)
+    nonneg = enum.den == 1 and min(enum.nums) >= 0
     total_ok = enum.total() == args.q ** (args.n + 1 - args.d)
     return {
         "n": args.n,
         "d": args.d,
         "q": args.q,
-        "coefficients": [str(c) for c in enum.coeffs],
+        "coefficients": _rationals(enum),
         "checks": [
             _check("coefficients_are_nonnegative_integers", nonneg),
             _check("total_is_q_pow_k", total_ok),
@@ -384,7 +394,7 @@ def _cmd_grs(args, config: RunConfig) -> dict:
         _check(
             "distribution_matches_closed_form", [int(c) for c in closed] == list(dist.counts)
         ),
-        _check("zeta_polynomial_is_one", p.coeffs == (p.coeffs[0],) and p.coeffs[0] == 1),
+        _check("zeta_polynomial_is_one", p.nums == (1,) and p.den == 1),
     ]
     return {**summary, "generator_rows": code.gen.index_rows(), "checks": checks}
 
@@ -552,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rh", help="root-circle check for explicit coefficients")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("coeffs", nargs="+", help="ascending coefficients, rationals")
+    p.add_argument(
+        "coeffs", nargs="+", help="ascending rationals; after -- if any is negative, like -1/2"
+    )
     common(p)
     p.set_defaults(func=_cmd_rh)
 

@@ -7,36 +7,41 @@ point.  The same type carries code enumerators (nonnegative integers),
 virtual enumerators (arbitrary rationals with f_0 = 1), and the
 4-divisible sign-alternating enumerators used by the classifier.
 
+Exact polynomials, here and in ``zeta``, are held one way: integer
+numerators ``nums`` over one denominator ``den``, in lowest terms, which
+every kernel reads and returns (see ``_ExactPolynomial``).
+
 The MacWilliams transform and the MDS closed form are integer kernels:
-the transform puts the coefficients over one common denominator and
-expands the substitution by two Kronecker substitutions, each a Horner
-pass over one big integer that packs a polynomial's coefficients as
-signed b-bit digits, so no step multiplies two big integers; the MDS
-weights come from a one-term recurrence.  A ``Fraction`` is made only
-for each coefficient returned.
+the transform expands the substitution on the numerators by two
+Kronecker substitutions, each a Horner pass over one big integer that
+packs a polynomial's coefficients as signed b-bit digits, so no step
+multiplies two big integers; the MDS weights come from a one-term
+recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 
 from .linear_code import WeightDistribution
 
-_F0 = Fraction(0)
+
+def _exact(coeffs) -> tuple[list[int], int]:
+    """Ints and Fractions (reduced) over their least common denominator."""
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(u) + len(v) - 1)
+def _convolve(u: list[int], v: list[int]) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         if ui:
             for j, vj in enumerate(v):
@@ -45,53 +50,78 @@ def _convolve(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class _ExactPolynomial:
+    """Coefficients nums[i] / den in lowest terms: den > 0 and
+    gcd(den, *nums) = 1, so equal polynomials have equal (nums, den).  A
+    subclass is a frozen dataclass whose constructor takes ints and
+    Fractions instead of its fields ``nums`` and ``den``."""
+
+    @classmethod
+    def _over(cls, nums, den: int, **values):
+        """The instance with coefficients nums[i] / den, den > 0."""
+        self = object.__new__(cls)
+        self._set(nums, den, **values)
+        return self
+
+    def _set(self, nums, den: int, **values) -> None:
+        g = gcd(den, *nums)
+        values.update(nums=tuple(x // g for x in nums) if g > 1 else tuple(nums), den=den // g)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, made on first read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+
+@dataclass(frozen=True, init=False)
+class WeightEnumerator(_ExactPolynomial):
     """Coefficients of a homogeneous bivariate polynomial of degree n.
 
-    ``coeffs[i]`` multiplies x^(n-i) y^i.  The field order is not part of
-    the enumerator: every operation that depends on it takes q.
-    ``_transforms`` holds the MacWilliams substitutions computed so far, by
-    field order (see ``macwilliams_substitute``); it lives and dies with
-    this enumerator.
+    ``coeffs[i]`` (that is, ``nums[i] / den``) multiplies x^(n-i) y^i.
+    The field order is not part of the enumerator: every operation that
+    depends on it takes q.  ``_transforms`` holds the MacWilliams
+    substitutions computed so far, by field order (see
+    ``macwilliams_substitute``); it lives and dies with this enumerator.
     """
 
     n: int
-    coeffs: tuple[Fraction, ...]
-    _transforms: dict[int, "WeightEnumerator"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    nums: tuple[int, ...] = field(init=False)
+    den: int = field(init=False)
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+    def __init__(self, n: int, coeffs):
+        if len(coeffs) != n + 1:
+            raise ValueError(f"need {n + 1} coefficients, got {len(coeffs)}")
+        self._set(*_exact(coeffs), n=n)
+
+    @cached_property
+    def _transforms(self) -> dict[int, "WeightEnumerator"]:
+        return {}
 
     # -- structure -------------------------------------------------------
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted({0} | {i for i, c in enumerate(self.coeffs) if c and i > 0}))
+        return (0, *(i for i, c in enumerate(self.nums) if c and i > 0))
 
     @property
     def min_distance(self) -> int | None:
         """Least positive index with a nonzero coefficient."""
         for i in range(1, self.n + 1):
-            if self.coeffs[i]:
+            if self.nums[i]:
                 return i
         return None
 
     def total(self) -> Fraction:
-        """The value at (1, 1); q^k for the enumerator of an [n, k] code.
-        Summed as integer numerators over one denominator."""
-        nums, den = _over_one_denominator((c.numerator, c.denominator) for c in self.coeffs)
-        return Fraction(sum(nums), den)
+        """The value at (1, 1); q^k for the enumerator of an [n, k] code."""
+        return Fraction(sum(self.nums), self.den)
 
     def __mul__(self, other: "WeightEnumerator") -> "WeightEnumerator":
         if not isinstance(other, WeightEnumerator):
             return NotImplemented
-        return WeightEnumerator(
-            self.n + other.n, tuple(_convolve(list(self.coeffs), list(other.coeffs)))
+        return WeightEnumerator._over(
+            _convolve(self.nums, other.nums), self.den * other.den, n=self.n + other.n
         )
 
     def __pow__(self, e: int) -> "WeightEnumerator":
@@ -105,16 +135,17 @@ class WeightEnumerator:
 
 def from_distribution(dist: WeightDistribution) -> WeightEnumerator:
     """Homogenize a weight distribution into its enumerator."""
-    return WeightEnumerator(dist.n, tuple(Fraction(c) for c in dist.counts))
+    return WeightEnumerator._over(dist.counts, 1, n=dist.n)
 
 
 def to_distribution(enum: WeightEnumerator) -> WeightDistribution:
-    counts = []
-    for i, c in enumerate(enum.coeffs):
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"coefficient {c} at index {i} is not a nonnegative integer")
-        counts.append(c.numerator)
-    return WeightDistribution(enum.n, tuple(counts))
+    # in lowest terms every coefficient is an integer exactly when den = 1
+    for i, c in enumerate(enum.nums):
+        if c % enum.den or c < 0:
+            raise ValueError(
+                f"coefficient {Fraction(c, enum.den)} at index {i} is not a nonnegative integer"
+            )
+    return WeightDistribution(enum.n, enum.nums)
 
 
 def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
@@ -160,8 +191,7 @@ def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     sum |f_i| (2q)^n in size, so 2^b > 4 sum |f_i| (2q)^n keeps each
     signed digit apart, and no step multiplies two big integers.
     """
-    n = enum.n
-    nums, den = _over_one_denominator((c.numerator, c.denominator) for c in enum.coeffs)
+    n, nums = enum.n, enum.nums
     bound = 4 * sum(map(abs, nums)) * (2 * q) ** n
     b = max(8, (bound.bit_length() + 7) // 8 * 8)  # a multiple of 8 with 2^b > bound
     acc = 0
@@ -172,7 +202,7 @@ def _substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     acc_g = 0
     for h in reversed(_signed_digits(acc, b, n + 1)):
         acc_g = acc_g - (acc_g << b) + h
-    return WeightEnumerator(n, tuple(Fraction(c, den) for c in _signed_digits(acc_g, b, n + 1)))
+    return WeightEnumerator._over(_signed_digits(acc_g, b, n + 1), enum.den, n=n)
 
 
 def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator:
@@ -184,8 +214,7 @@ def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator
     if not 0 <= k <= enum.n:
         raise ValueError(f"dimension k={k} out of range for length {enum.n}")
     sub = macwilliams_substitute(enum, q)
-    scale = Fraction(1, q**k)
-    return WeightEnumerator(enum.n, tuple(scale * c for c in sub.coeffs))
+    return WeightEnumerator._over(sub.nums, sub.den * q**k, n=enum.n)
 
 
 def is_virtually_self_dual(enum: WeightEnumerator, q: int, sign: int = 1) -> bool:
@@ -200,11 +229,9 @@ def is_virtually_self_dual(enum: WeightEnumerator, q: int, sign: int = 1) -> boo
         raise ValueError(f"virtual self-duality needs an even length, got n={enum.n}")
     scale = sign * q ** (enum.n // 2)
     sub = macwilliams_substitute(enum, q)
-    # scale c = s for c = a/b and s = u/v in lowest terms, cross-multiplied
-    return all(
-        scale * c.numerator * s.denominator == s.numerator * c.denominator
-        for c, s in zip(enum.coeffs, sub.coeffs)
-    )
+    # scale c / D = s / E, cross-multiplied
+    lhs, rhs = scale * sub.den, enum.den
+    return all(lhs * c == rhs * s for c, s in zip(enum.nums, sub.nums))
 
 
 def _mds_sums(n: int, d: int, q: int) -> list[int]:
@@ -246,7 +273,7 @@ def mds_enumerator(n: int, d: int, q: int) -> WeightEnumerator:
         raise ValueError(f"d = n = {n} is excluded from the MDS enumerator basis")
     if not (1 <= d <= n - 1 or d == n + 1):
         raise ValueError(f"need 1 <= d <= n-1 or d = n+1, got d={d}, n={n}")
-    return WeightEnumerator(n, _mds_coeffs(n, d, q))
+    return WeightEnumerator._over(_mds_coeffs(n, d, q), 1, n=n)
 
 
 def solve_macwilliams(

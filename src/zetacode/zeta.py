@@ -8,8 +8,9 @@ input; tests lean on that redundancy, so neither calls the other's
 kernel.  Both run on integer numerators over one common denominator: the
 basis is inverted in closed form, as a binomial transform by pairwise
 sums (``_mds_basis_coordinates``), and the moment system is solved with
-entries generated by a recurrence (``_moment_sums``); a ``Fraction`` is
-made only for each coefficient returned.
+entries generated by a recurrence (``_moment_sums``).  A
+``ZetaPolynomial`` holds integer numerators over one denominator, as a
+``WeightEnumerator`` does, and every function here reads them directly.
 
 Degenerate inputs, meaning the transform side has a weight-one term
 (d_dual = 1), are refused: puncture the code first (see
@@ -21,27 +22,30 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import add
 
 import numpy as np
 
-from .enumerator import WeightEnumerator, _over_one_denominator, macwilliams_substitute
+from .enumerator import WeightEnumerator, _exact, _ExactPolynomial, _over_one_denominator
+from .enumerator import macwilliams_substitute
 
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ZetaPolynomial:
+@dataclass(frozen=True, init=False)
+class ZetaPolynomial(_ExactPolynomial):
     """P(T) = a_0 + a_1 T + ... + a_r T^r with its source parameters.
 
-    r = g + g_dual = n + 2 - d - d_dual, and P(1) = 1 exactly, for every
-    polynomial built from an enumerator with f_0 = 1.
+    a_j = nums[j] / den.  r = g + g_dual = n + 2 - d - d_dual, and
+    P(1) = 1 exactly, for every polynomial built from an enumerator with
+    f_0 = 1.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False)
+    den: int = field(init=False)
     q: int
     n: int
     d: int
@@ -49,28 +53,29 @@ class ZetaPolynomial:
     g: int
     g_dual: int
 
+    def __init__(self, coeffs, q: int, n: int, d: int, d_dual: int, g: int, g_dual: int):
+        self._set(*_exact(coeffs), q=q, n=n, d=d, d_dual=d_dual, g=g, g_dual=g_dual)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def evaluate(self, t) -> Fraction:
-        """P(t) for a rational t = x/y: Horner over the integer numerators
-        c_j of the coefficients over one denominator D, as
-        sum_j c_j x^j y^(r-j) / (D y^r)."""
+        """P(t) for a rational t = x/y: Horner over the numerators c_j, as
+        sum_j c_j x^j y^(r-j) / (den y^r)."""
         t = Fraction(t)
         x, y = t.numerator, t.denominator
-        nums, den = _over_one_denominator((c.numerator, c.denominator) for c in self.coeffs)
         acc, y_pow = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * x + c * y_pow
             y_pow *= y
-        return Fraction(acc, den * (y_pow // y))
+        return Fraction(acc, self.den * (y_pow // y))
 
     def at_zero(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def derivative_at_zero(self) -> Fraction:
-        return self.coeffs[1] if self.degree >= 1 else _F0
+        return Fraction(self.nums[1], self.den) if self.degree >= 1 else _F0
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,8 @@ def _source_parameters(enum: WeightEnumerator, q: int, dimension: int | None):
     return d, d_dual, k
 
 
-def _finish(enum, q, d, d_dual, k, a: list[Fraction]) -> ZetaPolynomial:
+def _finish(enum, q, d, d_dual, k, a: list[int], den: int) -> ZetaPolynomial:
+    """P(T) with coefficients a_j / den, after its trailing zeros are dropped."""
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     n = enum.n
@@ -136,9 +142,7 @@ def _finish(enum, q, d, d_dual, k, a: list[Fraction]) -> ZetaPolynomial:
             f"zeta degree {len(a) - 1} differs from n + 2 - d - d_dual = {r}"
         )
     g = n + 1 - k - d
-    return ZetaPolynomial(
-        coeffs=tuple(a), q=q, n=n, d=d, d_dual=d_dual, g=g, g_dual=r - g
-    )
+    return ZetaPolynomial._over(a, den, q=q, n=n, d=d, d_dual=d_dual, g=g, g_dual=r - g)
 
 
 def _mds_basis_coordinates(u: list[int], d: int, q: int) -> list[int]:
@@ -168,22 +172,19 @@ def zeta_from_mds_basis(
 ) -> ZetaPolynomial:
     """Expand the enumerator in the MDS basis M_{n,d}, M_{n,d+1}, ...
 
-    Column j is divided by C(n, j)(q-1), so that u_j = f_j / (C(n, j)(q-1))
-    are numerators over one denominator, and ``_mds_basis_coordinates``
+    Column j is divided by C(n, j)(q-1), so that the u_j = f_j / (C(n, j)(q-1))
+    are put over one denominator, and ``_mds_basis_coordinates``
     inverts the basis in closed form.  The x^n residue is carried by the
     constant basis element.
     """
     d, d_dual, k = _source_parameters(enum, q, dimension)
-    n = enum.n
-    f = enum.coeffs
+    n, f = enum.n, enum.nums
     (f0, *u), den = _over_one_denominator(
-        [(f[0].numerator, f[0].denominator)]
-        + [(f[j].numerator, f[j].denominator * comb(n, j) * (q - 1)) for j in range(d, n + 1)]
+        [(f[0], 1)] + [(f[j], comb(n, j) * (q - 1)) for j in range(d, n + 1)]
     )
     p = _mds_basis_coordinates(u, d, q)
     # the x^n slot, the degree-(n+1-d) basis element
-    a = [Fraction(x, den) for x in p + [f0 - sum(p)]]
-    return _finish(enum, q, d, d_dual, k, a)
+    return _finish(enum, q, d, d_dual, k, p + [f0 - sum(p)], den * enum.den)
 
 
 def _moment_sums(big_n: int, top: int, q: int) -> list[int]:
@@ -215,32 +216,26 @@ def zeta_from_chinen(
     turn, on integer numerators over one denominator.
     """
     d, d_dual, k = _source_parameters(enum, q, dimension)
-    n = enum.n
-    f = enum.coeffs
+    n, f = enum.n, enum.nums
     rhs, den = _over_one_denominator(
-        (f[n - l].numerator, f[n - l].denominator * (q - 1) * comb(n, l))
-        for l in range(n - d, -1, -1)
+        (f[n - l], (q - 1) * comb(n, l)) for l in range(n - d, -1, -1)
     )
     a: list[int] = []
     for s_star, x in enumerate(rhs):
         c = _moment_sums(d + s_star, s_star, q)
         a.append(x - sum(c[s_star - s] * a_s for s, a_s in enumerate(a) if a_s))
-    return _finish(enum, q, d, d_dual, k, [Fraction(x, den) for x in a])
+    return _finish(enum, q, d, d_dual, k, a, den * enum.den)
 
 
 def functional_dual(p: ZetaPolynomial) -> ZetaPolynomial:
-    """The zeta polynomial of the transform side: q^g T^r P(1/(qT))."""
+    """The zeta polynomial of the transform side: q^g T^r P(1/(qT)), whose
+    T^j coefficient q^(g-r+j) a_(r-j) is taken over den q^(-low), with
+    low = min(0, g - r) the least power of q that occurs."""
     r = p.degree
-    qf = Fraction(p.q)
-    coeffs = tuple(qf ** (p.g - (r - j)) * p.coeffs[r - j] for j in range(r + 1))
-    return ZetaPolynomial(
-        coeffs=coeffs,
-        q=p.q,
-        n=p.n,
-        d=p.d_dual,
-        d_dual=p.d,
-        g=p.g_dual,
-        g_dual=p.g,
+    low = min(0, p.g - r)
+    nums = [p.q ** (j + p.g - r - low) * a for j, a in enumerate(reversed(p.nums))]
+    return ZetaPolynomial._over(
+        nums, p.den * p.q**-low, q=p.q, n=p.n, d=p.d_dual, d_dual=p.d, g=p.g_dual, g_dual=p.g
     )
 
 
@@ -263,7 +258,7 @@ def self_reciprocal_check(p: ZetaPolynomial) -> bool:
 
     Holds for the zeta polynomial of any formally self-dual source.
     """
-    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.coeffs, 1)
+    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.nums, 1)
 
 
 def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
@@ -271,7 +266,7 @@ def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
 
     Holds for enumerators that the binary transform negates.
     """
-    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.coeffs, -1)
+    return p.degree == 2 * p.g and functional_equation_holds(p.q, p.nums, -1)
 
 
 def _boundary_factors(nums: list[int], s: int) -> tuple[list[int], list[int]]:
@@ -507,28 +502,30 @@ def _companion_roots(monic: list[float]):
     return roots, mirrored
 
 
-def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
+def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> RhVerdict:
     """Locate the roots of a polynomial and test |root| sqrt(q) = 1.
 
-    ``coeffs`` is the ascending coefficient sequence (exact rationals or
-    ints); a degree-0 polynomial holds vacuously.  A polynomial with the
-    functional equation a_(2g-i) = +-q^(g-i) a_i takes its roots from the
-    half-degree Chebyshev problem (``_half_degree_roots``); any other
-    polynomial takes them from the companion matrix of the monic
+    The ascending coefficients are ``coeffs`` (exact rationals or ints)
+    over the positive integer ``den``; each float is one integer over
+    another, rounded once.  A degree-0 polynomial holds vacuously.  A
+    polynomial with the functional equation a_(2g-i) = +-q^(g-i) a_i takes
+    its roots from the half-degree Chebyshev problem (``_half_degree_roots``);
+    any other polynomial takes them from the companion matrix of the monic
     normalization (``_companion_roots``).  Both list one root per conjugate
     pair, so each residual is computed once per pair.  A coefficient, or
     its ratio to the leading one, that a float cannot hold is a
-    ValueError naming it.
+    ValueError naming it, and so is a root that overflows the residuals.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    nums, lcd = _exact(coeffs)
+    den *= lcd
+    while len(nums) > 1 and nums[-1] == 0:
+        nums.pop()
     c = []
-    for j, x in enumerate(coeffs):
+    for j, x in enumerate(nums):
         try:
-            c.append(float(x))
+            c.append(x / den)
         except OverflowError:
             raise ValueError(f"the coefficient of T^{j} is outside float range") from None
     r = len(c) - 1
@@ -544,16 +541,19 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8) -> RhVerdict:
             )
     desc = monic[::-1]
 
-    nums, den = _over_one_denominator((x.numerator, x.denominator) for x in coeffs)
     sign = next((s for s in (1, -1) if functional_equation_holds(q, nums, s)), 0)
-    pts, mirrored = _half_degree_roots(nums, den, sign, q) if sign else _companion_roots(monic)
-    scale = max(1.0, max(map(abs, pts))) ** r
-    # each path keeps its own residual arithmetic: they differ in the last bits
-    if sign and len(pts) >= _ROOTS_PER_ARRAY:
-        vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
-    else:
-        vals = [_horner(desc, z) for z in pts]
-    found = [(z, abs(val) / scale) for z, val in zip(pts, vals)]
+    try:
+        pts, mirrored = _half_degree_roots(nums, den, sign, q) if sign else _companion_roots(monic)
+        scale = max(1.0, max(map(abs, pts))) ** r
+        # each path keeps its own residual arithmetic: they differ in the last bits
+        if sign and len(pts) >= _ROOTS_PER_ARRAY:
+            vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
+        else:
+            vals = [_horner(desc, z) for z in pts]
+        found = [(z, abs(val) / scale) for z, val in zip(pts, vals)]
+    except OverflowError:
+        # the values of P and P' near a huge root, or its size to the power r
+        raise ValueError(f"a root's size to the power {r} is outside float range") from None
     found += [(z.conjugate(), e) for (z, e), m in zip(found, mirrored) if m]
     found.sort(key=lambda p: (p[0].real, p[0].imag))
     roots = tuple(z for z, _ in found)
@@ -567,7 +567,7 @@ def riemann_hypothesis(p: ZetaPolynomial, tol: float = 1e-8) -> RhVerdict:
 
     Not assumed, only measured: plenty of codes fail it.
     """
-    return roots_on_circle_verdict(p.coeffs, p.q, tol)
+    return roots_on_circle_verdict(p.nums, p.q, tol, p.den)
 
 
 def corollary_ad_check(p: ZetaPolynomial, enum: WeightEnumerator) -> bool:
@@ -580,8 +580,8 @@ def corollary_ad_check(p: ZetaPolynomial, enum: WeightEnumerator) -> bool:
     d = enum.min_distance
     if d is None:
         return False
-    a_d = enum.coeffs[d]
-    a_d1 = enum.coeffs[d + 1] if d + 1 <= n else _F0
+    a_d = Fraction(enum.nums[d], enum.den)
+    a_d1 = Fraction(enum.nums[d + 1], enum.den) if d + 1 <= n else _F0
     if p.at_zero() != a_d / ((q - 1) * comb(n, d)):
         return False
     rhs = comb(n, d + 1) * (p.at_zero() * (q - d) + p.derivative_at_zero())
@@ -598,16 +598,16 @@ def min_distance_from_roots(
     (A_(d+1)/A_d) correction and reproduces d itself.
     """
     d = enum.min_distance
-    if d is None or enum.coeffs[d] == 0:
+    if d is None or enum.nums[d] == 0:
         raise ValueError("A_d = 0: the distance formula is undefined")
-    if p.degree >= 1 and p.coeffs[0] == 0:
+    if p.degree >= 1 and p.nums[0] == 0:
         raise ValueError("P(0) = 0: inverse zeta zeros are unbounded")
-    inv_root_sum = -p.coeffs[1] / p.coeffs[0] if p.degree >= 1 else _F0
+    inv_root_sum = -p.derivative_at_zero() / p.at_zero() if p.degree >= 1 else _F0
     d_bound = p.q - inv_root_sum
-    a_d1 = enum.coeffs[d + 1] if d + 1 <= enum.n else _F0
+    a_d1 = enum.nums[d + 1] if d + 1 <= enum.n else 0
     if enum.n == d:
         correction = _F0
     else:
-        correction = (a_d1 / enum.coeffs[d]) * Fraction(d + 1, enum.n - d)
+        correction = Fraction(a_d1, enum.nums[d]) * Fraction(d + 1, enum.n - d)
     return d_bound - correction, d_bound
 

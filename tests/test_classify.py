@@ -269,6 +269,7 @@ def _v_pattern_inputs():
             yield WeightEnumerator(e.n, tuple(c[:-1] + [c[-1] + 1])), q
             yield WeightEnumerator(e.n, tuple(c[:2] + [c[2] - Fraction(1, 2)] + c[3:])), q
             yield WeightEnumerator(e.n, tuple(c[:1] + [Fraction(1)] + c[2:])), q
+            yield WeightEnumerator(e.n, tuple(x / 3 for x in c)), q  # the pattern over 3
             yield e, q + 1  # the pattern of another field
         yield WeightEnumerator(3, (1, 0, q - 1, 0)), q  # odd length
 

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -389,12 +390,47 @@ def test_dual_builds_each_gram_product_once(capsys, hamming_file, monkeypatch):
         (["1", "0", "0", "0", "1e-320"],
          "the coefficient of T^0 divided by the leading one is outside float range"),
         (["1", "1e-400"], "the coefficient of T^1 is outside float range"),
+        # the roots are about -1.1e200 and 3.3e-210: 1.1e200 squared is not a float
+        (["--", "-3", "1e210", "9e9"], "a root's size to the power 2 is outside float range"),
     ],
 )
 def test_rh_coefficient_beyond_float_range(capsys, coeffs, message):
     rc, out, err = run_with_err(capsys, ["rh", "--q", "2", *coeffs])
     assert rc == 1 and out == ""
     assert message in err
+
+
+def _random_rh_token(rng: random.Random) -> str:
+    """A coefficient token: an integer, a fraction, or a decimal power of
+    ten up to 1e330 either way, of either sign."""
+    sign = rng.choice(("", "-"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return sign + str(rng.randrange(10 ** rng.randint(1, 30)))
+    if kind == 1:
+        return f"{sign}{rng.randint(1, 10**12)}/{rng.randint(1, 10 ** rng.randint(1, 12))}"
+    return f"{sign}{rng.randint(1, 9)}e{rng.choice(('', '-'))}{rng.randint(0, 330)}"
+
+
+def test_rh_random_coefficients_never_end_in_an_internal_error():
+    # a root too large for the float scale of the residuals made about 15%
+    # of these exit 3; each must be answered (0) or refused as input (1)
+    rng = random.Random(25)
+    codes = []
+    for _ in range(1600):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 16, 25, 27))
+        coeffs = ["1"] + [_random_rh_token(rng) for _ in range(rng.randint(1, 8))]
+        rng.shuffle(coeffs)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(["rh", "--q", str(q), "--", *coeffs]))
+    assert set(codes) <= {0, 1}
+    assert codes.count(0) > 800
+
+
+def test_rh_negative_coefficients_follow_a_double_dash(capsys):
+    # argparse reads -1/2 and -1e5 before a "--" as options
+    payload = run_json(capsys, ["rh", "--q", "2", "--", "1", "-1/2"])
+    assert payload["coefficients"] == ["1", "-1/2"]
 
 
 @pytest.mark.parametrize("token", ["x", "1/0"])

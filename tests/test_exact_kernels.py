@@ -16,6 +16,7 @@ from zetacode.enumerator import (
     _mds_coeffs,
     _substitute,
     from_distribution,
+    _exact,
     mds_enumerator,
 )
 from zetacode.linear_code import dual, weight_distribution
@@ -80,7 +81,7 @@ def reference_zeta_mds_basis(enum, q, dimension=None):
     a.append(work[0])
     work[0] = _F0
     assert not any(work)
-    return zeta._finish(enum, q, d, d_dual, k, a)
+    return zeta._finish(enum, q, d, d_dual, k, *_exact(a))
 
 
 def reference_chinen_matrix(n: int, d: int, q: int) -> list[list[int]]:
@@ -107,7 +108,7 @@ def reference_zeta_chinen(enum, q, dimension=None):
         s_star = n - d - l
         acc = sum((b[n - d - s][l] * a[s] for s in range(s_star)), start=_F0)
         a[s_star] = (enum.coeffs[n - l] / (q - 1) - acc) / comb(n, l)
-    return zeta._finish(enum, q, d, d_dual, k, a)
+    return zeta._finish(enum, q, d, d_dual, k, *_exact(a))
 
 
 # -- inputs -------------------------------------------------------------------------

@@ -1,26 +1,34 @@
 """Property tests of the Kronecker MacWilliams transform, the closed-form
 MDS expansion and the integer self-duality and total checks against the
-Fraction reference oracles."""
+Fraction reference oracles, and of the integer-numerator representation
+that every exact polynomial is held in."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from test_exact_kernels import reference_substitute, reference_zeta_mds_basis
+from test_exact_kernels import (
+    reference_substitute,
+    reference_zeta_chinen,
+    reference_zeta_mds_basis,
+)
 
+from zetacode.cli import _rationals
 from zetacode.enumerator import (
     WeightEnumerator,
     _mds_coeffs,
     _substitute,
     is_virtually_self_dual,
+    macwilliams_dual,
 )
 from zetacode.gf import MAX_ORDER
-from zetacode.zeta import zeta_from_mds_basis
+from zetacode.zeta import ZetaPolynomial, functional_dual, zeta_from_chinen, zeta_from_mds_basis
 
 MAX_N = 120
 
@@ -141,3 +149,91 @@ def test_is_virtually_self_dual_matches_fraction_form(case):
 def test_total_matches_fraction_sum(e):
     got = e.total()
     assert type(got) is Fraction and got == sum(e.coeffs, start=Fraction(0))
+
+
+# -- the representation: integer numerators over one denominator ---------------------
+
+
+def _in_lowest_terms(x) -> bool:
+    return type(x.den) is int and x.den > 0 and gcd(x.den, *x.nums) == 1
+
+
+@st.composite
+def coefficient_pairs(draw) -> tuple[list, list]:
+    """(a, b): mixed int and Fraction coefficients, and b the same values
+    with each one's type switched at random (an integral Fraction for an
+    int and back), and, half of the time, one value moved by 1/7 or its
+    length changed by a trailing zero."""
+    a = draw(st.lists(coefficients, min_size=1, max_size=30))
+    b = [
+        Fraction(c) if draw(st.booleans()) else (int(c) if Fraction(c).denominator == 1 else c)
+        for c in a
+    ]
+    change = draw(st.integers(0, 3))
+    if change == 1:
+        i = draw(st.integers(0, len(b) - 1))
+        b[i] = Fraction(b[i]) + Fraction(1, 7)
+    elif change == 2:
+        b.append(0)
+    return a, b
+
+
+@SETTINGS
+@given(coefficient_pairs())
+def test_representation_is_lowest_terms_with_the_fraction_meaning(pair):
+    a, b = pair
+    fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    ea, eb = WeightEnumerator(len(a) - 1, a), WeightEnumerator(len(b) - 1, b)
+    za, zb = (ZetaPolynomial(c, q=3, n=7, d=2, d_dual=3, g=4, g_dual=0) for c in (a, b))
+    for x, f in ((ea, fa), (eb, fb), (za, fa), (zb, fb)):
+        assert _in_lowest_terms(x)
+        assert x.coeffs == f and all(type(c) is Fraction for c in x.coeffs)
+        assert all(type(v) is int for v in x.nums)
+        assert _rationals(x) == [str(c) for c in f]
+    assert (ea == eb) is (za == zb) is (fa == fb)
+    if fa == fb:
+        assert hash(ea) == hash(eb) and hash(za) == hash(zb)
+        assert repr(ea) == repr(eb) and repr(za) == repr(zb)
+
+
+def _reference_functional_dual(p) -> tuple[Fraction, ...]:
+    """q^(g - (r - j)) a_(r-j), the T^j coefficient of q^g T^r P(1/(qT))."""
+    r = p.degree
+    return tuple(Fraction(p.q) ** (p.g - (r - j)) * p.coeffs[r - j] for j in range(r + 1))
+
+
+def _polynomial_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(enumerators(), qs, st.integers(0, MAX_N))
+def test_macwilliams_dual_stays_in_lowest_terms_and_matches_reference(e, q, k):
+    k %= e.n + 1
+    dual = macwilliams_dual(e, q, k)
+    assert _in_lowest_terms(dual)
+    assert dual.coeffs == tuple(c / q**k for c in reference_substitute(e, q))
+
+
+@SETTINGS
+@given(virtual_enumerators(), st.one_of(st.none(), st.integers(0, MAX_N)))
+def test_zeta_outputs_stay_in_lowest_terms_and_match_references(e_q, dimension):
+    e, q = e_q
+    # the Fraction Chinen solve is cubic in n; past 40 the MDS one stands for it
+    pairs = [(zeta_from_mds_basis, reference_zeta_mds_basis)]
+    if e.n <= 40:
+        pairs.append((zeta_from_chinen, reference_zeta_chinen))
+    for algorithm, reference in pairs:
+        got = _polynomial_or_message(algorithm, e, q, dimension)
+        want = _polynomial_or_message(reference, e, q, dimension)
+        assert type(got) is type(want)
+        if isinstance(got, str):
+            assert got == want
+            continue
+        assert _in_lowest_terms(got) and got.coeffs == want.coeffs and got == want
+        flipped = functional_dual(got)
+        assert _in_lowest_terms(flipped)
+        assert flipped.coeffs == _reference_functional_dual(got)

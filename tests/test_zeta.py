@@ -187,6 +187,16 @@ def test_rh_leading_coefficient_that_underflows_is_refused():
             roots_on_circle_verdict(coeffs, 2)
 
 
+def test_rh_reads_numerators_over_the_denominator():
+    # 1 + (2 + 10^-400) T: its numerators over 10^400 are beyond float
+    # range, its coefficients are not, and the root is -1/2 as a float
+    big = 10**400
+    p = ZetaPolynomial((1, Fraction(2 * big + 1, big)), q=4, n=4, d=2, d_dual=4, g=1, g_dual=0)
+    assert p.den == big
+    v = riemann_hypothesis(p)
+    assert v.holds and v.roots == (-0.5 + 0j,)
+
+
 def test_rh_fails_off_circle():
     # -2(1 - 2T)(1 - T/2) = -2 + 5T - 2T^2, normalized so P(1) = 1
     v = roots_on_circle_verdict((-2, 5, -2), 2, 1e-8)
