@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -364,11 +365,14 @@ def _gram(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product A B^T over GF(q) of two index arrays with equal column
     counts: entry (i, j) is the inner product of row i of A and row j of B.
 
-    A block of rows of A gathers every product with B from the ``mul``
-    table at once, and the products are summed digit by digit: addition in
-    GF(p^m) adds the base-p digits of the indices mod p.  Blocks keep each
-    temporary within ``_CELLS`` cells."""
+    On a prime field an index is its residue, so A B^T is the integer
+    product mod p.  Otherwise a block of rows of A gathers every product
+    with B from the ``mul`` table at once, and the products are summed
+    digit by digit: addition in GF(p^m) adds the base-p digits of the
+    indices mod p.  Blocks keep each temporary within ``_CELLS`` cells."""
     p, m = spec.p, spec.m
+    if m == 1:  # exact: n (p - 1)^2 is far below 2^63 for every field GF accepts
+        return np.matmul(a, b.T, dtype=np.int64) % p
     mul = spec.tables.mul
     out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
     step = max(1, _CELLS // max(1, b.size))
@@ -424,27 +428,39 @@ def parse_matrix_text(text: str) -> LinearCode:
         raise ValueError(f"line 1: {exc}") from None
     if n < 1 or k < 1:
         raise ValueError(f"line 1: need n >= 1 and k >= 1, got n={n} k={k}")
-    rows = []
-    for r in range(k):
-        ln = r + 2
-        if ln - 1 >= len(lines):
-            raise ValueError(f"line {ln}: missing generator row ({k} expected)")
-        toks = lines[ln - 1].split()
-        if len(toks) != n:
-            raise ValueError(f"line {ln}: expected {n} entries, found {len(toks)}")
-        row = []
-        for col, tok in enumerate(toks, start=1):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"line {ln}, column {col}: not an integer: {tok!r}") from None
-            if not 0 <= v < q:
-                raise ValueError(
-                    f"line {ln}, column {col}: index {v} out of range for GF({q})"
-                )
-            row.append(v)
-        rows.append(row)
+    # the whole body in one conversion and one range check (the Matrix's);
+    # on any fault the token loop below names the first bad token
+    body = [ln.split() for ln in lines[1 : k + 1]]
+    mat = None
+    if len(body) == k and all(len(toks) == n for toks in body):
+        try:
+            flat = np.array(list(map(int, chain.from_iterable(body))), dtype=np.int64)
+            mat = Matrix(spec, flat.reshape(k, n))
+        except (ValueError, OverflowError):
+            pass
+    if mat is None:
+        rows = []
+        for r in range(k):
+            ln = r + 2
+            if ln - 1 >= len(lines):
+                raise ValueError(f"line {ln}: missing generator row ({k} expected)")
+            toks = lines[ln - 1].split()
+            if len(toks) != n:
+                raise ValueError(f"line {ln}: expected {n} entries, found {len(toks)}")
+            row = []
+            for col, tok in enumerate(toks, start=1):
+                try:
+                    v = int(tok)
+                except ValueError:
+                    raise ValueError(f"line {ln}, column {col}: not an integer: {tok!r}") from None
+                if not 0 <= v < q:
+                    raise ValueError(
+                        f"line {ln}, column {col}: index {v} out of range for GF({q})"
+                    )
+                row.append(v)
+            rows.append(row)
+        mat = Matrix.from_indices(spec, rows)
     for extra_ln in range(k + 1, len(lines)):
         if lines[extra_ln].split():
             raise ValueError(f"line {extra_ln + 1}: unexpected extra row")
-    return LinearCode(Matrix.from_indices(spec, rows))
+    return LinearCode(mat)

@@ -255,12 +255,14 @@ def test_one_side_enumerated(capsys, tmp_path, unit_corpus, enumerations, comman
 
 def test_json_writer_matches_json_dumps_on_corpus_reports(capsys, tmp_path, unit_corpus,
                                                            monkeypatch):
-    written = []
+    written, sizes = [], {"dual_rows": 0, "roots": 0}
     emit = cli._emit
 
     def checked(payload, config):
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
         written.append(payload["command"])
+        sizes["dual_rows"] = max(sizes["dual_rows"], len(payload.get("dual_rows", ())))
+        sizes["roots"] = max(sizes["roots"], len(payload.get("rh", {}).get("roots", ())))
         emit(payload, config)
 
     monkeypatch.setattr(cli, "_emit", checked)
@@ -274,8 +276,14 @@ def test_json_writer_matches_json_dumps_on_corpus_reports(capsys, tmp_path, unit
         ["grs", "--q", "7", "--k", "3"],
         ["elliptic", str(curve_file), "2"],
         ["curve-zeta", "--q", "5", "--genus", "2", "4", "22"],
+        # 1 + 32 T^10: ten roots, enough for the array residual path
+        ["rh", "--q", "2", "1"] + ["0"] * 9 + ["32"],
     ]
-    for i, code in enumerate(unit_corpus):
+    # a [64, 4] ternary code: its dual report carries a 60-row matrix
+    rng = np.random.default_rng(64)
+    wide = np.hstack([np.eye(4, dtype=np.int64), rng.integers(0, 3, (4, 60))])
+    corpus = list(unit_corpus) + [linear_code.LinearCode(linear_code.Matrix(GF(3), wide))]
+    for i, code in enumerate(corpus):
         path = _matrix_file(tmp_path, code, f"c{i}.txt")
         invocations += [["wdist", path], ["dual", path], ["zeta", path]]
     for argv in invocations:
@@ -284,14 +292,34 @@ def test_json_writer_matches_json_dumps_on_corpus_reports(capsys, tmp_path, unit
             assert rc in (0, 1)
     assert set(written) == {argv[0] for argv in invocations}
     assert len(written) > 2 * len(unit_corpus) * 3
+    assert sizes["dual_rows"] >= 60 and sizes["roots"] >= zeta._ROOTS_PER_ARRAY
 
 
 def test_json_writer_refuses_floats_and_fractions():
-    for value in (1.5, [1.5], [1, 2.0], {"x": [0.0]}, Fraction(1, 2), {"x": Fraction(3)}):
+    records = [{"re": "1", "im": "0"}] * cli._FEW_RECORDS + [{"re": "-1", "im": 0.0}]
+    for value in (1.5, [1.5], [1, 2.0], {"x": [0.0]}, Fraction(1, 2), {"x": Fraction(3)},
+                  records, [0, 7, 1023, 1024, -1, 2.5]):
         with pytest.raises(TypeError):
             cli._json_text(value)
     with pytest.raises(TypeError):
         cli._json_text({1: "a"})  # keys must be str
+
+
+def test_input_files_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    # an editor may save UTF-8 with a byte-order mark; it is not part of the
+    # first field
+    for name, text, argv in (
+        ("code", HAMMING8, ["wdist", "FILE"]),
+        ("enum", W8_ENUM, ["classify", "FILE", "2"]),
+        ("curve", CURVE5, ["elliptic", "FILE", "2"]),
+    ):
+        outs = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / f"{name}{len(prefix)}.txt"
+            path.write_text(prefix + text, encoding="utf-8")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf") == bool(prefix)
+            outs.append(run_with_err(capsys, [str(path) if a == "FILE" else a for a in argv]))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and not outs[0][2]
 
 
 def test_json_report_leaves_no_reference_cycle(tmp_path):

@@ -1,10 +1,12 @@
 """Property tests of the command line on well-formed and malformed input,
-and of its JSON writer.
+and of its JSON writer and matrix parser.
 
 Every command either answers (exit 0), rejects its input (exit 1) or
 stops at the codeword budget (exit 2); none may end in an internal
 error or a traceback.  The JSON writer gives the bytes of
-``json.dumps(value, indent=2)`` on every value a report may hold.
+``json.dumps(value, indent=2)`` on every value a report may hold, and the
+matrix parser gives the rows, or the error, of a parser that reads one
+token at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zetacode import cli
+from zetacode.gf import GF
+from zetacode.linear_code import LinearCode, Matrix, parse_matrix_text
 
 # prime powers up to the field cap, then non-prime-powers and orders past it
 GOOD_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
@@ -163,6 +167,30 @@ json_scalars = st.one_of(
     st.text(),
     awkward_text,
 )
+# ints around the writer's table of small ones, with negatives and big ints
+table_ints = st.one_of(
+    st.integers(0, 1023),
+    st.sampled_from([-1, 1023, 1024, 10**6, -(10**30), 2**64]),
+    st.integers(),
+)
+# dict keys the writer puts into a format string, some with its own marks
+record_keys = st.lists(
+    st.one_of(st.sampled_from(["re", "im", "%", "%s", "{", "}", "{0}", '"', "\\", "\u00e9", ""]),
+              awkward_text),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@st.composite
+def records(draw, values, min_size=1):
+    """A list of dicts with one key order throughout, such as an RH block's
+    roots, and values from ``values``."""
+    keys = draw(record_keys)
+    rows = draw(st.lists(st.lists(values, min_size=len(keys), max_size=len(keys)),
+                         min_size=min_size, max_size=min_size + 8))
+    return [dict(zip(keys, row)) for row in rows]
+
+
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.one_of(
@@ -171,10 +199,20 @@ json_values = st.recursive(
         st.dictionaries(st.one_of(st.text(), awkward_text), inner, max_size=5),
         # one scalar type throughout, or ints with bools mixed in
         st.lists(st.integers(), max_size=8),
+        st.lists(table_ints, max_size=8),
         st.lists(awkward_text, max_size=8),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+        st.lists(st.one_of(table_ints, st.booleans()), min_size=1, max_size=8),
         st.lists(st.booleans(), max_size=4),
         st.lists(st.none(), max_size=3),
+        # same-keyed dicts, short and past cli._FEW_RECORDS: str values
+        # only, or of mixed types
+        records(st.one_of(st.text(max_size=4), awkward_text)),
+        records(st.one_of(st.text(max_size=4), awkward_text), min_size=cli._FEW_RECORDS),
+        records(st.one_of(awkward_text, inner), min_size=cli._FEW_RECORDS),
+        # str-valued dicts whose keys differ, in set or in order
+        st.lists(st.dictionaries(st.sampled_from(["re", "im", "%"]), st.text(max_size=2),
+                                 min_size=1, max_size=3), min_size=cli._FEW_RECORDS, max_size=14),
     ),
     max_leaves=40,
 )
@@ -185,3 +223,89 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def _parse_by_tokens(text: str) -> LinearCode:
+    """The matrix parser one token at a time, as it was before the whole
+    body was converted at once: the reference for every answer and error."""
+    lines = text.splitlines()
+    if not lines or not lines[0].split():
+        raise ValueError("line 1: expected header 'q n k'")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ValueError(f"line 1: expected 3 header fields 'q n k', found {len(head)}")
+    try:
+        q, n, k = (int(t) for t in head)
+    except ValueError:
+        raise ValueError(f"line 1: non-integer header field in {head!r}") from None
+    try:
+        spec = GF(q)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
+    if n < 1 or k < 1:
+        raise ValueError(f"line 1: need n >= 1 and k >= 1, got n={n} k={k}")
+    rows = []
+    for r in range(k):
+        ln = r + 2
+        if ln - 1 >= len(lines):
+            raise ValueError(f"line {ln}: missing generator row ({k} expected)")
+        toks = lines[ln - 1].split()
+        if len(toks) != n:
+            raise ValueError(f"line {ln}: expected {n} entries, found {len(toks)}")
+        row = []
+        for col, tok in enumerate(toks, start=1):
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"line {ln}, column {col}: not an integer: {tok!r}") from None
+            if not 0 <= v < q:
+                raise ValueError(f"line {ln}, column {col}: index {v} out of range for GF({q})")
+            row.append(v)
+        rows.append(row)
+    for extra_ln in range(k + 1, len(lines)):
+        if lines[extra_ln].split():
+            raise ValueError(f"line {extra_ln + 1}: unexpected extra row")
+    return LinearCode(Matrix.from_indices(spec, rows))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).gen.index_rows()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(matrix_text))
+def test_matrix_parse_matches_token_loop(text):
+    assert _outcome(parse_matrix_text, text) == _outcome(_parse_by_tokens, text)
+
+
+@pytest.mark.parametrize("tok, message", [
+    ("x", "line 3, column 2: not an integer: 'x'"),
+    ("1.0", "line 3, column 2: not an integer: '1.0'"),
+    ("q", "line 3, column 2: not an integer: 'q'"),
+    ("-1", "line 3, column 2: index -1 out of range for GF(11)"),
+    # numpy overflows where int() does not
+    ("99999999999999999999",
+     "line 3, column 2: index 99999999999999999999 out of range for GF(11)"),
+])
+def test_matrix_parse_names_the_first_bad_token(tok, message):
+    text = f"11 4 3\n1 0 0 5\n0 {tok} 0 7\n0 0 1 {tok}\n"
+    with pytest.raises(ValueError) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == message
+    assert _outcome(_parse_by_tokens, text) == f"ValueError: {message}"
+
+
+def test_matrix_parse_checks_each_row_length():
+    # 4 + 2 entries fill a 2 x 3 body, but the rows are ragged
+    text = "2 3 2\n1 0 1 1\n0 1\n"
+    assert _outcome(parse_matrix_text, text) == "ValueError: line 2: expected 3 entries, found 4"
+    assert _outcome(_parse_by_tokens, text) == _outcome(parse_matrix_text, text)
+
+
+def test_matrix_parse_accepts_what_int_accepts():
+    # a sign, a digit separator, a negative zero, Arabic-Indic and fullwidth digits
+    code = parse_matrix_text("11 6 1\n+1 1_0 -0 \u0663 \uff11 0\n")
+    assert code.gen.index_rows() == [[1, 10, 0, 3, 1, 0]]
