@@ -269,28 +269,33 @@ def anti_self_reciprocal_check(p: ZetaPolynomial) -> bool:
     return p.degree == 2 * p.g and functional_equation_holds(p.q, p.nums, -1)
 
 
-def _boundary_factors(nums: list[int], s: int) -> tuple[list[int], list[int]]:
-    """Divide every factor 1 - tT, t = s or -s, exactly out of the integer
-    polynomial sum_i nums[i] T^i: the quotient, and the t of each factor
-    removed (the root T = 1/t), with multiplicity.
+def _circle_factors(nums: list[int], q: int) -> tuple[list[int], list[complex]]:
+    """Divide the factors with a root T = +-1/sqrt(q) exactly out of the
+    integer polynomial sum_i nums[i] T^i: the quotient, and those roots
+    with multiplicity.  When q = s^2 they are 1 - sT and 1 + sT, otherwise
+    1 - qT^2: an integer polynomial with one of the irrational roots
+    +-1/sqrt(q) has the other.
 
-    P(1/t) = 0 is tested first by Horner on t^r P(1/t) = sum nums[i] t^(r-i);
-    the synthetic division q_i = nums[i] + t q_(i-1) runs only when it holds.
+    Division by 1 - cT^e runs q_i = nums[i] + c q_(i-e) over every i; the
+    factor divides exactly iff the last e of the q_i are 0.
     """
-    found = []
-    for t in (s, -s):
-        while len(nums) > 1:
-            acc = 0
-            for c in nums:
-                acc = acc * t + c
-            if acc:
+    s = math.isqrt(q)
+    if s * s == q:
+        factors = [(s, 1, [complex(1 / s)]), (-s, 1, [complex(-1 / s)])]
+    else:
+        t = 1 / math.sqrt(q)
+        factors = [(q, 2, [complex(t), complex(-t)])]
+    roots = []
+    for c, e, at in factors:
+        while True:
+            quot = list(nums)
+            for i in range(e, len(quot)):
+                quot[i] += c * quot[i - e]
+            if any(quot[-e:]):
                 break
-            quot = [nums[0]]
-            for c in nums[1:-1]:
-                quot.append(c + t * quot[-1])
-            nums = quot
-            found.append(t)
-    return nums, found
+            nums = quot[:-e]
+            roots += at
+    return nums, roots
 
 
 # From this many roots on, the half-degree path alone takes its Newton step
@@ -381,49 +386,28 @@ def _exact_newton(w: list[int], q: int, z: float) -> float:
     return z
 
 
-def _half_degree_roots(nums: list[int], den: int, sign: int, q: int):
+def _half_degree_roots(nums: list[int], den: int, q: int):
     """The roots of P(T) = sum_i nums[i] T^i / den, which satisfies
-    a_(2g-i) = sign q^(g-i) a_i, as (roots, mirrored): the conjugate of
-    each root whose ``mirrored`` flag is set is a root too, not listed.
+    a_(2g-i) = q^(g-i) a_i, as (roots, mirrored): the conjugate of each
+    root whose ``mirrored`` flag is set is a root too, not listed.
 
     With u = sqrt(q) T and b_i = a_i q^(-i/2), u^(-g) P = b_g +
-    sum_m b_(g-m) (u^(-m) + sign u^m), and for x = (u + 1/u)/2,
-    u^m + u^(-m) = 2 T_m(x) and u^m - u^(-m) = (u - 1/u) U_(m-1)(x) (the
-    reduction z = qT + 1/T = 2 sqrt(q) x of Duursma, "Extremal weight
-    enumerators and ultraspherical polynomials", 2003).  So the roots are
-    T = (x +- sqrt(x^2 - 1))/sqrt(q) over the roots x of a Chebyshev
-    series of degree h <= g: closed forms for h <= 2, the colleague
-    matrix above.  A real x in [-1, 1] gives a conjugate pair on the
-    circle |T| = 1/sqrt(q).  In z = 2 sqrt(q) x the series times
-    den q^(h/2) is R(z) = w_h + sum_m w_(h-m) D_m(z), with the integers w
-    the coefficients are made from, so a root on the circle that floats
-    may place worse than ``_ROOT_TOL`` is refined exactly (``_exact_newton``).
-
-    - q = s^2: the exact roots +-1/s are divided out first
-      (``_boundary_factors``).  What is left has sign +1 and even degree,
-      since an odd degree or sign -1 forces a root at u = +-1.
-    - sign +1: c_0 = b_g, c_m = 2 b_(g-m).
-    - sign -1: b_g = 0, the roots +-1/sqrt(q) are exact, and the rest are
-      those of sum_m b_(g-m) U_(m-1), whose T-coefficients are sums over
-      every other index, U_n = 2(T_n + T_(n-2) + ...) ending in T_0 or
-      2 T_1: with rho_i = nums[i] + q rho_(i-2), those sums are
-      rho_i / (den q^(i/2)), and c_0 = that sum at i = g - 1,
-      c_m = twice the sum at i = g - 1 - m.
+    sum_m b_(g-m) (u^m + u^(-m)), and for x = (u + 1/u)/2,
+    u^m + u^(-m) = 2 T_m(x) (the reduction z = qT + 1/T = 2 sqrt(q) x of
+    Duursma, "Extremal weight enumerators and ultraspherical polynomials",
+    2003).  So the roots are T = (x +- sqrt(x^2 - 1))/sqrt(q) over the
+    roots x of the Chebyshev series c_0 = b_g, c_m = 2 b_(g-m) of degree
+    h = g: closed forms for h <= 2, the colleague matrix above.  A real x
+    in [-1, 1] gives a conjugate pair on the circle |T| = 1/sqrt(q).  In
+    z = 2 sqrt(q) x the series times den q^(h/2) is
+    R(z) = w_h + sum_m w_(h-m) D_m(z), with w = nums[:h + 1], so a root on
+    the circle that floats may place worse than ``_ROOT_TOL`` is refined
+    exactly (``_exact_newton``).
     """
     s = math.isqrt(q)
     square = s * s == q
-    if square:
-        nums, found = _boundary_factors(nums, s)
-        sigma, boundary = float(s), [1 / t for t in found]
-        w = nums[: len(nums) // 2 + 1]
-    else:
-        sigma, g = math.sqrt(q), len(nums) // 2
-        if sign > 0:
-            boundary, w = [], nums[: g + 1]
-        else:
-            boundary, w = [1 / sigma, -1 / sigma], nums[:g]
-            for i in range(2, g):
-                w[i] += q * w[i - 2]
+    sigma = float(s) if square else math.sqrt(q)
+    w = nums[: len(nums) // 2 + 1]
     # v_i = w_i / (den sigma^i) with sigma^i = q^(i // 2) sigma^(i % 2):
     # rounded once, and once more for odd i when sigma = sqrt(q) is irrational
     v = [wi / (den * q ** (i // 2) * (s if square and i % 2 else 1)) for i, wi in enumerate(w)]
@@ -457,8 +441,7 @@ def _half_degree_roots(nums: list[int], den: int, sign: int, q: int):
             if x.imag == 0 and -1 < x.real < 1:
                 if err > _ROOT_TOL * slope * math.sqrt((1 - x.real) * (1 + x.real)):
                     xs[i] = _exact_newton(w, q, 2 * sigma * x.real) / (2 * sigma)
-    roots = [complex(t) for t in boundary]
-    mirrored = [False] * len(roots)
+    roots, mirrored = [], []
     for x in map(complex, xs):
         wx = cmath.sqrt((x - 1) * (x + 1))
         if x.imag == 0 and -1 <= x.real <= 1:
@@ -507,14 +490,21 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
 
     The ascending coefficients are ``coeffs`` (exact rationals or ints)
     over the positive integer ``den``; each float is one integer over
-    another, rounded once.  A degree-0 polynomial holds vacuously.  A
-    polynomial with the functional equation a_(2g-i) = +-q^(g-i) a_i takes
-    its roots from the half-degree Chebyshev problem (``_half_degree_roots``);
-    any other polynomial takes them from the companion matrix of the monic
-    normalization (``_companion_roots``).  Both list one root per conjugate
-    pair, so each residual is computed once per pair.  A coefficient, or
-    its ratio to the leading one, that a float cannot hold is a
-    ValueError naming it, and so is a root that overflows the residuals.
+    another, rounded once.  A degree-0 polynomial holds vacuously.  The
+    factors with a root at +-1/sqrt(q) are divided out exactly first
+    (``_circle_factors``).  A real polynomial with every root on the
+    circle has the conjugate 1/(qT) of each root T as a root, so the
+    quotient, with no root at the fixed points +-1/sqrt(q) of T -> 1/(qT),
+    has even degree and a_(2g-i) = q^(g-i) a_i.  A quotient with that
+    functional equation takes its roots from the half-degree Chebyshev
+    problem (``_half_degree_roots``), and ``holds`` is whether they all
+    lie within ``tol`` of the circle.  Any other polynomial fails exactly,
+    and its roots, from the companion matrix of the monic normalization
+    (``_companion_roots``), are diagnostics only.  Both list one root per
+    conjugate pair, so each residual is computed once per pair.  A
+    coefficient, or its ratio to the leading one, that a float cannot hold
+    is a ValueError naming it, and so is a root that overflows the
+    residuals.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
@@ -541,12 +531,17 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
             )
     desc = monic[::-1]
 
-    sign = next((s for s in (1, -1) if functional_equation_holds(q, nums, s)), 0)
+    core, boundary = _circle_factors(nums, q)
+    half = functional_equation_holds(q, core)
     try:
-        pts, mirrored = _half_degree_roots(nums, den, sign, q) if sign else _companion_roots(monic)
+        if half:
+            pts, mirrored = _half_degree_roots(core, den, q)
+            pts, mirrored = boundary + pts, [False] * len(boundary) + mirrored
+        else:
+            pts, mirrored = _companion_roots(monic)
         scale = max(1.0, max(map(abs, pts))) ** r
         # each path keeps its own residual arithmetic: they differ in the last bits
-        if sign and len(pts) >= _ROOTS_PER_ARRAY:
+        if half and len(pts) >= _ROOTS_PER_ARRAY:
             vals = (np.vander(np.array(pts), r + 1) @ np.array(desc)).tolist()
         else:
             vals = [_horner(desc, z) for z in pts]
@@ -559,7 +554,7 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
     roots = tuple(z for z, _ in found)
     sq = math.sqrt(q)
     max_dev = max(abs(abs(z) * sq - 1.0) for z in roots)
-    return RhVerdict(max_dev <= tol, roots, max_dev, tol, tuple(e for _, e in found))
+    return RhVerdict(half and max_dev <= tol, roots, max_dev, tol, tuple(e for _, e in found))
 
 
 def riemann_hypothesis(p: ZetaPolynomial, tol: float = 1e-8) -> RhVerdict:

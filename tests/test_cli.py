@@ -710,15 +710,20 @@ def test_elliptic_hasse_bound_is_exact_at_the_boundary(capsys, tmp_path, curve, 
     "argv, roots",
     [
         # (1 - 2T)^2, (1 + 3T)^2, (1 - 3T)^2 (1 + 3T)^2, (1 - 2T)^2 (1 + 2T)^2
-        (["--q", "4", "--genus", "1", "1"], ["0.5"] * 2),
-        (["--q", "9", "--genus", "1", "16"], ["-0.33333333333333331"] * 2),
-        (["--q", "9", "--genus", "2", "10", "46"],
+        (["curve-zeta", "--q", "4", "--genus", "1", "1"], ["0.5"] * 2),
+        (["curve-zeta", "--q", "9", "--genus", "1", "16"], ["-0.33333333333333331"] * 2),
+        (["curve-zeta", "--q", "9", "--genus", "2", "10", "46"],
          ["-0.33333333333333331"] * 2 + ["0.33333333333333331"] * 2),
-        (["--q", "4", "--genus", "2", "5", "1"], ["-0.5"] * 2 + ["0.5"] * 2),
+        (["curve-zeta", "--q", "4", "--genus", "2", "5", "1"], ["-0.5"] * 2 + ["0.5"] * 2),
+        # (1 - 2T)^3 and (1 - 3T)^2 (1 + 3T): odd degree, no functional
+        # equation before the boundary factors are divided out
+        (["rh", "--q", "4", "--", "1", "-6", "12", "-8"], ["0.5"] * 3),
+        (["rh", "--q", "9", "--", "1", "-3", "-9", "27"],
+         ["-0.33333333333333331"] + ["0.33333333333333331"] * 2),
     ],
 )
 def test_curve_zeta_boundary_factors_hold(capsys, argv, roots):
-    payload = run_json(capsys, ["curve-zeta", *argv])
+    payload = run_json(capsys, argv)
     assert payload["rh"]["holds"] is True
     assert payload["rh"]["max_deviation"] == "0"
     assert [z["re"] for z in payload["rh"]["roots"]] == roots
@@ -742,9 +747,9 @@ def test_curve_zeta_functional_equation_is_computed(capsys, monkeypatch):
     )
     payload = run_json(capsys, ["curve-zeta", "--q", "5", "--genus", "1", "9"])
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
-    # the root-circle verdict asks for both signs first, then the check
-    # asks for sign +1 on the report's coefficients
-    assert seen == [(5, (1, 3, 5), 1), (5, (1, 3, 5), -1), (5, (1, 3, 5), 1)]
+    # the root-circle verdict asks once, on the coefficients with no factor
+    # at +-1/sqrt(5) to divide out, then the check asks on the report's
+    assert seen == [(5, (1, 3, 5), 1), (5, (1, 3, 5), 1)]
     assert checks["functional_equation"] is False
 
 

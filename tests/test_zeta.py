@@ -189,12 +189,14 @@ def test_rh_leading_coefficient_that_underflows_is_refused():
 
 def test_rh_reads_numerators_over_the_denominator():
     # 1 + (2 + 10^-400) T: its numerators over 10^400 are beyond float
-    # range, its coefficients are not, and the root is -1/2 as a float
+    # range, its coefficients are not, and the root is -1/2 as a float.
+    # The root itself is -1/(2 + 10^-400), off the circle |T| = 1/2, so no
+    # factor 1 + 2T divides out and the verdict is False
     big = 10**400
     p = ZetaPolynomial((1, Fraction(2 * big + 1, big)), q=4, n=4, d=2, d_dual=4, g=1, g_dual=0)
     assert p.den == big
     v = riemann_hypothesis(p)
-    assert v.holds and v.roots == (-0.5 + 0j,)
+    assert not v.holds and v.roots == (-0.5 + 0j,)
 
 
 def test_rh_fails_off_circle():
@@ -204,6 +206,13 @@ def test_rh_fails_off_circle():
     roots = sorted(z.real for z in v.roots)
     assert abs(roots[0] - 0.5) < 1e-12 and abs(roots[1] - 2.0) < 1e-12
     assert v.max_deviation > 0.4
+    # 1 + (2 + 10^-8) T^2 and (1 - T + 2T^2)(1 + T + (2 + 10^-9) T^2): roots
+    # within the tolerance of the circle but off it; neither polynomial has
+    # the functional equation, so the verdict is False with no float
+    near = 2 + Fraction(1, 10**9)
+    for coeffs in ((1, 0, Fraction(200000001, 100000000)), _poly_mul([1, -1, 2], [1, 1, near])):
+        v = roots_on_circle_verdict(coeffs, 2, 1e-8)
+        assert not v.holds and 0 < v.max_deviation <= 1e-8
 
 
 def test_rh_half_degree_closed_form_with_complex_x():
@@ -477,6 +486,42 @@ def test_verdict_on_weil_products_against_the_companion_path():
         correct += holds
     assert total == 15199
     assert correct >= companion
+
+
+def _circle_factor_products(count, seed):
+    """(q, coefficients, roots at +-1/sqrt(q)) of ``count`` seeded products
+    of zero to four Weil factors 1 - aT + qT^2 with distinct traces,
+    a^2 < 4q, and of (1 - sT)^e (1 + sT)^f, e, f <= 3, when q = s^2, or of
+    (1 - qT^2)^m, m <= 3, otherwise."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49))
+        bound = math.isqrt(4 * q - 1)
+        poly = _weil_product(q, rng.sample(range(-bound, bound + 1), rng.randint(0, 4)))
+        s = math.isqrt(q)
+        if s * s == q:
+            e, f = rng.randint(0, 3), rng.randint(0, 3)
+            factors, roots = [[1, -s]] * e + [[1, s]] * f, [1 / s] * e + [-1 / s] * f
+        else:
+            m = rng.randint(0, 3)
+            factors, roots = [[1, 0, -q]] * m, [1 / math.sqrt(q), -1 / math.sqrt(q)] * m
+        for factor in factors:
+            poly = _poly_mul(poly, factor)
+        yield q, poly, roots
+
+
+def test_verdict_on_circle_factor_products():
+    # the roots +-1/sqrt(q) are divided out exactly, whatever their
+    # multiplicity and whether or not the whole product has a functional
+    # equation, and are listed as the exact floats; the Weil roots have
+    # a^2 < 4q, so none of them is real
+    inputs = list(_circle_factor_products(400, 28))
+    assert sum(len(c) % 2 == 0 for _, c, _ in inputs) > 50
+    for q, coeffs, boundary in inputs:
+        v = roots_on_circle_verdict(coeffs, q)
+        assert v.holds, (q, coeffs)
+        real = [z.real for z in v.roots if z.imag == 0]
+        assert sorted(real) == sorted(boundary), (q, coeffs)
 
 
 def test_rh_tolerance_validated(hamming_zeta):
