@@ -236,11 +236,13 @@ def _require_on_curve(curve, point) -> None:
 
 
 def _negate(curve: EllipticCurve, pair):
+    """-(x, y) = (x, -(y + a1 x + a3)), None being the identity."""
     if pair is None:
         return None
-    s = curve.spec
+    tab = curve.spec.tables
+    add = tab.add.item
     x, y = pair
-    return (x, s.neg_idx(s.add_idx(y, s.add_idx(s.mul_idx(curve.a1, x), curve.a3))))
+    return (x, tab.neg.item(add(y, add(tab.mul.item(curve.a1, x), curve.a3))))
 
 
 def _group_law(curve: EllipticCurve):
@@ -266,7 +268,7 @@ def _group_law(curve: EllipticCurve):
         x1, y1 = p1
         x2, y2 = p2
         if x1 == x2:
-            if y2 == neg(add(y1, add(mul(a1, x1), a3))):
+            if p2 == _negate(curve, p1):
                 return None
             # doubling; the tangent is not vertical, so den != 0
             den = inv(add(mul(two, y1), add(mul(a1, x1), a3)))
@@ -307,11 +309,6 @@ def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoi
     _require_on_curve(curve, p1)
     _require_on_curve(curve, p2)
     return _point(_group_law(curve)(_pair(p1), _pair(p2)))
-
-
-def scalar_point_mul(curve: EllipticCurve, m: int, point: CurvePoint) -> CurvePoint:
-    _require_on_curve(curve, point)
-    return _point(_multiple(curve, _group_law(curve), m, _pair(point)))
 
 
 @dataclass(frozen=True)
@@ -402,19 +399,17 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
         raise ValueError(f"need exactly g = {g} point counts, got {len(counts)}")
     if g == 0:
         return CurveZeta(q, 0, (1,))
-    s = [Fraction(0)] + [Fraction(counts[k - 1] - q**k - 1, k) for k in range(1, g + 1)]
-    ell: list[Fraction] = [Fraction(1)]
+    # Newton's identities m l_m = sum_j c_j l_(m-j), with c_j = N_j - q^j - 1
+    c = [n - q**j - 1 for j, n in enumerate(counts, start=1)]
+    ell = [1]
     for m in range(1, g + 1):
-        acc = sum((j * s[j] * ell[m - j] for j in range(1, m + 1)), start=Fraction(0))
-        ell.append(acc / m)
-    out = []
-    for i, c in enumerate(ell):
-        if c.denominator != 1:
-            raise ValueError(f"inconsistent point counts: coefficient {i} is {c}")
-        out.append(c.numerator)
+        acc = sum(c[j - 1] * ell[m - j] for j in range(1, m + 1))
+        if acc % m:
+            raise ValueError(f"inconsistent point counts: coefficient {m} is {Fraction(acc, m)}")
+        ell.append(acc // m)
     for i in range(g + 1, 2 * g + 1):
-        out.append(q ** (i - g) * out[2 * g - i])
-    return CurveZeta(q, g, tuple(out))
+        ell.append(q ** (i - g) * ell[2 * g - i])
+    return CurveZeta(q, g, tuple(ell))
 
 
 def within_hasse_bound(q: int, n1: int) -> bool:

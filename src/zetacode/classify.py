@@ -68,13 +68,7 @@ def extremal_bound(type_label: str, n: int) -> int:
 
 
 def _b_max(enum: WeightEnumerator) -> int:
-    positive = [i for i in enum.support if i > 0]
-    if not positive:
-        return 1
-    g = 0
-    for i in positive:
-        g = math.gcd(g, i)
-    return g if g > 1 else 1
+    return max(math.gcd(*enum.support), 1)  # the support's 0 leaves the gcd alone
 
 
 def _is_v_pattern(enum: WeightEnumerator, q: int) -> bool:
@@ -111,11 +105,11 @@ def classify(enum: WeightEnumerator, q: int) -> DivisibilityReport:
     if b > 1:
         if q == 2 and b % 4 == 0 and n % 8 == 0:
             label = "II"
-        elif q == 2 and b % 2 == 0 and n % 2 == 0:
+        elif q == 2 and b % 2 == 0:
             label = "I"
         elif q == 3 and b % 3 == 0 and n % 4 == 0:
             label = "III"
-        elif q == 4 and b % 2 == 0 and n % 2 == 0:
+        elif q == 4 and b % 2 == 0:
             label = "IV"
         elif v_flag:
             label = "V"

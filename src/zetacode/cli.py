@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -268,8 +269,6 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
 
 
 def _cmd_rh(args, config: RunConfig) -> dict:
-    from fractions import Fraction
-
     _prime_power(args.q)  # every command-line q must be a field order
     coeffs = []
     for pos, tok in enumerate(args.coeffs, start=1):

@@ -124,9 +124,6 @@ class FieldSpec:
     def add_idx(self, a: int, b: int) -> int:
         return int(self.tables.add[a, b])
 
-    def neg_idx(self, a: int) -> int:
-        return int(self.tables.neg[a])
-
     def sub_idx(self, a: int, b: int) -> int:
         return int(self.tables.add[a, self.tables.neg[b]])
 

@@ -170,9 +170,6 @@ class LinearCode:
     def is_zero(self) -> bool:
         return self.k == 0
 
-    def rref_matrix(self) -> Matrix:
-        return self._echelon[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearCode[n={self.n}, k={self.k}, q={self.spec.q}]"
 
@@ -411,6 +408,24 @@ def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET) -> boo
 # lines 2 .. k+1:    n whitespace-separated element indices
 
 
+def _body_fault(body: list[list[str]], k: int, n: int, q: int) -> str:
+    """The message for the first fault of a faulty matrix body, the token
+    lists of lines 2 .. k+1, read row by row: a miscounted row, then token
+    by token, a non-integer or an index out of range; past the last row
+    read, the first missing one."""
+    for ln, toks in enumerate(body, start=2):
+        if len(toks) != n:
+            return f"line {ln}: expected {n} entries, found {len(toks)}"
+        for col, tok in enumerate(toks, start=1):
+            try:
+                v = int(tok)
+            except ValueError:
+                return f"line {ln}, column {col}: not an integer: {tok!r}"
+            if not 0 <= v < q:
+                return f"line {ln}, column {col}: index {v} out of range for GF({q})"
+    return f"line {len(body) + 2}: missing generator row ({k} expected)"
+
+
 def parse_matrix_text(text: str) -> LinearCode:
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -428,8 +443,7 @@ def parse_matrix_text(text: str) -> LinearCode:
         raise ValueError(f"line 1: {exc}") from None
     if n < 1 or k < 1:
         raise ValueError(f"line 1: need n >= 1 and k >= 1, got n={n} k={k}")
-    # the whole body in one conversion and one range check (the Matrix's);
-    # on any fault the token loop below names the first bad token
+    # the whole body in one conversion and one range check (the Matrix's)
     body = [ln.split() for ln in lines[1 : k + 1]]
     mat = None
     if len(body) == k and all(len(toks) == n for toks in body):
@@ -439,27 +453,7 @@ def parse_matrix_text(text: str) -> LinearCode:
         except (ValueError, OverflowError):
             pass
     if mat is None:
-        rows = []
-        for r in range(k):
-            ln = r + 2
-            if ln - 1 >= len(lines):
-                raise ValueError(f"line {ln}: missing generator row ({k} expected)")
-            toks = lines[ln - 1].split()
-            if len(toks) != n:
-                raise ValueError(f"line {ln}: expected {n} entries, found {len(toks)}")
-            row = []
-            for col, tok in enumerate(toks, start=1):
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ValueError(f"line {ln}, column {col}: not an integer: {tok!r}") from None
-                if not 0 <= v < q:
-                    raise ValueError(
-                        f"line {ln}, column {col}: index {v} out of range for GF({q})"
-                    )
-                row.append(v)
-            rows.append(row)
-        mat = Matrix.from_indices(spec, rows)
+        raise ValueError(_body_fault(body, k, n, q))
     for extra_ln in range(k + 1, len(lines)):
         if lines[extra_ln].split():
             raise ValueError(f"line {extra_ln + 1}: unexpected extra row")

@@ -298,6 +298,19 @@ def test_matrix_parse_names_the_first_bad_token(tok, message):
     assert _outcome(_parse_by_tokens, text) == f"ValueError: {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    # a fault in a row comes before any fault in a later row
+    ("5 3 2\n1 7 0\n1 0\n", "line 2, column 2: index 7 out of range for GF(5)"),
+    ("5 3 2\n1 0\n1 x 0\n", "line 2: expected 3 entries, found 2"),
+    # and, in one row, before any fault in a later column
+    ("5 3 1\n9223372036854775808 x 0\n",
+     "line 2, column 1: index 9223372036854775808 out of range for GF(5)"),
+])
+def test_matrix_parse_names_the_first_of_two_faults(text, message):
+    assert _outcome(parse_matrix_text, text) == f"ValueError: {message}"
+    assert _outcome(_parse_by_tokens, text) == f"ValueError: {message}"
+
+
 def test_matrix_parse_checks_each_row_length():
     # 4 + 2 entries fill a 2 x 3 body, but the rows are ragged
     text = "2 3 2\n1 0 1 1\n0 1\n"

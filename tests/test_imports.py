@@ -1,6 +1,7 @@
 """Every top-level import in ``src/zetacode`` and ``tests`` is read by its
-module, and every module-level private name of ``src/zetacode`` is read
-somewhere in ``src/zetacode``.
+module, every import in ``src/zetacode`` is top-level, and every
+module-level private name of ``src/zetacode`` is read somewhere in
+``src/zetacode``.
 
 No linter ships with the project, so these stdlib-``ast`` checks catch an
 import or a helper that a deletion left behind.  ``from __future__``
@@ -64,6 +65,37 @@ def test_checker_flags_unread_imports():
         "    return comb(x, 2)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 2: osp"]
+
+
+def nested_imports(source: str) -> list[str]:
+    """``line: module`` for each import that is not a top-level statement
+    of ``source``: the unused-import check reads only those."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [
+        f"line {node.lineno}: {node.module if isinstance(node, ast.ImportFrom) else node.names[0].name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_nested_imports():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    return Fraction(1)\n"
+        "class A:\n"
+        "    import math\n"
+        "if os.name:\n"
+        "    import sys\n"
+    )
+    assert nested_imports(source) == ["line 3: fractions", "line 6: math", "line 8: sys"]
 
 
 def private_definitions(source: str) -> dict[str, int]:

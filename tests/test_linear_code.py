@@ -527,7 +527,7 @@ def test_dual_makes_no_rref_call(unit_corpus, rref_calls):
         assert not rref_calls and d.k == c.n - c.k
     # the dual's own RREF is computed on first read, and equals a fresh one
     red, rank, pivots = rref(d.gen)
-    assert d.rref_matrix().index_rows() == red.index_rows() and rank == d.k
+    assert d._echelon[0].index_rows() == red.index_rows() and rank == d.k
     assert len(rref_calls) == 1
 
 
@@ -540,7 +540,7 @@ def test_punctured_code_keeps_the_rref_without_a_second_one(unit_corpus, rref_ca
         p = puncture_degenerate(padded)
         assert not rref_calls
         red, rank, pivots = rref(p.gen)
-        assert p.rref_matrix().index_rows() == red.index_rows()
+        assert p._echelon[0].index_rows() == red.index_rows()
         assert p._echelon[1] == pivots and rank == p.k
         if not is_degenerate(c):
             assert p.gen.index_rows() == c.gen.index_rows()
@@ -567,7 +567,7 @@ def test_dual_leaves_numpy_ma_unimported():
 def test_dual_dual_row_space(unit_corpus):
     for c in unit_corpus:
         dd = dual(dual(c))
-        assert dd.rref_matrix().index_rows() == c.rref_matrix().index_rows()
+        assert dd._echelon[0].index_rows() == c._echelon[0].index_rows()
 
 
 # a Euclidean self-dual [6,3,3] code over GF(4)
@@ -576,7 +576,7 @@ GF4_SELF_DUAL = [[1, 0, 0, 0, 2, 3], [0, 1, 0, 2, 2, 1], [0, 0, 1, 3, 1, 3]]
 
 def reference_is_self_dual(c: LinearCode) -> bool:
     """The code and its dual have the same reduced generator matrix."""
-    return 2 * c.k == c.n and np.array_equal(c.rref_matrix().array, dual(c).rref_matrix().array)
+    return 2 * c.k == c.n and np.array_equal(c._echelon[0].array, dual(c)._echelon[0].array)
 
 
 def test_is_self_dual_matches_rref_reference(unit_corpus):
