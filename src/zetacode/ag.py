@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -45,7 +46,8 @@ DEFAULT_FIBER_BUDGET = 10**6
 #
 # Coordinates and coefficients are field element indices (plain ints).
 # The group law runs on index pairs (x, y), with None for the point at
-# infinity; the public functions check curve membership once, at entry.
+# infinity; the public functions check curve membership once, at entry,
+# by a lookup in the curve's point set.
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,9 @@ class LinePoint:
 
 
 def _in_field(spec: FieldSpec, *indices) -> bool:
-    return all(isinstance(i, int) and 0 <= i < spec.q for i in indices)
+    # plain ints only: a bool, a float or a numpy integer would hash like
+    # an index, and numpy reads a bool index as a mask
+    return all(type(i) is int and 0 <= i < spec.q for i in indices)
 
 
 @dataclass(frozen=True)
@@ -152,27 +156,21 @@ class EllipticCurve:
             ),
         )
 
+    @cached_property
+    def _affine(self) -> dict[tuple[int, int], None]:
+        """The affine points as index pairs, keys in lex order, found on
+        first read and kept on the instance; not a field, so they take no
+        part in equality, hashing or repr."""
+        return dict.fromkeys(_affine_point_indices(self.spec, self.coefficient_indices()))
+
     def contains(self, point) -> bool:
-        """Whether ``point`` is a CurvePoint of this curve, with coordinates
-        in range (numpy would read an index -1 as q - 1)."""
+        """Whether ``point`` is a CurvePoint of this curve, with plain int
+        coordinates in range."""
         if not isinstance(point, CurvePoint):
             return False
         if point.is_infinity:
             return True
-        if not _in_field(self.spec, point.x, point.y):
-            return False
-        return bool(self._satisfied(point.x, point.y))
-
-    def _satisfied(self, x, y):
-        """Whether the Weierstrass equation holds at (x, y), for indices or,
-        elementwise, for index arrays."""
-        tab = self.spec.tables
-        mul, add = tab.mul, tab.add
-        a1, a2, a3, a4, a6 = self.coefficient_indices()
-        lhs = add[add[mul[y, y], mul[mul[a1, x], y]], mul[a3, y]]
-        x2 = mul[x, x]
-        rhs = add[add[mul[x2, x], mul[a2, x2]], add[mul[a4, x], a6]]
-        return lhs == rhs
+        return _in_field(self.spec, point.x, point.y) and (point.x, point.y) in self._affine
 
 
 def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
@@ -218,8 +216,7 @@ def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
 
 def points(curve: EllipticCurve) -> list[CurvePoint]:
     """All rational points: infinity first, then affine points in lex order."""
-    pairs = _affine_point_indices(curve.spec, curve.coefficient_indices())
-    return [CurvePoint.infinity()] + [CurvePoint(x, y) for x, y in pairs]
+    return [CurvePoint.infinity()] + [CurvePoint(x, y) for x, y in curve._affine]
 
 
 def _pair(point: CurvePoint) -> tuple[int, int] | None:
@@ -486,18 +483,12 @@ def elliptic_code(
         eval_points = points(curve)[1:]
     eval_points = list(eval_points)
     n = len(eval_points)
-    # the curve equation at every affine point with in-range coordinates at
-    # once; the checks below still go point by point, so the first bad
-    # point raises as curve.contains would have it
-    affine = [isinstance(p, CurvePoint) and _in_field(spec, p.x, p.y) for p in eval_points]
-    xs = np.array([p.x if a else 0 for p, a in zip(eval_points, affine)], dtype=np.int64)
-    ys = np.array([p.y if a else 0 for p, a in zip(eval_points, affine)], dtype=np.int64)
-    on_curve = (curve._satisfied(xs, ys) & np.array(affine, dtype=bool)).tolist()
+    # one lookup in the curve's point set per point; the first bad point raises
     seen = set()
-    for p, on in zip(eval_points, on_curve):
+    for p in eval_points:
         if p.is_infinity:
             raise ValueError("evaluation points must avoid the pole point at infinity")
-        if not on:
+        if not curve.contains(p):
             raise ValueError(f"evaluation point {p} is not on the curve")
         if p in seen:
             raise ValueError(f"repeated evaluation point {p}")
@@ -505,6 +496,8 @@ def elliptic_code(
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n = {n}, got k = {k}")
     # x^i y^j with j <= 1: powers of x by repeated gathers from the mul table
+    xs = np.array([p.x for p in eval_points], dtype=np.int64)
+    ys = np.array([p.y for p in eval_points], dtype=np.int64)
     mul = spec.tables.mul
     x_pows = [np.ones(n, dtype=np.int64)]
     rows = []
@@ -626,7 +619,7 @@ def fiber_counts(
     d_set = set(D_points)
     n = len(d_set)
     if isinstance(curve, EllipticCurve):
-        n1 = 1 + len(_affine_point_indices(curve.spec, curve.coefficient_indices()))
+        n1 = 1 + len(curve._affine)
         per_class = [(q**k - 1) // (q - 1) for k in range(m + 1)]  # s_k
         total = n1 * per_class[m] if m else 1
     else:

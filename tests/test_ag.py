@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetacode.gf import GF
@@ -137,15 +139,57 @@ def test_add_points_requires_membership():
 
 def test_contains_rejects_indices_outside_the_field():
     e = curve(5, [0, 0, 0, 1, 1])
-    assert e.contains(CurvePoint(4, 2))
-    # numpy would read -1 as 4 and -3 as 2
-    for off in (CurvePoint(-1, 2), CurvePoint(4, -3), CurvePoint(9, 2), CurvePoint(4.0, 2)):
+    assert e.contains(CurvePoint(4, 2)) and e.contains(CurvePoint(0, 1))
+    G = Divisor.of([(CurvePoint.infinity(), 2)])
+    # numpy would read -1 as 4 and -3 as 2, and a bool index as a mask; a
+    # bool, a float or a numpy int equals and hashes like the int, so each
+    # of these would match (4, 2) or (0, 1) if it counted as an index
+    offs = [(-1, 2), (4, -3), (9, 2), (4.0, 2), (True, True), (0, True),
+            (np.int64(4), 2), (4, np.int64(2)), (4, None)]
+    for x, y in offs:
+        off = CurvePoint(x, y)
         assert not e.contains(off)
         with pytest.raises(ValueError, match="not on the curve"):
             add_points(e, off, CurvePoint.infinity())
+        with pytest.raises(ValueError, match="not on the curve"):
+            fiber_counts(e, G, [off])
+        with pytest.raises(ValueError, match="not on the curve"):
+            elliptic_code(e, 2, points(e)[1:3] + [off])
     line = ProjectiveLine(GF(5))
     assert line.contains(LinePoint(4)) and line.contains(LinePoint.infinity())
-    assert not line.contains(LinePoint(-1)) and not line.contains(CurvePoint(4, 2))
+    assert not line.contains(CurvePoint(4, 2))
+    for x in (-1, True, 1.0, np.int64(1)):
+        assert not line.contains(LinePoint(x))
+        with pytest.raises(ValueError, match="not on the curve"):
+            fiber_counts(line, Divisor.of([(LinePoint.infinity(), 2)]), [LinePoint(x)])
+
+
+def test_the_points_are_found_once_per_curve_object(monkeypatch):
+    calls = []
+    solve = ag._affine_point_indices
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ag, "_affine_point_indices", counted)
+    e, other = curve(7, [0, 0, 0, 1, 3]), curve(7, [0, 0, 0, 1, 3])
+    G = Divisor.of([(CurvePoint.infinity(), 3)])
+    pts = points(e)
+    assert e.contains(pts[1]) and not e.contains(CurvePoint(1, 1))
+    elliptic_code(e, 2)
+    counts = fiber_counts(e, G, pts[1:])
+    assert fiber_counts(e, G, pts[1:]) == counts
+    assert len(calls) == 1
+    # the kept points take no part in equality, hashing or repr
+    assert e == other and hash(e) == hash(other) and repr(e) == repr(other)
+    assert dataclasses.replace(e) == e
+    assert len(calls) == 1
+    assert fiber_counts(other, G, pts[1:]) == counts
+    assert len(calls) == 2
+    # a replaced curve finds its own points
+    assert points(dataclasses.replace(e, a6=0)) != pts
+    assert len(calls) == 3
 
 
 def test_curve_coefficients_are_range_checked_indices():
@@ -157,6 +201,12 @@ def test_curve_coefficients_are_range_checked_indices():
         EllipticCurve(GF(5), 0, 0, 0, 1, -4)  # would read as y^2 = x^3 + x + 1
     with pytest.raises(ValueError, match="out of range"):
         curve(5, [0, 0, 0, 1, 6])
+    # only plain ints are indices
+    for index in (True, 1.0, np.int64(1), None):
+        with pytest.raises(ValueError, match="out of range"):
+            EllipticCurve(GF(5), 0, 0, 0, index, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            EllipticCurve(GF(5), 0, 0, 0, 1, index)
 
 
 def test_scalar_multiples_of_negated_points(corpus_curves):

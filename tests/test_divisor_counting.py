@@ -410,6 +410,26 @@ def test_points_equal_brute_force_on_seeded_curves():
     assert kinds == {"char 2, a1 != 0", "char 2, a1 = 0", "char 3"}
 
 
+def test_contains_equals_brute_force_on_every_pair():
+    kinds = set()
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        if q % 2 == 0:
+            curves = _seeded_curves(q, 2, 5, a1_zero=False) + _seeded_curves(q, 2, 6, a1_zero=True)
+        else:
+            curves = _seeded_curves(q, 3, 7)
+        for e in curves:
+            a = e.coefficient_indices()
+            on = set(reference_affine_points(e.spec, a))
+            assert e.contains(CurvePoint.infinity())
+            for x, y in itertools.product(range(q), repeat=2):
+                assert e.contains(CurvePoint(x, y)) == ((x, y) in on), (q, a, x, y)
+            if q % 2 == 0:
+                kinds.add("char 2, a1 != 0" if a[0] else "char 2, a1 = 0")
+            elif q % 3 == 0:
+                kinds.add("char 3")
+    assert kinds == {"char 2, a1 != 0", "char 2, a1 = 0", "char 3"}
+
+
 def test_char_2_with_a1_has_one_x_with_b_zero():
     # b = a1 x + a3 vanishes at exactly x = a3 / a1, where y is the single
     # square root of c

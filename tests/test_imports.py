@@ -1,6 +1,7 @@
 """Every top-level import in ``src/zetacode`` and ``tests`` is read by its
-module, every import in ``src/zetacode`` is top-level, and every
-module-level private name of ``src/zetacode`` is read somewhere in
+module, every import in ``src/zetacode`` is top-level, and every private
+name of ``src/zetacode``, at module level or as a method, property or
+cached property of a module-level class, is read somewhere in
 ``src/zetacode``.
 
 No linter ships with the project, so these stdlib-``ast`` checks catch an
@@ -98,11 +99,23 @@ def test_checker_flags_nested_imports():
     assert nested_imports(source) == ["line 3: fractions", "line 6: math", "line 8: sys"]
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_definitions(source: str) -> dict[str, int]:
-    """Module-level names with one leading underscore that ``source`` binds
-    by def, class or assignment, with their lines."""
+    """Names with one leading underscore that ``source`` binds at module
+    level by def, class or assignment, and methods, properties and cached
+    properties of its module-level classes as ``Class._name``, with their
+    lines."""
     found = {}
     for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found.update(
+                (f"{node.name}.{item.name}", item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(item.name)
+            )
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -110,37 +123,41 @@ def private_definitions(source: str) -> dict[str, int]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        found.update(
-            (name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__")
-        )
+        found.update((name, node.lineno) for name in names if _is_private(name))
     return found
 
 
 def names_read(source: str) -> set[str]:
     """The names ``source`` loads, reads as attributes or imports.  A
-    top-level function that calls itself does not read its own name."""
+    top-level function or a method that calls itself does not read its
+    own name."""
     read = set()
-    for stmt in ast.parse(source).body:
-        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+
+    def visit(node, own):
+        if own is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != own:
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), None)
     return read
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: line: name`` for each module-level private name that no
-    source reads."""
+    """``module: line: name`` for each private name that no source reads;
+    a method is read as an attribute of any object."""
     read = set().union(*map(names_read, sources.values()))
     return sorted(
         f"{module}: line {line}: {name}"
         for module, source in sources.items()
         for name, line in private_definitions(source).items()
-        if name not in read
+        if name.rpartition(".")[2] not in read
     )
 
 
@@ -165,3 +182,28 @@ def test_checker_flags_unread_private_names():
         "b.py": "from .a import _helper\nimport a\nprint(_helper(), a._Box)\n",
     }
     assert unread_private_names(sources) == ["a.py: line 2: _left", "a.py: line 4: _walk"]
+
+
+def test_checker_flags_unread_private_methods():
+    sources = {
+        "a.py": (
+            "from functools import cached_property\n"
+            "class Curve:\n"
+            "    def _used(self):\n"
+            "        return 1\n"
+            "    def _walk(self, n):\n"
+            "        return self._walk(n - 1) if n else self._used()\n"
+            "    @property\n"
+            "    def _size(self):\n"
+            "        return 2\n"
+            "    @cached_property\n"
+            "    def _points(self):\n"
+            "        return {}\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def public(self):\n"
+            "        return 0\n"
+        ),
+        "b.py": "def count(curve):\n    return len(curve._points)\n",
+    }
+    assert unread_private_names(sources) == ["a.py: line 5: Curve._walk", "a.py: line 8: Curve._size"]
