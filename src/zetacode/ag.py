@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import GF, FieldSpec
+from .gf import GF, FieldSpec, check_int
 from .linear_code import (
     BudgetExceededError,
     LinearCode,
@@ -56,6 +56,10 @@ class CurvePoint:
 
     x: int | None
     y: int | None
+
+    def __post_init__(self):
+        if (self.x is None) != (self.y is None):
+            raise ValueError("a point has both coordinates or neither (the point at infinity)")
 
     @classmethod
     def infinity(cls) -> "CurvePoint":
@@ -106,7 +110,10 @@ class LinePoint:
 def _in_field(spec: FieldSpec, *indices) -> bool:
     # plain ints only: a bool, a float or a numpy integer would hash like
     # an index, and numpy reads a bool index as a mask
-    return all(type(i) is int and 0 <= i < spec.q for i in indices)
+    try:
+        return all(0 <= check_int(i, "index") < spec.q for i in indices)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -121,15 +128,15 @@ class EllipticCurve:
     a6: int
 
     def __post_init__(self):
-        if not _in_field(self.spec, *self.coefficient_indices()):
-            raise ValueError(f"curve coefficient out of range for GF({self.spec.q})")
+        for c in self.coefficient_indices():
+            if not 0 <= check_int(c, "curve coefficient") < self.spec.q:
+                raise ValueError(f"curve coefficient out of range for GF({self.spec.q})")
         if self.discriminant() == 0:
             raise ValueError("singular curve: discriminant is zero")
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, coeffs) -> "EllipticCurve":
-        a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
-        return cls(spec, a1, a2, a3, a4, a6)
+        return cls(spec, *coeffs)
 
     def coefficient_indices(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -180,7 +187,7 @@ def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
     b = a1 x + a3 and c = x^3 + a2 x^2 + a4 x + a6, solved for every x at
     once from one root table of the field.
     """
-    a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
+    a1, a2, a3, a4, a6 = coeffs
     q = spec.q
     tab = spec.tables
     mul, add, neg = tab.mul, tab.add, tab.neg
@@ -338,9 +345,7 @@ class Divisor:
         acc: dict = {}
         pairs = items.items() if isinstance(items, dict) else items
         for point, mult in pairs:
-            mult = int(mult)
-            if mult:
-                acc[point] = acc.get(point, 0) + mult
+            acc[point] = acc.get(point, 0) + check_int(mult, "multiplicity")
         cleaned = [(p, m) for p, m in acc.items() if m]
         cleaned.sort(key=lambda pm: pm[0].sort_key())
         return cls(tuple(cleaned))
@@ -389,8 +394,9 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
     equation.  Non-integer intermediate coefficients mean the counts are
     not those of a curve, and raise.
     """
-    counts = [int(c) for c in counts]
-    if g < 0:
+    check_int(q, "field order")
+    counts = [check_int(c, "point count") for c in counts]
+    if check_int(g, "genus") < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
     if len(counts) != g:
         raise ValueError(f"need exactly g = {g} point counts, got {len(counts)}")
@@ -430,25 +436,19 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
     n = len(alphas)
     if len(multipliers) != n:
         raise ValueError(f"need {n} column multipliers, got {len(multipliers)}")
-    if not 1 <= k <= n:
+    if not 1 <= check_int(k, "k") <= n:
         raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    idx_alpha = []
     for a in alphas:
-        a = int(a)
-        if not 0 <= a < spec.q:
+        if not 0 <= check_int(a, "evaluation point") < spec.q:
             raise ValueError(f"evaluation point {a} out of range for GF({spec.q})")
-        idx_alpha.append(a)
-    if len(set(idx_alpha)) != n:
+    if len(set(alphas)) != n:
         raise ValueError("repeated evaluation points")
-    idx_v = []
     for v in multipliers:
-        v = int(v)
-        if not 0 < v < spec.q:
+        if not 0 < check_int(v, "column multiplier") < spec.q:
             raise ValueError(f"column multiplier {v} is not a nonzero element of GF({spec.q})")
-        idx_v.append(v)
     # row i + 1 is row i times the alphas, one gather from the mul table
-    mul, alpha = spec.tables.mul, np.array(idx_alpha)
-    rows = [np.array(idx_v)]
+    mul, alpha = spec.tables.mul, np.array(alphas)
+    rows = [np.array(multipliers)]
     for _ in range(k - 1):
         rows.append(mul[rows[-1], alpha])
     return LinearCode(Matrix(spec, np.array(rows)))
@@ -493,7 +493,7 @@ def elliptic_code(
         if p in seen:
             raise ValueError(f"repeated evaluation point {p}")
         seen.add(p)
-    if not 1 <= k < n:
+    if not 1 <= check_int(k, "k") < n:
         raise ValueError(f"need 1 <= k < n = {n}, got k = {k}")
     # x^i y^j with j <= 1: powers of x by repeated gathers from the mul table
     xs = np.array([p.x for p in eval_points], dtype=np.int64)
@@ -521,8 +521,7 @@ def elliptic_distribution_from_amin(
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    a_min = int(a_min)
-    if a_min <= 0:
+    if check_int(a_min, "minimum-weight count") <= 0:
         raise ValueError(f"minimum-weight count must be positive, got {a_min}")
     return solve_macwilliams(n, k, q, n - k, k, [a_min])
 
@@ -625,7 +624,7 @@ def fiber_counts(
     else:
         per_class = [(q ** (k + 1) - 1) // (q - 1) for k in range(m + 1)]
         total = per_class[m]
-    if total > budget:
+    if total > check_int(budget, "budget"):
         raise BudgetExceededError(f"effective-divisor enumeration exceeded budget {budget}")
     # coefficients of hist(y) in powers of (y - 1)
     coeffs = [per_class[m - t] * comb(n, t) for t in range(m + 1)]

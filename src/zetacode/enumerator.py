@@ -26,14 +26,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
+from .gf import check_int
 from .linear_code import WeightDistribution
 
 
 def _exact(coeffs) -> tuple[list[int], int]:
     """Ints and Fractions (reduced) over their least common denominator."""
     for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+        if not isinstance(c, Fraction):
+            check_int(c, "a coefficient that is not a Fraction")
     den = lcm(*(c.denominator for c in coeffs))
     if den == 1:
         return [c.numerator for c in coeffs], 1
@@ -91,7 +92,7 @@ class WeightEnumerator(_ExactPolynomial):
     den: int = field(init=False)
 
     def __init__(self, n: int, coeffs):
-        if len(coeffs) != n + 1:
+        if len(coeffs) != check_int(n, "n") + 1:
             raise ValueError(f"need {n + 1} coefficients, got {len(coeffs)}")
         self._set(*_exact(coeffs), n=n)
 
@@ -154,7 +155,7 @@ def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     The expansion is kept on ``enum``, so every later call with the same
     enumerator and q returns the same object without recomputing it.
     """
-    if q < 2:
+    if check_int(q, "q") < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     sub = enum._transforms.get(q)
     if sub is None:
@@ -211,7 +212,7 @@ def macwilliams_dual(enum: WeightEnumerator, q: int, k: int) -> WeightEnumerator
     The result may have negative coefficients when the input is only a
     virtual enumerator.
     """
-    if not 0 <= k <= enum.n:
+    if not 0 <= check_int(k, "k") <= enum.n:
         raise ValueError(f"dimension k={k} out of range for length {enum.n}")
     sub = macwilliams_substitute(enum, q)
     return WeightEnumerator._over(sub.nums, sub.den * q**k, n=enum.n)
@@ -265,11 +266,11 @@ def mds_enumerator(n: int, d: int, q: int) -> WeightEnumerator:
     d = n is rejected: the MDS basis used for zeta expansion skips that
     slot, and no op needs it publicly.
     """
-    if q < 2:
+    if check_int(q, "q") < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise ValueError(f"length n must be >= 1, got n={n}")
-    if d == n:
+    if check_int(d, "d") == n:
         raise ValueError(f"d = n = {n} is excluded from the MDS enumerator basis")
     if not (1 <= d <= n - 1 or d == n + 1):
         raise ValueError(f"need 1 <= d <= n-1 or d = n+1, got d={d}, n={n}")
@@ -292,6 +293,8 @@ def solve_macwilliams(
     bound and no knowns are needed; the then-redundant top equation is
     still validated.  Inconsistent inputs raise instead of being clamped.
     """
+    for name, value in (("n", n), ("k", k), ("q", q), ("d", d), ("d_dual", d_dual)):
+        check_int(value, name)
     if d < 1 or d_dual < 1 or d > n + 1:
         raise ValueError(f"bad distance parameters d={d}, d_dual={d_dual}")
     expected = max(0, n - d_dual - d + 1)
@@ -307,8 +310,7 @@ def solve_macwilliams(
         )
     counts = [1] + [0] * (d - 1)  # A_i at index i; A_top is appended in turn
     for off, a in enumerate(knowns):
-        a = int(a)
-        if a < 0:
+        if check_int(a, f"known count A_{d + off}") < 0:
             raise ValueError(f"known count A_{d + off} = {a} is negative")
         counts.append(a)
     for l in range(d_dual - 1, -1, -1):

@@ -18,7 +18,6 @@ they can be shared between threads without locking.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +26,14 @@ import numpy as np
 MAX_ORDER = 1024  # largest field order GF accepts
 
 _FIELDS: dict[int, "FieldSpec"] = {}  # q -> the interned GF(q)
+
+
+def check_int(value, name: str) -> int:
+    """``value`` if it is a plain int, the one kind of integer the package
+    takes; anything else (bool, numpy integer, ...) is a TypeError naming ``name``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+    return value
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -110,10 +117,9 @@ class FieldSpec:
 
     def element(self, index: int) -> int:
         """The range-checked index of one element of this field."""
-        i = operator.index(index)
-        if not 0 <= i < self.q:
+        if not 0 <= check_int(index, "index") < self.q:
             raise ValueError(f"index {index} out of range for GF({self.q})")
-        return i
+        return index
 
     # -- index arithmetic ------------------------------------------------
 
@@ -279,7 +285,7 @@ def GF(q: int) -> FieldSpec:
     count up from 0; the search is deterministic, so element encodings are
     stable across runs.
     """
-    spec = _FIELDS.get(q)
+    spec = _FIELDS.get(check_int(q, "field order"))
     if spec is None:
         p, m = _prime_power(q)
         if q > MAX_ORDER:

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .gf import GF, FieldSpec
+from .gf import GF, FieldSpec, check_int
 
 DEFAULT_BUDGET = 2**24
 _CELLS = 1 << 20  # coordinate comparisons per block of high words
@@ -39,23 +39,26 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class Matrix:
     """A dense matrix over one field: a read-only (rows, cols) int64 array
-    of element indices."""
+    of element indices, copied from an integer array (any other dtype is refused)."""
 
     spec: FieldSpec
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.int64)
+        arr = np.asarray(self.array)
+        if arr.dtype.kind not in "iu":
+            raise TypeError(f"matrix indices must have an integer dtype, got {arr.dtype}")
         if arr.ndim != 2:
             raise ValueError(f"matrix needs a 2-D index array, got {arr.ndim}-D")
         if arr.size and (arr.min() < 0 or arr.max() >= self.spec.q):
             raise ValueError(f"matrix index out of range for GF({self.spec.q})")
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, rows_of_indices) -> "Matrix":
-        rows = [list(r) for r in rows_of_indices]
+        rows = [[check_int(x, "matrix index") for x in r] for r in rows_of_indices]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")

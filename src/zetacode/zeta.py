@@ -31,6 +31,7 @@ import numpy as np
 
 from .enumerator import WeightEnumerator, _exact, _ExactPolynomial, _over_one_denominator
 from .enumerator import macwilliams_substitute
+from .gf import check_int
 
 _F0 = Fraction(0)
 
@@ -127,7 +128,7 @@ def _source_parameters(enum: WeightEnumerator, q: int, dimension: int | None):
             "the enumerator's MacWilliams transform has a weight-one term "
             "(dual distance 1), so no zeta polynomial exists"
         )
-    k = _infer_dimension(enum, q) if dimension is None else int(dimension)
+    k = _infer_dimension(enum, q) if dimension is None else check_int(dimension, "dimension")
     return d, d_dual, k
 
 
@@ -521,8 +522,9 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
     r = len(c) - 1
     if r == 0:
         return RhVerdict(True, (), 0.0, tol, ())
-    if c[-1] == 0.0:
-        raise ValueError(f"the coefficient of T^{r} is outside float range")
+    for j in (r, 0):  # a nonzero end coefficient that rounds to 0
+        if nums[j] and c[j] == 0.0:
+            raise ValueError(f"the coefficient of T^{j} is outside float range")
     monic = [ci / c[-1] for ci in c]  # ascending, monic[-1] == 1
     for j, m in enumerate(monic):
         if math.isinf(m):

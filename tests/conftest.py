@@ -8,6 +8,16 @@ from zetacode import enumerator, linear_code
 from zetacode.gf import GF
 from zetacode.linear_code import LinearCode, Matrix
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property modules skip themselves
+    pass
+else:
+    # every property is reproducible and independent of earlier runs; each
+    # states only its own example count and health checks
+    settings.register_profile("zetacode", deadline=None, derandomize=True, database=None)
+    settings.load_profile("zetacode")
+
 CORPUS_QS = (2, 3, 4, 5, 7, 8, 9)
 
 

@@ -799,6 +799,16 @@ def test_exit_code_internal_error(capsys, hamming_file, monkeypatch):
     assert run_with_err(capsys, ["zeta", hamming_file]) == (3, "", "internal error: boom\n")
 
 
+def test_an_internal_division_by_zero_is_exit_3(capsys, hamming_file, monkeypatch):
+    # exit 1 means invalid input; a division by zero inside a command is a fault
+    def divide(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr(zeta, "zeta_from_chinen", divide)
+    rc_out_err = run_with_err(capsys, ["zeta", hamming_file])
+    assert rc_out_err == (3, "", "internal error: division by zero\n")
+
+
 def test_env_budget_override(capsys, hamming_file, monkeypatch):
     monkeypatch.setenv("ZETACODE_BUDGET", "4")
     rc, _ = run(capsys, ["wdist", hamming_file])

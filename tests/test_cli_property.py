@@ -137,8 +137,7 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_property") / "input.txt"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_every_command_exits_0_1_or_2_without_internal_error(input_path, case):
     argv, text = case
@@ -218,8 +217,7 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
@@ -275,7 +273,7 @@ def _outcome(parse, text):
         return f"ValueError: {exc}"
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.booleans().flatmap(matrix_text))
 def test_matrix_parse_matches_token_loop(text):
     assert _outcome(parse_matrix_text, text) == _outcome(_parse_by_tokens, text)

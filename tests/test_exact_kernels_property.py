@@ -49,8 +49,7 @@ coefficients = st.one_of(
     st.integers(-(2**200), 2**200),
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
 )
-SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite

@@ -54,7 +54,7 @@ def _outcome(count, curve, G, D, budget):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(fiber_cases())
 def test_closed_form_matches_divisor_dp(case):

@@ -71,6 +71,8 @@ RH_PROSE = {
     "zetacode rh --q 2 -- 1 -1/2": (0, ""),
     "rh --q 2 1 1e-400": (1, "error: the coefficient of T^1 is outside float range\n"),
     "rh --q 4 -- -3 1e210 9e9": (1, "error: a root's size to the power 2 is outside float range\n"),
+    "rh --q 1048576 -- 1e-330 0 0 0 1099511627776e-330":
+        (1, "error: the coefficient of T^0 is outside float range\n"),
 }
 
 

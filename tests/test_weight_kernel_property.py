@@ -36,7 +36,7 @@ def small_codes(draw) -> LinearCode:
         assume(False)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+@settings(max_examples=60,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(small_codes())
 def test_kernel_matches_reference_and_distance_oracle(c):
@@ -62,8 +62,7 @@ def matrices(draw) -> tuple:
     return spec, rows
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices())
 def test_rref_matches_reference(case):
     assert_rref_matches_reference(*case)
