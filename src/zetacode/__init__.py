@@ -2,12 +2,7 @@
 and algebraic-geometry codes of genus 0 and 1."""
 
 from .gf import GF, FieldSpec
-from .linear_code import (
-    BudgetExceededError,
-    LinearCode,
-    Matrix,
-    WeightDistribution,
-)
+from .linear_code import BudgetExceededError, LinearCode, Matrix
 from .enumerator import WeightEnumerator
 from .zeta import RhVerdict, ZetaPolynomial
 from .ag import CurvePoint, CurveZeta, Divisor, EllipticCurve, ProjectiveLine
@@ -20,7 +15,6 @@ __all__ = [
     "BudgetExceededError",
     "LinearCode",
     "Matrix",
-    "WeightDistribution",
     "WeightEnumerator",
     "RhVerdict",
     "ZetaPolynomial",

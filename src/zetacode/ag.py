@@ -30,13 +30,8 @@ from math import comb
 import numpy as np
 
 from .gf import GF, FieldSpec, check_int
-from .linear_code import (
-    BudgetExceededError,
-    LinearCode,
-    Matrix,
-    WeightDistribution,
-)
-from .enumerator import solve_macwilliams
+from .linear_code import BudgetExceededError, LinearCode, Matrix
+from .enumerator import WeightEnumerator, solve_macwilliams
 from .zeta import RhVerdict, functional_equation_holds, roots_on_circle_verdict
 
 DEFAULT_FIBER_BUDGET = 10**6
@@ -418,7 +413,7 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
 def within_hasse_bound(q: int, n1: int) -> bool:
     """|N_1 - q - 1| <= 2 sqrt(q) for a genus-1 curve, tested exactly as
     (N_1 - q - 1)^2 <= 4q."""
-    return (n1 - q - 1) ** 2 <= 4 * q
+    return (check_int(n1, "point count") - check_int(q, "field order") - 1) ** 2 <= 4 * q
 
 
 def curve_rh(z: CurveZeta, tol: float = 1e-8) -> RhVerdict:
@@ -510,7 +505,7 @@ def elliptic_code(
 
 def elliptic_distribution_from_amin(
     n: int, k: int, q: int, a_min: int
-) -> WeightDistribution:
+) -> WeightEnumerator:
     """Full weight distribution of an [n, k, n-k]_q elliptic-type code.
 
     Only the minimum-weight count is free: the dual is an [n, n-k, k]
@@ -532,6 +527,8 @@ def amin_coprime(n: int, k: int, q: int) -> int:
     Applies to a non-MDS code evaluated at all n rational points with a
     pole divisor of degree k supported away from them.
     """
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        check_int(value, name)
     if math.gcd(k, n) != 1:
         raise ValueError(f"requires gcd(k, n) = 1, got k={k}, n={n}")
     val = Fraction((q - 1) * comb(n, k), n)
@@ -546,6 +543,8 @@ def amin_onepoint(n: int, k: int, q: int) -> int:
     Requires k! coprime to n + 1 (the number of rational points) and a
     non-MDS code; the count is (q-1)/(n+1) (C(n, k) + (-1)^k n).
     """
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        check_int(value, name)
     if any(math.gcd(i, n + 1) != 1 for i in range(2, k + 1)):
         raise ValueError(f"requires gcd(k!, n+1) = 1, got k={k}, n+1={n + 1}")
     val = Fraction((q - 1) * (comb(n, k) + (-1) ** k * n), n + 1)
@@ -639,20 +638,23 @@ def fiber_counts(
 # -- binomial-moment coefficients of AG codes ------------------------------
 
 
-def bl_coefficients(dist: WeightDistribution, m: int) -> list[int]:
+def bl_coefficients(dist: WeightEnumerator, m: int) -> list[int]:
     """Coefficients B_l of the expansion x^n + sum_l B_l (x-y)^l y^(n-l).
 
     Defined for distributions with d >= n - m (true for any code evaluated
     from a pole divisor of degree m):  B_l = sum_{i=n-m}^{n-l} C(n-i, l) A_i.
+    ``dist`` holds the counts A_i, so its denominator is 1.
     """
     n = dist.n
-    if not 0 <= m <= n:
+    if dist.den != 1:
+        raise ValueError(f"a weight distribution has integer counts, got denominator {dist.den}")
+    if not 0 <= check_int(m, "m") <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
     d = dist.min_distance
     if d is not None and d < n - m:
         raise ValueError(f"distribution has weight {d} below n - m = {n - m}")
     return [
-        sum(comb(n - i, l) * dist.counts[i] for i in range(n - m, n - l + 1))
+        sum(comb(n - i, l) * dist.nums[i] for i in range(n - m, n - l + 1))
         for l in range(m + 1)
     ]
 
@@ -664,21 +666,18 @@ def bl_bounds(n: int, m: int, g: int, q: int) -> list[tuple[int, int]]:
     indices only admit the interval
     [max(0, C(n,l)(q^(m-l-g+1) - 1)), C(n,l)(q^(floor((m-l)/2)+1) - 1)].
     """
+    for name, value in (("n", n), ("m", m), ("g", g), ("q", q)):
+        check_int(value, name)
     if g < 0 or m < 0:
         raise ValueError("need g >= 0 and m >= 0")
     out = []
     for l in range(m + 1):
-        base = Fraction(q) ** (m - l - g + 1) - 1
+        e = m - l - g + 1  # e >= g >= 0 wherever the bound is exact
+        lo = comb(n, l) * (q**e - 1) if e >= 0 else 0
         if l <= m - 2 * g + 1:
-            v = comb(n, l) * base
-            if v.denominator != 1:
-                raise RuntimeError("exact bound is not an integer")
-            out.append((v.numerator, v.numerator))
+            out.append((lo, lo))
         else:
-            lo = comb(n, l) * base
-            lo_int = max(0, math.ceil(lo))
-            hi = comb(n, l) * (q ** ((m - l) // 2 + 1) - 1)
-            out.append((lo_int, hi))
+            out.append((lo, comb(n, l) * (q ** ((m - l) // 2 + 1) - 1)))
     return out
 
 

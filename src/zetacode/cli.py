@@ -139,29 +139,29 @@ def _zeta_block(p: zeta.ZetaPolynomial, verdict: zeta.RhVerdict) -> dict:
 
 
 def _code_summary(code: LinearCode, budget: int):
-    """Report fields, distribution and enumerator of a code from whichever
-    of it and its dual has fewer words (the code on a tie), plus the dual's
-    enumerator, with its transform, if that side was enumerated, else None."""
+    """Report fields and weight distribution (an enumerator) of a code from
+    whichever of it and its dual has fewer words (the code on a tie), plus
+    the dual's distribution, with its transform, if that side was
+    enumerated, else None.  A transformed distribution with a fraction or
+    a negative count is an internal error."""
     q, n, k = code.spec.q, code.n, code.k
     if 0 < n - k < k:
-        dual_enum = enumerator.from_distribution(
-            linear_code.weight_distribution(linear_code.dual(code), budget)
-        )
+        dual_enum = linear_code.weight_distribution(linear_code.dual(code), budget)
         enum = enumerator.macwilliams_dual(dual_enum, q, n - k)
-        dist = enumerator.to_distribution(enum)
+        if enum.den != 1 or min(enum.nums) < 0:
+            raise RuntimeError("the dual's MacWilliams transform is not a count vector")
     else:
-        dist = linear_code.weight_distribution(code, budget)
-        enum, dual_enum = enumerator.from_distribution(dist), None
-    d = dist.min_distance
+        enum, dual_enum = linear_code.weight_distribution(code, budget), None
+    d = enum.min_distance
     summary = {
         "q": q,
         "n": n,
         "k": k,
         "d": d,
         "genus": n + 1 - k - d,
-        "distribution": list(dist.counts),
+        "distribution": list(enum.nums),
     }
-    return summary, dist, enum, dual_enum
+    return summary, enum, dual_enum
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -170,11 +170,11 @@ def _code_summary(code: LinearCode, budget: int):
 def _cmd_wdist(args, config: RunConfig) -> dict:
     budget = config.budget
     code = linear_code.parse_matrix_text(_read_text(args.matrix))
-    summary, dist, _, _ = _code_summary(code, budget)
+    summary, enum, _ = _code_summary(code, budget)
     q, k, n = code.spec.q, code.k, code.n
     checks = [
-        _check("zero_word_is_unique", dist.counts[0] == 1),
-        _check("counts_sum_to_q_pow_k", dist.total() == q**k),
+        _check("zero_word_is_unique", enum.nums[0] == 1),
+        _check("counts_sum_to_q_pow_k", enum.total() == q**k),
         _check("singleton_bound", summary["d"] <= n - k + 1),
     ]
     return {**summary, "checks": checks}
@@ -202,9 +202,9 @@ def _cmd_dual(args, config: RunConfig) -> dict:
         _check("dual_dimension_is_n_minus_k", dualc.k == code.n - code.k),
     ]
     if not dualc.is_zero and spec.q**dualc.k <= budget:
-        eq = linear_code.weight_distribution(dualc, budget).counts
+        eq = linear_code.weight_distribution(dualc, budget).nums
         if spec.q**code.k <= budget:
-            enum = enumerator.from_distribution(linear_code.weight_distribution(code, budget))
+            enum = linear_code.weight_distribution(code, budget)
             transform = enumerator.macwilliams_dual(enum, spec.q, code.k)
             matches = transform.den == 1 and transform.nums == eq
             checks.append(_check("macwilliams_transform_matches_dual_distribution", matches))
@@ -229,7 +229,7 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
             f"the zeta polynomial is undefined for the full space GF({code.spec.q})^{code.n}: "
             "its dual is the zero code"
         )
-    summary, _, enum, dual_enum = _code_summary(code, budget)
+    summary, enum, dual_enum = _code_summary(code, budget)
     out.update(summary)
     q = code.spec.q
     p_basis = zeta.zeta_from_mds_basis(enum, q, dimension=code.k)
@@ -391,12 +391,12 @@ def _cmd_grs(args, config: RunConfig) -> dict:
             f"the zeta polynomial is undefined for the full space GF({spec.q})^{n} "
             f"(k = n = {n}): its dual is the zero code"
         )
-    summary, dist, enum, _ = _code_summary(code, budget)
+    summary, enum, _ = _code_summary(code, budget)
     closed = enumerator._mds_coeffs(n, n + 1 - args.k, args.q)
     p = zeta.zeta_from_mds_basis(enum, args.q, dimension=args.k)
     checks = [
         _check("distance_meets_singleton_bound", summary["d"] == n - args.k + 1),
-        _check("distribution_matches_closed_form", closed == dist.counts),
+        _check("distribution_matches_closed_form", closed == enum.nums),
         _check("zeta_polynomial_is_one", p.nums == (1,) and p.den == 1),
     ]
     return {**summary, "generator_rows": code.gen.index_rows(), "checks": checks}
@@ -411,7 +411,7 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
     cz = ag.zeta_from_point_counts(q, 1, [n1])
     verdict = ag.curve_rh(cz, config.tol)
     code = ag.elliptic_code(curve, args.k, pts[1:])
-    summary, dist, _, _ = _code_summary(code, budget)
+    summary, enum, _ = _code_summary(code, budget)
     d = summary["d"]
     n = code.n
     checks = [
@@ -428,8 +428,8 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
         **summary,
     }
     if d == n - args.k:
-        rec = ag.elliptic_distribution_from_amin(n, args.k, q, dist.counts[d])
-        checks.append(_check("distribution_determined_by_minimum_count", rec == dist))
+        rec = ag.elliptic_distribution_from_amin(n, args.k, q, enum.nums[d])
+        checks.append(_check("distribution_determined_by_minimum_count", rec == enum))
     out["checks"] = checks
     return out
 

@@ -3,9 +3,10 @@
 A weight enumerator is the coefficient vector (f_0, ..., f_n) of a
 homogeneous degree-n polynomial sum f_i x^(n-i) y^i.  Coefficients are
 exact rationals throughout; nothing in this module touches floating
-point.  The same type carries code enumerators (nonnegative integers),
-virtual enumerators (arbitrary rationals with f_0 = 1), and the
-4-divisible sign-alternating enumerators used by the classifier.
+point.  The same type carries a code's weight distribution A_0 .. A_n
+(den = 1, nonnegative integers), virtual enumerators (arbitrary
+rationals with f_0 = 1), and the 4-divisible sign-alternating
+enumerators used by the classifier.
 
 Exact polynomials, here and in ``zeta``, are held one way: integer
 numerators ``nums`` over one denominator ``den``, in lowest terms, which
@@ -27,7 +28,6 @@ from functools import cached_property
 from math import comb, gcd, lcm
 
 from .gf import check_int
-from .linear_code import WeightDistribution
 
 
 def _exact(coeffs) -> tuple[list[int], int]:
@@ -132,21 +132,6 @@ class WeightEnumerator(_ExactPolynomial):
         for _ in range(e - 1):
             out = out * self
         return out
-
-
-def from_distribution(dist: WeightDistribution) -> WeightEnumerator:
-    """Homogenize a weight distribution into its enumerator."""
-    return WeightEnumerator._over(dist.counts, 1, n=dist.n)
-
-
-def to_distribution(enum: WeightEnumerator) -> WeightDistribution:
-    # in lowest terms every coefficient is an integer exactly when den = 1
-    for i, c in enumerate(enum.nums):
-        if c % enum.den or c < 0:
-            raise ValueError(
-                f"coefficient {Fraction(c, enum.den)} at index {i} is not a nonnegative integer"
-            )
-    return WeightDistribution(enum.n, enum.nums)
 
 
 def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
@@ -279,7 +264,7 @@ def mds_enumerator(n: int, d: int, q: int) -> WeightEnumerator:
 
 def solve_macwilliams(
     n: int, k: int, q: int, d: int, d_dual: int, knowns=()
-) -> WeightDistribution:
+) -> WeightEnumerator:
     """Complete a weight distribution from its low-weight counts.
 
     ``knowns`` supplies A_d .. A_(n - d_dual); the remaining counts
@@ -328,7 +313,7 @@ def solve_macwilliams(
                 f"inconsistent knowns: A_{top} would be negative ({val})"
             )
         counts.append(val)
-    return WeightDistribution(n, tuple(counts))
+    return WeightEnumerator._over(counts, 1, n=n)
 
 
 # -- enumerator text format ----------------------------------------------

@@ -26,6 +26,7 @@ from itertools import chain
 
 import numpy as np
 
+from .enumerator import WeightEnumerator
 from .gf import GF, FieldSpec, check_int
 
 DEFAULT_BUDGET = 2**24
@@ -177,30 +178,6 @@ class LinearCode:
         return f"LinearCode[n={self.n}, k={self.k}, q={self.spec.q}]"
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Exact counts (A_0, ..., A_n) of words of each Hamming weight."""
-
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative count in weight distribution")
-
-    @property
-    def min_distance(self) -> int | None:
-        for i in range(1, self.n + 1):
-            if self.counts[i]:
-                return i
-        return None
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 def _require_regular(code: LinearCode, what: str) -> None:
     if code.is_zero:
         raise ValueError(f"{what} is not defined for the zero code")
@@ -208,7 +185,7 @@ def _require_regular(code: LinearCode, what: str) -> None:
 
 def _check_budget(code: LinearCode, budget: int) -> None:
     q, k, n = code.spec.q, code.k, code.n
-    if q**k > budget:
+    if q**k > check_int(budget, "budget"):
         raise BudgetExceededError(f"[{n}, {k}]_{q} code has {q**k} words, over budget {budget}")
 
 
@@ -268,17 +245,18 @@ def _weight_blocks(code: LinearCode, budget: int):
         yield diff.sum(axis=0, dtype=wtype)
 
 
-def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exact weight counts by full enumeration of the q^k codewords."""
+def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    """Exact weight counts A_0 .. A_n, as the code's enumerator, by full
+    enumeration of the q^k codewords."""
     _require_regular(code, "the weight distribution")
     n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
     for weights in _weight_blocks(code, budget):
         counts += np.bincount(weights.ravel(), minlength=n + 1)
-    return WeightDistribution(n, tuple(int(c) for c in counts))
+    return WeightEnumerator._over(counts.tolist(), 1, n=n)
 
 
-def distance_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
+def distance_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Counts B_i over all ordered codeword pairs, divided by q^k.
 
     Enumerates the q^(2k) pairs directly (within budget); for a linear code
@@ -287,7 +265,7 @@ def distance_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Wei
     """
     _require_regular(code, "the distance distribution")
     q, k, n = code.spec.q, code.k, code.n
-    if q ** (2 * k) > budget:
+    if q ** (2 * k) > check_int(budget, "budget"):
         raise BudgetExceededError(f"q^2k = {q ** (2 * k)} exceeds budget {budget}")
     words = _codeword_matrix(code, budget)
     total = words.shape[0]
@@ -301,7 +279,7 @@ def distance_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Wei
         if c % total:
             raise RuntimeError("pair counts not divisible by q^k; code is not linear")
         out.append(c // total)
-    return WeightDistribution(n, tuple(out))
+    return WeightEnumerator._over(out, 1, n=n)
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

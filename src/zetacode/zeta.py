@@ -248,6 +248,7 @@ def functional_equation_holds(q: int, coeffs, sign: int = 1) -> bool:
     the zeta polynomial of a formally self-dual code; sign = -1 is its
     sign-flipped form, which formal weight enumerators satisfy.
     """
+    check_int(q, "q")
     if len(coeffs) % 2 == 0:
         return False
     g = (len(coeffs) - 1) // 2
@@ -507,6 +508,7 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
     is a ValueError naming it, and so is a root that overflows the
     residuals.
     """
+    check_int(q, "q")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
     nums, lcd = _exact(coeffs)

@@ -26,7 +26,6 @@ from zetacode.linear_code import (
     weight_distribution,
 )
 from zetacode.enumerator import (
-    from_distribution,
     macwilliams_dual,
     mds_enumerator,
 )
@@ -106,14 +105,14 @@ def shared_corpus() -> list[LinearCode]:
 
 def test_criterion_1_reference_examples_exact():
     t0 = time.monotonic()
-    ok_i2 = weight_distribution(code(2, I2)).counts == (1, 0, 1)
-    ok_tetra = weight_distribution(code(3, TETRA)).counts == (1, 0, 0, 8, 0)
+    ok_i2 = weight_distribution(code(2, I2)).nums == (1, 0, 1)
+    ok_tetra = weight_distribution(code(3, TETRA)).nums == (1, 0, 0, 8, 0)
     c10 = code(2, FSD10)
     d10 = dual(c10)
     expected = (1, 0, 0, 0, 15, 0, 15, 0, 0, 0, 1)
     ok_10 = (
-        weight_distribution(c10).counts == expected
-        and weight_distribution(d10).counts == expected
+        weight_distribution(c10).nums == expected
+        and weight_distribution(d10).nums == expected
         and not is_self_dual(c10)
         and is_formally_self_dual(c10)
     )
@@ -128,7 +127,7 @@ def test_criterion_1_reference_examples_exact():
 def test_criterion_2_extended_hamming_zeta():
     t0 = time.monotonic()
     c = code(2, HAMMING8)
-    enum = from_distribution(weight_distribution(c))
+    enum = weight_distribution(c)
     expected = (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     p1 = zeta_from_mds_basis(enum, 2)
     p2 = zeta_from_chinen(enum, 2)
@@ -157,11 +156,11 @@ def test_criterion_3_macwilliams_oracle_sweep(shared_corpus):
     for c in shared_corpus:
         q = c.spec.q
         d = dual(c)
-        lhs = macwilliams_dual(from_distribution(weight_distribution(c, budget)), q, c.k)
+        lhs = macwilliams_dual(weight_distribution(c, budget), q, c.k)
         if d.is_zero:
             ok = [int(x) for x in lhs.coeffs] == [1] + [0] * c.n
         else:
-            rhs = from_distribution(weight_distribution(d, budget))
+            rhs = weight_distribution(d, budget)
             ok = lhs.coeffs == rhs.coeffs
         assert ok, f"MacWilliams mismatch on [{c.n},{c.k}]_{q}"
         checked += 1
@@ -181,13 +180,12 @@ def test_criterion_4_duursma_theorem_suite(shared_corpus):
         dc = dual(c)
         if dc.is_zero:
             continue
-        wd = weight_distribution(c, budget)
-        wdd = weight_distribution(dc, budget)
-        d = wd.min_distance
-        d_dual = wdd.min_distance
+        enum = weight_distribution(c, budget)
+        enum_dual = weight_distribution(dc, budget)
+        d = enum.min_distance
+        d_dual = enum_dual.min_distance
         if d_dual is None or d_dual < 2:
             continue  # degenerate
-        enum = from_distribution(wd)
         p = zeta_from_mds_basis(enum, q, dimension=c.k)
         p_chinen = zeta_from_chinen(enum, q, dimension=c.k)
         assert p.coeffs == p_chinen.coeffs
@@ -195,7 +193,6 @@ def test_criterion_4_duursma_theorem_suite(shared_corpus):
         assert p.evaluate(1) == 1
         assert corollary_ad_check(p, enum)
         if d >= 2:
-            enum_dual = from_distribution(wdd)
             p_dual = zeta_from_mds_basis(enum_dual, q, dimension=dc.k)
             assert functional_dual(p).coeffs == p_dual.coeffs
         checked += 1
@@ -217,8 +214,8 @@ def test_criterion_5_mds_suite():
                 expected = [1] + [0] * (q - 1) + [q - 1]
             else:
                 expected = [int(x) for x in mds_enumerator(q, q - k + 1, q).coeffs]
-            assert list(wd.counts) == expected
-            p = zeta_from_mds_basis(from_distribution(wd), q, dimension=k)
+            assert list(wd.nums) == expected
+            p = zeta_from_mds_basis(wd, q, dimension=k)
             assert p.coeffs == (1,)
             checked += 1
         if q >= 5:  # proper subsets of the evaluation points
@@ -227,7 +224,7 @@ def test_criterion_5_mds_suite():
             wd = weight_distribution(c)
             n = len(alphas)
             assert wd.min_distance == n - 1
-            assert list(wd.counts) == [
+            assert list(wd.nums) == [
                 int(x) for x in mds_enumerator(n, n - 1, q).coeffs
             ]
             checked += 1
@@ -303,13 +300,13 @@ def test_criterion_7_elliptic_suite():
             assert d in (n - k, n - k + 1)
             codes_checked += 1
             if d == n - k and k >= 1:
-                rec = elliptic_distribution_from_amin(n, k, q, wd.counts[d])
+                rec = elliptic_distribution_from_amin(n, k, q, wd.nums[d])
                 assert rec == wd
                 nonmds_checked += 1
             if 2 <= k <= kmax:
                 g_div = Divisor.of({o: k})
                 got = fiber_counts(e, g_div, pts[1:])
-                assert list(got) == [wd.counts[n - i] for i in range(k + 1)]
+                assert list(got) == [wd.nums[n - i] for i in range(k + 1)]
                 fiber_checked += 1
     elapsed = time.monotonic() - t0
     verdict(

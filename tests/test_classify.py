@@ -40,7 +40,7 @@ def test_w12_constant():
 
 def test_w8_is_the_extended_hamming_enumerator():
     c = LinearCode(Matrix.from_indices(GF(2), HAMMING8))
-    assert tuple(int(x) for x in w8().coeffs) == weight_distribution(c).counts
+    assert tuple(int(x) for x in w8().coeffs) == weight_distribution(c).nums
 
 
 # -- type classification ------------------------------------------------------

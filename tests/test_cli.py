@@ -204,14 +204,11 @@ def test_code_commands_row_reduce_each_input_once(cmd, unit_corpus, rref_calls, 
 def test_code_summary_matches_brute_force(unit_corpus):
     codes = list(unit_corpus) + [linear_code.dual(c) for c in unit_corpus] + [_hamming7()]
     for code in codes:
-        summary, dist, enum, dual_enum = cli._code_summary(code, linear_code.DEFAULT_BUDGET)
-        assert dist == linear_code.weight_distribution(code)
-        assert summary["distribution"] == list(dist.counts)
-        assert enum == enumerator.from_distribution(dist)
+        summary, enum, dual_enum = cli._code_summary(code, linear_code.DEFAULT_BUDGET)
+        assert enum == linear_code.weight_distribution(code)
+        assert summary["distribution"] == list(enum.nums)
         if dual_enum is not None:
-            assert enumerator.to_distribution(dual_enum) == linear_code.weight_distribution(
-                linear_code.dual(code)
-            )
+            assert dual_enum == linear_code.weight_distribution(linear_code.dual(code))
 
 
 @pytest.fixture()
@@ -380,19 +377,34 @@ def test_budget_error_names_the_code_enumerated(capsys, tmp_path):
         assert err == "error: [20, 4]_2 code has 16 words, over budget 10\n"
 
 
-def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
+def _macwilliams_off_by_half(monkeypatch, index):
+    """Make every MacWilliams transform add 1/2 to its coefficient ``index``."""
     exact = enumerator.macwilliams_dual
 
     def off_by_half(enum, q, k):
-        out = exact(enum, q, k)
-        coeffs = list(out.coeffs)
-        coeffs[4] += Fraction(1, 2)  # 29/2 must not pass for 14
-        return enumerator.WeightEnumerator(out.n, tuple(coeffs))
+        coeffs = list(exact(enum, q, k).coeffs)
+        coeffs[index] += Fraction(1, 2)
+        return enumerator.WeightEnumerator(enum.n, tuple(coeffs))
 
     monkeypatch.setattr(enumerator, "macwilliams_dual", off_by_half)
+
+
+def test_dual_macwilliams_check_is_exact(capsys, hamming_file, monkeypatch):
+    _macwilliams_off_by_half(monkeypatch, 4)  # 29/2 must not pass for 14
     payload = run_json(capsys, ["dual", hamming_file])
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks["macwilliams_transform_matches_dual_distribution"] is False
+
+
+def test_a_broken_macwilliams_transform_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # the [4, 3] parity code has n - k < k, so its distribution is the
+    # transform of its dual's; a count of 1/2 there is the program's fault
+    path = tmp_path / "parity.txt"
+    path.write_text("2 4 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
+    _macwilliams_off_by_half(monkeypatch, 1)
+    rc, out, err = run_with_err(capsys, ["wdist", str(path)])
+    assert (rc, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal error: the dual's MacWilliams transform is not a count vector\n"
 
 
 def test_dual_builds_each_gram_product_once(capsys, hamming_file, monkeypatch):

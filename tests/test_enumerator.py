@@ -7,20 +7,14 @@ import pytest
 
 from zetacode.enumerator import (
     WeightEnumerator,
-    from_distribution,
     is_virtually_self_dual,
     macwilliams_dual,
     macwilliams_substitute,
     mds_enumerator,
     parse_enumerator_text,
     solve_macwilliams,
-    to_distribution,
 )
-from zetacode.linear_code import (
-    WeightDistribution,
-    dual,
-    weight_distribution,
-)
+from zetacode.linear_code import dual, weight_distribution
 
 
 def enum(n, coeffs):
@@ -30,18 +24,12 @@ def enum(n, coeffs):
 # -- construction -------------------------------------------------------------
 
 
-def test_from_distribution():
-    assert from_distribution(WeightDistribution(2, (1, 0, 1))).coeffs == (1, 0, 1)
-    assert from_distribution(WeightDistribution(4, (1, 0, 0, 8, 0))).coeffs == (1, 0, 0, 8, 0)
-    e = from_distribution(WeightDistribution(3, (1, 0, 0, 0)))
-    assert e.coeffs == (1, 0, 0, 0) and e.min_distance is None
-
-
 def test_support_and_distance():
     e = enum(4, (1, 0, 0, 8, 0))
     assert e.support == (0, 3)
     assert e.min_distance == 3
     assert e.total() == 9
+    assert enum(3, (1, 0, 0, 0)).min_distance is None
 
 
 # -- MacWilliams transform -----------------------------------------------------
@@ -72,7 +60,7 @@ def test_tetra_fixed_by_transform():
 
 def test_macwilliams_involution(unit_corpus):
     for c in unit_corpus:
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         back = macwilliams_dual(
             macwilliams_dual(e, c.spec.q, c.k), c.spec.q, c.n - c.k
         )
@@ -85,9 +73,9 @@ def test_macwilliams_matches_brute_force_dual(unit_corpus):
         if d.is_zero:
             continue
         lhs = macwilliams_dual(
-            from_distribution(weight_distribution(c)), c.spec.q, c.k
+            weight_distribution(c), c.spec.q, c.k
         )
-        rhs = from_distribution(weight_distribution(d))
+        rhs = weight_distribution(d)
         assert lhs.coeffs == rhs.coeffs
 
 
@@ -185,13 +173,13 @@ def test_mds_coefficients_nonnegative_integers():
 
 
 def test_solve_macwilliams_mds_case():
-    assert solve_macwilliams(4, 2, 3, 3, 3).counts == (1, 0, 0, 8, 0)
-    assert solve_macwilliams(2, 1, 2, 2, 2).counts == (1, 0, 1)
+    assert solve_macwilliams(4, 2, 3, 3, 3).nums == (1, 0, 0, 8, 0)
+    assert solve_macwilliams(2, 1, 2, 2, 2).nums == (1, 0, 1)
 
 
 def test_solve_macwilliams_with_knowns():
     got = solve_macwilliams(10, 5, 2, 4, 4, knowns=(15, 0, 15))
-    assert got.counts == (1, 0, 0, 0, 15, 0, 15, 0, 0, 0, 1)
+    assert got.nums == (1, 0, 0, 0, 15, 0, 15, 0, 0, 0, 1)
 
 
 def test_solve_macwilliams_rejects_inconsistent_knowns():
@@ -223,7 +211,7 @@ def test_solve_macwilliams_matches_brute_force(unit_corpus):
         dc = wd.min_distance
         if dc is None or dc + dd > c.n + 2:
             continue
-        knowns = wd.counts[dc : c.n - dd + 1]
+        knowns = wd.nums[dc : c.n - dd + 1]
         got = solve_macwilliams(c.n, c.k, c.spec.q, dc, dd, knowns)
         assert got == wd
 
@@ -265,11 +253,6 @@ def test_enumerator_text_token_errors_keep_their_message(tok):
     assert str(exc.value) == f"token 3: not a rational: {tok!r}"
 
 
-def test_to_distribution_requires_counts():
-    with pytest.raises(ValueError):
-        to_distribution(enum(2, (1, Fraction(1, 2), 0)))
-
-
 # -- unique basis expansion (triangular reconstruction) -------------------------------
 
 
@@ -279,7 +262,7 @@ def test_enumerator_reconstructs_from_zeta_expansion(unit_corpus):
 
     for c in unit_corpus[:15]:
         q = c.spec.q
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         d = e.min_distance
         try:
             p = zeta_from_mds_basis(e, q, dimension=c.k)

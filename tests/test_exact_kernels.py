@@ -15,7 +15,6 @@ from zetacode.enumerator import (
     WeightEnumerator,
     _mds_coeffs,
     _substitute,
-    from_distribution,
     _exact,
     mds_enumerator,
 )
@@ -166,8 +165,7 @@ def _random_rational(rng: random.Random) -> Fraction:
 def test_substitute_matches_reference_on_corpus(unit_corpus):
     for c in unit_corpus:
         q = c.spec.q
-        for e in (from_distribution(weight_distribution(c)),
-                  from_distribution(weight_distribution(dual(c)))):
+        for e in (weight_distribution(c), weight_distribution(dual(c))):
             assert _substitute(e, q).coeffs == reference_substitute(e, q)
 
 
@@ -213,7 +211,7 @@ def test_zeta_matches_reference_on_corpus(unit_corpus):
     admissible = 0
     for c in unit_corpus:
         q = c.spec.q
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         admissible += isinstance(_both_against_reference(e, q, c.k), tuple)
     assert admissible >= 10
 

@@ -25,24 +25,39 @@ from zetacode.ag import (
     EllipticCurve,
     LinePoint,
     ProjectiveLine,
+    amin_coprime,
+    amin_onepoint,
+    bl_bounds,
+    bl_coefficients,
     elliptic_code,
     elliptic_distribution_from_amin,
     fiber_counts,
     grs_code,
     negate_point,
     points,
+    within_hasse_bound,
     zeta_from_point_counts,
 )
 from zetacode.enumerator import (
     WeightEnumerator,
-    from_distribution,
     macwilliams_dual,
     mds_enumerator,
     solve_macwilliams,
 )
 from zetacode.gf import GF
-from zetacode.linear_code import LinearCode, Matrix, WeightDistribution
-from zetacode.zeta import zeta_from_mds_basis
+from zetacode.linear_code import (
+    LinearCode,
+    Matrix,
+    distance_distribution,
+    genus,
+    min_distance,
+    weight_distribution,
+)
+from zetacode.zeta import (
+    functional_equation_holds,
+    roots_on_circle_verdict,
+    zeta_from_mds_basis,
+)
 
 qs = st.sampled_from((2, 3, 4, 5, 7, 8, 9))
 CURVES = ((5, (0, 0, 0, 1, 1)), (7, (0, 0, 0, 1, 3)), (4, (0, 0, 1, 0, 0)),
@@ -59,6 +74,9 @@ MACWILLIAMS_CASES = ((7, 4, 2, 3, 4, (7,)), (4, 2, 5, 3, 3, ())) + tuple(
 # (q, dimension, weight distribution) of codes with a zeta polynomial
 ZETA_CASES = ((2, 4, (1, 0, 0, 7, 7, 0, 0, 1)), (2, 4, (1, 0, 0, 0, 14, 0, 0, 0, 1)),
               (3, 2, (1, 0, 0, 8, 0)))
+# (q, generator rows) of small codes
+SMALL_CODES = ((2, ((1, 0, 1, 1), (0, 1, 1, 0))), (3, ((1, 1, 1, 0), (0, 1, 2, 1))),
+               (5, ((1, 1, 1, 1, 1),)))
 
 
 def _listed(args: dict, prefix: str) -> list:
@@ -211,15 +229,56 @@ def weight_enumerators(draw):
 @st.composite
 def macwilliams_duals(draw):
     q, k, counts = draw(st.sampled_from(ZETA_CASES))
-    enum = from_distribution(WeightDistribution(len(counts) - 1, counts))
+    enum = WeightEnumerator(len(counts) - 1, counts)
     return lambda a: macwilliams_dual(enum, a["q"], a["k"]), {"q": q, "k": k}
 
 
 @st.composite
 def mds_basis_zetas(draw):
     q, k, counts = draw(st.sampled_from(ZETA_CASES))
-    enum = from_distribution(WeightDistribution(len(counts) - 1, counts))
+    enum = WeightEnumerator(len(counts) - 1, counts)
     return lambda a: zeta_from_mds_basis(enum, q, dimension=a["dimension"]), {"dimension": k}
+
+
+@st.composite
+def code_budgets(draw, f):
+    q, rows = draw(st.sampled_from(SMALL_CODES))
+    code = LinearCode(Matrix.from_indices(GF(q), rows))
+    return lambda a: f(code, a["budget"]), {"budget": draw(st.sampled_from((2**24, 8)))}
+
+
+@st.composite
+def circle_polynomials(draw, f):
+    q = draw(qs)
+    coeffs = (1, draw(st.integers(-3, 3)), q)
+    return lambda a: f(a["q"], coeffs), {"q": q}
+
+
+@st.composite
+def amin_closed_forms(draw, f):
+    n = draw(st.integers(2, 12))
+    args = {"n": n, "k": draw(st.integers(1, n - 1)), "q": draw(qs)}
+    return lambda a: f(a["n"], a["k"], a["q"]), args
+
+
+@st.composite
+def hasse_bounds(draw):
+    q = draw(qs)
+    return lambda a: within_hasse_bound(a["q"], a["n1"]), {"q": q, "n1": draw(st.integers(0, 2 * q + 3))}
+
+
+@st.composite
+def bl_coefficient_lists(draw):
+    n, k, q, a_min = draw(st.sampled_from(AMIN_CASES))
+    dist = elliptic_distribution_from_amin(n, k, q, a_min)
+    return lambda a: bl_coefficients(dist, a["m"]), {"m": draw(st.integers(k, n))}
+
+
+@st.composite
+def bl_bound_lists(draw):
+    args = {"n": draw(st.integers(1, 12)), "m": draw(st.integers(0, 6)),
+            "g": draw(st.integers(0, 2)), "q": draw(qs)}
+    return lambda a: bl_bounds(a["n"], a["m"], a["g"], a["q"]), args
 
 
 ENTRY_POINTS = {
@@ -242,6 +301,17 @@ ENTRY_POINTS = {
     "mds_enumerator": mds_enumerators(),
     "WeightEnumerator": weight_enumerators(),
     "zeta_from_mds_basis": mds_basis_zetas(),
+    "weight_distribution": code_budgets(weight_distribution),
+    "distance_distribution": code_budgets(distance_distribution),
+    "min_distance": code_budgets(min_distance),
+    "genus": code_budgets(genus),
+    "roots_on_circle_verdict": circle_polynomials(lambda q, c: roots_on_circle_verdict(c, q)),
+    "functional_equation_holds": circle_polynomials(functional_equation_holds),
+    "amin_coprime": amin_closed_forms(amin_coprime),
+    "amin_onepoint": amin_closed_forms(amin_onepoint),
+    "within_hasse_bound": hasse_bounds(),
+    "bl_coefficients": bl_coefficient_lists(),
+    "bl_bounds": bl_bound_lists(),
 }
 
 # the non-int stand-ins for an int v; the first three equal v
@@ -301,6 +371,7 @@ def test_a_non_int_is_refused_or_acts_as_the_equal_int(name, data):
 def test_every_entry_point_names_the_argument_it_refuses():
     spec = GF(5)
     e = EllipticCurve.from_indices(spec, [0, 0, 0, 1, 1])
+    code = LinearCode(Matrix.from_indices(spec, [[1, 1, 1, 1, 1]]))
     cases = [
         (lambda: GF(4.0), "field order"),
         (lambda: spec.element(True), "index"),
@@ -319,6 +390,16 @@ def test_every_entry_point_names_the_argument_it_refuses():
         (lambda: mds_enumerator(4, 2, np.int64(3)), "q"),
         (lambda: macwilliams_dual(WeightEnumerator(1, [1, 1]), np.int64(9), 1), "q"),
         (lambda: WeightEnumerator(1, [1, True]), "coefficient"),
+        (lambda: weight_distribution(code, 4.5), "budget"),
+        (lambda: distance_distribution(code, np.int64(64)), "budget"),
+        (lambda: roots_on_circle_verdict([1, 1, 4], 4.5), "q"),
+        (lambda: functional_equation_holds(2.5, [1, 2, 2]), "q"),
+        (lambda: amin_coprime(8, 3, 2.5), "q"),
+        (lambda: amin_onepoint(8, 2.0, 5), "k"),
+        (lambda: within_hasse_bound(4.5, 5), "field order"),
+        (lambda: bl_coefficients(elliptic_distribution_from_amin(8, 2, 5, 16), True), "m"),
+        (lambda: bl_bounds(8, 3, 1, 1.5), "q"),
+        (lambda: bl_bounds(8, np.int64(3), 1, 5), "m"),
     ]
     for call, name in cases:
         with pytest.raises(TypeError, match=name):

@@ -17,12 +17,12 @@ import pytest
 from conftest import make_random_code
 
 from zetacode import linear_code
+from zetacode.enumerator import WeightEnumerator
 from zetacode.gf import GF
 from zetacode.linear_code import (
     BudgetExceededError,
     LinearCode,
     Matrix,
-    WeightDistribution,
     _codeword_matrix,
     _gram,
     _weight_blocks,
@@ -200,18 +200,18 @@ def test_dependent_generator_rows_rejected():
 
 
 def test_weight_distribution_i2():
-    assert weight_distribution(code(2, I2)).counts == (1, 0, 1)
+    assert weight_distribution(code(2, I2)).nums == (1, 0, 1)
 
 
 def test_weight_distribution_tetra():
-    assert weight_distribution(code(3, TETRA)).counts == (1, 0, 0, 8, 0)
+    assert weight_distribution(code(3, TETRA)).nums == (1, 0, 0, 8, 0)
 
 
 def test_weight_distribution_formally_self_dual_10():
     c = code(2, FSD10)
     expected = (1, 0, 0, 0, 15, 0, 15, 0, 0, 0, 1)
-    assert weight_distribution(c).counts == expected
-    assert weight_distribution(dual(c)).counts == expected
+    assert weight_distribution(c).nums == expected
+    assert weight_distribution(dual(c)).nums == expected
     assert is_formally_self_dual(c)
     assert not is_self_dual(c)
 
@@ -222,8 +222,8 @@ def test_formally_self_dual_false_without_enumerating_unless_2k_equals_n():
 
 
 def test_distance_distribution_examples():
-    assert distance_distribution(code(2, I2)).counts == (1, 0, 1)
-    assert distance_distribution(code(3, TETRA)).counts == (1, 0, 0, 8, 0)
+    assert distance_distribution(code(2, I2)).nums == (1, 0, 1)
+    assert distance_distribution(code(3, TETRA)).nums == (1, 0, 0, 8, 0)
 
 
 def test_distance_equals_weight_on_corpus(unit_corpus):
@@ -295,7 +295,7 @@ def reference_distribution(words, n: int) -> tuple[int, ...]:
 def assert_matches_reference(c: LinearCode):
     words = list(reference_codewords(c))
     assert _codeword_matrix(c, c.spec.q**c.k).tolist() == words
-    assert weight_distribution(c).counts == reference_distribution(words, c.n)
+    assert weight_distribution(c).nums == reference_distribution(words, c.n)
 
 
 def test_kernel_matches_reference_on_corpus(unit_corpus):
@@ -358,7 +358,7 @@ def test_kernel_matches_reference_at_weight_counter_boundary(q, n):
     # all-ones row puts words of full weight n in the code
     rng = random.Random(n)
     c = code(q, [[1] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(3)])
-    assert weight_distribution(c).counts[n] > 0
+    assert weight_distribution(c).nums[n] > 0
     assert_matches_reference(c)
 
 
@@ -404,7 +404,7 @@ def test_budget_checked_before_any_span(monkeypatch):
 
 def test_hamming_parameters():
     c = code(2, HAMMING8)
-    assert weight_distribution(c).counts == (1, 0, 0, 0, 14, 0, 0, 0, 1)
+    assert weight_distribution(c).nums == (1, 0, 0, 0, 14, 0, 0, 0, 1)
     assert min_distance(c) == 4
     assert genus(c) == 1
 
@@ -464,7 +464,7 @@ def test_hamming_dual_is_itself():
     c = code(2, HAMMING8)
     assert is_self_dual(c)
     assert is_self_orthogonal(c)
-    assert weight_distribution(dual(c)).counts == weight_distribution(c).counts
+    assert weight_distribution(dual(c)).nums == weight_distribution(c).nums
 
 
 def test_generator_times_dual_transpose(unit_corpus):
@@ -604,14 +604,14 @@ def test_degenerate_code_punctured():
     assert is_degenerate(c)
     p = puncture_degenerate(c)
     assert (p.n, p.k) == (2, 1)
-    assert weight_distribution(p).counts == (1, 0, 1)
+    assert weight_distribution(p).nums == (1, 0, 1)
 
 
 def test_non_degenerate_cases():
     assert not is_degenerate(code(2, I2))
     assert not is_degenerate(code(2, HAMMING8))
     # dual of the extended Hamming code has no weight-1 word
-    assert weight_distribution(dual(code(2, HAMMING8))).counts[1] == 0
+    assert weight_distribution(dual(code(2, HAMMING8))).nums[1] == 0
 
 
 def test_puncture_zero_code_rejected():
@@ -625,7 +625,7 @@ def test_puncture_preserves_enumerator_shape():
     p = puncture_degenerate(c)
     wc, wp = weight_distribution(c), weight_distribution(p)
     # x^r scaling: counts agree index by index up to the removed columns
-    assert wc.counts[: p.n + 1] == wp.counts
+    assert wc.nums[: p.n + 1] == wp.nums
 
 
 # -- matrix text format --------------------------------------------------------
@@ -657,6 +657,4 @@ def test_matrix_parse_errors_name_position():
 
 def test_weight_distribution_type_checks():
     with pytest.raises(ValueError):
-        WeightDistribution(2, (1, 0))
-    with pytest.raises(ValueError):
-        WeightDistribution(1, (1, -1))
+        WeightEnumerator(2, (1, 0))

@@ -12,7 +12,6 @@ import pytest
 from zetacode.gf import GF
 from zetacode.enumerator import (
     WeightEnumerator,
-    from_distribution,
     mds_enumerator,
 )
 from zetacode.linear_code import (
@@ -55,7 +54,7 @@ FSD10 = [
 
 def code_enum(q, rows):
     c = LinearCode(Matrix.from_indices(GF(q), rows))
-    return c, from_distribution(weight_distribution(c))
+    return c, weight_distribution(c)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,7 @@ def test_formally_self_dual_10(hamming_zeta):
 
 def test_cross_algorithm_equality_on_corpus(unit_corpus):
     for c in unit_corpus:
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         try:
             p1 = zeta_from_mds_basis(e, c.spec.q, dimension=c.k)
         except ValueError:
@@ -109,7 +108,7 @@ def test_cross_algorithm_equality_on_corpus(unit_corpus):
 def test_duursma_properties_on_corpus(unit_corpus):
     for c in unit_corpus:
         q = c.spec.q
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         d = e.min_distance
         dc = dual(c)
         if dc.is_zero:
@@ -122,7 +121,7 @@ def test_duursma_properties_on_corpus(unit_corpus):
         assert p.evaluate(1) == 1
         assert corollary_ad_check(p, e)
         if d >= 2:
-            e_dual = from_distribution(weight_distribution(dc))
+            e_dual = weight_distribution(dc)
             p_dual = zeta_from_mds_basis(e_dual, q, dimension=dc.k)
             assert functional_dual(p).coeffs == p_dual.coeffs
 
@@ -228,7 +227,7 @@ def test_rh_half_degree_closed_form_with_complex_x():
 
 def test_rh_counts_roots_with_degree(unit_corpus):
     for c in unit_corpus[:10]:
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         try:
             p = zeta_from_mds_basis(e, c.spec.q, dimension=c.k)
         except ValueError:
@@ -584,7 +583,7 @@ def test_min_distance_from_roots_mds():
 
 def test_min_distance_bound_on_corpus(unit_corpus):
     for c in unit_corpus[:15]:
-        e = from_distribution(weight_distribution(c))
+        e = weight_distribution(c)
         try:
             p = zeta_from_mds_basis(e, c.spec.q, dimension=c.k)
         except ValueError:
@@ -601,14 +600,14 @@ def test_min_distance_bound_on_corpus(unit_corpus):
 
 def test_degenerate_input_refused_and_puncture_fixes_it():
     c = LinearCode(Matrix.from_indices(GF(2), [[1, 1, 0]]))
-    e = from_distribution(weight_distribution(c))
+    e = weight_distribution(c)
     message = r"MacWilliams transform has a weight-one term \(dual distance 1\)"
     with pytest.raises(ValueError, match=message):
         zeta_from_mds_basis(e, 2)
     with pytest.raises(ValueError, match=message):
         zeta_from_chinen(e, 2)
     p = puncture_degenerate(c)
-    ep = from_distribution(weight_distribution(p))
+    ep = weight_distribution(p)
     assert zeta_from_mds_basis(ep, 2).coeffs == (1,)
 
 
