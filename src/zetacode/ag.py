@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import GF, FieldSpec, check_int
+from .gf import GF, FieldSpec, check_int, check_order
 from .linear_code import BudgetExceededError, LinearCode, Matrix
 from .enumerator import WeightEnumerator, solve_macwilliams
 from .zeta import RhVerdict, functional_equation_holds, roots_on_circle_verdict
@@ -389,7 +389,7 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
     equation.  Non-integer intermediate coefficients mean the counts are
     not those of a curve, and raise.
     """
-    check_int(q, "field order")
+    check_order(q, "field order")
     counts = [check_int(c, "point count") for c in counts]
     if check_int(g, "genus") < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
@@ -413,7 +413,7 @@ def zeta_from_point_counts(q: int, g: int, counts) -> CurveZeta:
 def within_hasse_bound(q: int, n1: int) -> bool:
     """|N_1 - q - 1| <= 2 sqrt(q) for a genus-1 curve, tested exactly as
     (N_1 - q - 1)^2 <= 4q."""
-    return (check_int(n1, "point count") - check_int(q, "field order") - 1) ** 2 <= 4 * q
+    return (check_int(n1, "point count") - check_order(q, "field order") - 1) ** 2 <= 4 * q
 
 
 def curve_rh(z: CurveZeta, tol: float = 1e-8) -> RhVerdict:
@@ -456,7 +456,7 @@ def one_point_basis(k: int) -> list[tuple[int, int]]:
     are k functions with poles bounded by k * O, distinct pole orders, for
     any k >= 1.
     """
-    if k < 1:
+    if check_int(k, "k") < 1:
         raise ValueError(f"pole bound must be >= 1, got k = {k}")
     monos = [(i, 0) for i in range(k // 2 + 1)]
     monos += [(i, 1) for i in range((k - 3) // 2 + 1)] if k >= 3 else []
@@ -514,6 +514,7 @@ def elliptic_distribution_from_amin(
     sum to q^k; a count that would come out negative raises (it signals
     an invalid A_(n-k)).
     """
+    check_order(q)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     if check_int(a_min, "minimum-weight count") <= 0:
@@ -527,8 +528,9 @@ def amin_coprime(n: int, k: int, q: int) -> int:
     Applies to a non-MDS code evaluated at all n rational points with a
     pole divisor of degree k supported away from them.
     """
-    for name, value in (("n", n), ("k", k), ("q", q)):
+    for name, value in (("n", n), ("k", k)):
         check_int(value, name)
+    check_order(q)
     if math.gcd(k, n) != 1:
         raise ValueError(f"requires gcd(k, n) = 1, got k={k}, n={n}")
     val = Fraction((q - 1) * comb(n, k), n)
@@ -543,8 +545,9 @@ def amin_onepoint(n: int, k: int, q: int) -> int:
     Requires k! coprime to n + 1 (the number of rational points) and a
     non-MDS code; the count is (q-1)/(n+1) (C(n, k) + (-1)^k n).
     """
-    for name, value in (("n", n), ("k", k), ("q", q)):
+    for name, value in (("n", n), ("k", k)):
         check_int(value, name)
+    check_order(q)
     if any(math.gcd(i, n + 1) != 1 for i in range(2, k + 1)):
         raise ValueError(f"requires gcd(k!, n+1) = 1, got k={k}, n+1={n + 1}")
     val = Fraction((q - 1) * (comb(n, k) + (-1) ** k * n), n + 1)
@@ -666,8 +669,9 @@ def bl_bounds(n: int, m: int, g: int, q: int) -> list[tuple[int, int]]:
     indices only admit the interval
     [max(0, C(n,l)(q^(m-l-g+1) - 1)), C(n,l)(q^(floor((m-l)/2)+1) - 1)].
     """
-    for name, value in (("n", n), ("m", m), ("g", g), ("q", q)):
+    for name, value in (("n", n), ("m", m), ("g", g)):
         check_int(value, name)
+    check_order(q)
     if g < 0 or m < 0:
         raise ValueError("need g >= 0 and m >= 0")
     out = []

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .enumerator import WeightEnumerator, is_virtually_self_dual
+from .gf import check_int, check_order
 from .zeta import (
     RhVerdict,
     ZetaPolynomial,
@@ -62,7 +63,7 @@ class DivisibilityReport:
 def extremal_bound(type_label: str, n: int) -> int:
     """Minimum-distance bound for a type I-IV enumerator of length n."""
     try:
-        return _BOUNDS[type_label](n)
+        return _BOUNDS[type_label](check_int(n, "n"))
     except KeyError:
         raise ValueError(f"no extremality bound for type {type_label!r}") from None
 
@@ -91,6 +92,7 @@ def classify(enum: WeightEnumerator, q: int) -> DivisibilityReport:
     Inputs that are not virtually self-dual over q come back with type
     "none" and a reason rather than an error.
     """
+    check_order(q)
     n = enum.n
     d = enum.min_distance
     b = _b_max(enum)

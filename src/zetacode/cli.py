@@ -40,7 +40,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import ag, classify as classify_mod, enumerator, linear_code, zeta
-from .gf import GF, _prime_power
+from .gf import GF, check_order
 from .linear_code import BudgetExceededError, DEFAULT_BUDGET, LinearCode
 
 SCHEMA = "zetacode/1"
@@ -269,7 +269,7 @@ def _cmd_zeta(args, config: RunConfig) -> dict:
 
 
 def _cmd_rh(args, config: RunConfig) -> dict:
-    _prime_power(args.q)  # every command-line q must be a field order
+    check_order(args.q)  # before the coefficients are parsed
     coeffs = []
     for pos, tok in enumerate(args.coeffs, start=1):
         try:
@@ -290,7 +290,7 @@ def _cmd_rh(args, config: RunConfig) -> dict:
 
 
 def _cmd_classify(args, config: RunConfig) -> dict:
-    _prime_power(args.q)  # every command-line q must be a field order
+    check_order(args.q)  # before the enumerator file is read
     enum = enumerator.parse_enumerator_text(_read_text(args.enumerator))
     rep = classify_mod.classify(enum, args.q)
     formal = classify_mod.is_formal_weight_enumerator(enum)
@@ -339,7 +339,6 @@ def _cmd_classify(args, config: RunConfig) -> dict:
 
 
 def _cmd_mds(args, config: RunConfig) -> dict:
-    _prime_power(args.q)  # every command-line q must be a field order
     enum = enumerator.mds_enumerator(args.n, args.d, args.q)
     nonneg = enum.den == 1 and min(enum.nums) >= 0
     total_ok = enum.total() == args.q ** (args.n + 1 - args.d)
@@ -435,7 +434,6 @@ def _cmd_elliptic(args, config: RunConfig) -> dict:
 
 
 def _cmd_curve_zeta(args, config: RunConfig) -> dict:
-    _prime_power(args.q)  # every command-line q must be a field order
     cz = ag.zeta_from_point_counts(args.q, args.genus, args.counts)
     verdict = ag.curve_rh(cz, config.tol)
     rh = _rh_block(verdict)

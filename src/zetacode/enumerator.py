@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
-from .gf import check_int
+from .gf import check_int, check_order
 
 
 def _exact(coeffs) -> tuple[list[int], int]:
@@ -126,7 +126,7 @@ class WeightEnumerator(_ExactPolynomial):
         )
 
     def __pow__(self, e: int) -> "WeightEnumerator":
-        if e < 1:
+        if check_int(e, "e") < 1:
             raise ValueError("enumerator powers need e >= 1")
         out = self
         for _ in range(e - 1):
@@ -140,9 +140,7 @@ def macwilliams_substitute(enum: WeightEnumerator, q: int) -> WeightEnumerator:
     The expansion is kept on ``enum``, so every later call with the same
     enumerator and q returns the same object without recomputing it.
     """
-    if check_int(q, "q") < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
-    sub = enum._transforms.get(q)
+    sub = enum._transforms.get(check_order(q))
     if sub is None:
         sub = enum._transforms[q] = _substitute(enum, q)
     return sub
@@ -211,10 +209,12 @@ def is_virtually_self_dual(enum: WeightEnumerator, q: int, sign: int = 1) -> boo
     sign = -1 asks for the substitution to negate F instead, as it does
     for formal weight enumerators.  It only makes sense for even n.
     """
+    sub = macwilliams_substitute(enum, q)
     if enum.n % 2:
         raise ValueError(f"virtual self-duality needs an even length, got n={enum.n}")
+    if check_int(sign, "sign") not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     scale = sign * q ** (enum.n // 2)
-    sub = macwilliams_substitute(enum, q)
     # scale c / D = s / E, cross-multiplied
     lhs, rhs = scale * sub.den, enum.den
     return all(lhs * c == rhs * s for c, s in zip(enum.nums, sub.nums))
@@ -251,8 +251,7 @@ def mds_enumerator(n: int, d: int, q: int) -> WeightEnumerator:
     d = n is rejected: the MDS basis used for zeta expansion skips that
     slot, and no op needs it publicly.
     """
-    if check_int(q, "q") < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
+    check_order(q)
     if check_int(n, "n") < 1:
         raise ValueError(f"length n must be >= 1, got n={n}")
     if check_int(d, "d") == n:
@@ -278,8 +277,9 @@ def solve_macwilliams(
     bound and no knowns are needed; the then-redundant top equation is
     still validated.  Inconsistent inputs raise instead of being clamped.
     """
-    for name, value in (("n", n), ("k", k), ("q", q), ("d", d), ("d_dual", d_dual)):
+    for name, value in (("n", n), ("k", k), ("d", d), ("d_dual", d_dual)):
         check_int(value, name)
+    check_order(q)
     if d < 1 or d_dual < 1 or d > n + 1:
         raise ValueError(f"bad distance parameters d={d}, d_dual={d_dual}")
     expected = max(0, n - d_dual - d + 1)

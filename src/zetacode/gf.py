@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -36,13 +37,21 @@ def check_int(value, name: str) -> int:
     return value
 
 
+def check_order(q, name: str = "q") -> int:
+    """``q`` if it is a plain int and a prime power, the order of a field:
+    the one field-order rule.  A non-int is a TypeError naming ``name``;
+    any other int is a ValueError.  There is no cap on q here."""
+    _prime_power(check_int(q, name))
+    return q
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p^m with p prime; raise ValueError otherwise."""
+    """Factor q = p^m with p prime; raise ValueError otherwise.  The
+    smallest divisor p > 1 is found by trial division up to sqrt(q), or
+    is q itself."""
     if q < 2:
         raise ValueError(f"field order must be at least 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
     m, r = 0, q
     while r % p == 0:
         r //= p

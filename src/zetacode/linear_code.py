@@ -218,12 +218,6 @@ def _span(code: LinearCode, first: int, stop: int) -> np.ndarray:
     return span
 
 
-def _codeword_matrix(code: LinearCode, budget: int) -> np.ndarray:
-    """All q^k codewords as an (q^k, n) index array, message-lex order."""
-    _check_budget(code, budget)
-    return _span(code, 0, code.k)
-
-
 def _weight_blocks(code: LinearCode, budget: int):
     """Yield the weights of all q^k codewords, a block of (high words, low
     words) at a time.
@@ -267,7 +261,7 @@ def distance_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Wei
     q, k, n = code.spec.q, code.k, code.n
     if q ** (2 * k) > check_int(budget, "budget"):
         raise BudgetExceededError(f"q^2k = {q ** (2 * k)} exceeds budget {budget}")
-    words = _codeword_matrix(code, budget)
+    words = _span(code, 0, code.k)  # q^k <= q^(2k), within budget
     total = words.shape[0]
     counts = np.zeros(n + 1, dtype=np.int64)
     for i in range(total):

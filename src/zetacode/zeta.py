@@ -31,7 +31,7 @@ import numpy as np
 
 from .enumerator import WeightEnumerator, _exact, _ExactPolynomial, _over_one_denominator
 from .enumerator import macwilliams_substitute
-from .gf import check_int
+from .gf import check_int, check_order
 
 _F0 = Fraction(0)
 
@@ -114,10 +114,10 @@ def _infer_dimension(enum: WeightEnumerator, q: int) -> int:
 
 
 def _source_parameters(enum: WeightEnumerator, q: int, dimension: int | None):
+    d_dual = macwilliams_substitute(enum, q).min_distance
     d = enum.min_distance
     if d is None:
         raise ValueError("enumerator has no positive support; no zeta polynomial")
-    d_dual = macwilliams_substitute(enum, q).min_distance
     if d_dual is None:
         raise ValueError(
             "the enumerator's MacWilliams transform has no positive support, "
@@ -248,7 +248,9 @@ def functional_equation_holds(q: int, coeffs, sign: int = 1) -> bool:
     the zeta polynomial of a formally self-dual code; sign = -1 is its
     sign-flipped form, which formal weight enumerators satisfy.
     """
-    check_int(q, "q")
+    check_order(q)
+    if check_int(sign, "sign") not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     if len(coeffs) % 2 == 0:
         return False
     g = (len(coeffs) - 1) // 2
@@ -508,7 +510,7 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
     is a ValueError naming it, and so is a root that overflows the
     residuals.
     """
-    check_int(q, "q")
+    check_order(q)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
     nums, lcd = _exact(coeffs)

@@ -582,3 +582,9 @@ def test_functional_equation_helper():
     assert not functional_equation_holds(2, (1, 2))      # odd degree
     assert functional_equation_holds(2, (1, 0, -2), -1)  # a_2 = -q a_0
     assert not functional_equation_holds(2, (1, 0, -2))
+
+
+@pytest.mark.parametrize("coeffs, sign", [((1, 0, 4), 2), ((0, 0, 0), 0), ((1, 0, 2), -2)])
+def test_functional_equation_sign_must_be_plus_or_minus_one(coeffs, sign):
+    with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
+        functional_equation_holds(2, coeffs, sign)

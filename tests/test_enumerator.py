@@ -125,6 +125,12 @@ def test_virtually_self_dual_examples():
     assert not is_virtually_self_dual(enum(4, (1, 0, 0, 0, 1)), 2)
 
 
+@pytest.mark.parametrize("sign", [3, 0, -2])
+def test_virtually_self_dual_sign_must_be_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
+        is_virtually_self_dual(enum(2, (1, 0, 1)), 2, sign)
+
+
 def test_virtually_self_dual_odd_length_rejected():
     with pytest.raises(ValueError, match="even"):
         is_virtually_self_dual(enum(3, (1, 0, 0, 1)), 2)
@@ -160,7 +166,7 @@ def test_mds_needs_a_positive_length(n, d):
 
 
 def test_mds_coefficients_nonnegative_integers():
-    for q in range(2, 10):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, q + 2):
             for d in range(1, n):
                 e = mds_enumerator(n, d, q)

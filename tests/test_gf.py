@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 from zetacode import gf
-from zetacode.gf import GF, MAX_ORDER, FieldSpec, _digits, _raw_mul
+from zetacode.gf import GF, MAX_ORDER, FieldSpec, _digits, _raw_mul, check_order
 from test_divisor_counting import reference_extension_field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81)
@@ -172,6 +173,22 @@ def test_inverse_of_zero_rejected():
 def test_non_prime_power_rejected():
     with pytest.raises(ValueError, match="prime power"):
         GF(6)
+
+
+def test_check_order_has_no_cap_and_factors_up_to_the_square_root():
+    # the smallest prime factor is sought only up to sqrt(q), so a large
+    # prime is accepted in well under a second
+    for q in (1_000_000_007, 999_999_999_989):
+        start = time.perf_counter()
+        assert check_order(q) == q
+        assert time.perf_counter() - start < 1
+    assert check_order(3**20) == 3**20
+    with pytest.raises(ValueError, match="^1999999999978 is not a prime power$"):
+        check_order(2 * 999_999_999_989)
+    with pytest.raises(ValueError, match="^field order must be at least 2, got 1$"):
+        check_order(1)
+    with pytest.raises(TypeError, match="^order must be an int"):
+        check_order(4.0, "order")
 
 
 def test_order_cap():

@@ -5,6 +5,9 @@ integer given where the library takes an integer is refused with a
 TypeError or ValueError, or, where it equals an int, acts exactly as that
 int would; it never yields an answer of its own, and it never changes the
 answer of a later call.
+
+One field-order rule rides along: an int given where the library takes a
+field order q is refused with gf's ValueError unless it is a prime power.
 """
 
 from __future__ import annotations
@@ -34,13 +37,17 @@ from zetacode.ag import (
     fiber_counts,
     grs_code,
     negate_point,
+    one_point_basis,
     points,
     within_hasse_bound,
     zeta_from_point_counts,
 )
+from zetacode.classify import classify, extremal_bound
 from zetacode.enumerator import (
     WeightEnumerator,
+    is_virtually_self_dual,
     macwilliams_dual,
+    macwilliams_substitute,
     mds_enumerator,
     solve_macwilliams,
 )
@@ -227,6 +234,29 @@ def weight_enumerators(draw):
 
 
 @st.composite
+def enumerator_powers(draw):
+    counts = draw(st.sampled_from(ZETA_CASES))[2]
+    enum = WeightEnumerator(len(counts) - 1, counts)
+    return lambda a: enum ** a["e"], {"e": draw(st.integers(1, 3))}
+
+
+@st.composite
+def enumerator_transforms(draw, f):
+    """f(enum, q) on a ZETA_CASES enumerator, at any field order q."""
+    counts = draw(st.sampled_from(ZETA_CASES))[2]
+    enum = WeightEnumerator(len(counts) - 1, counts)
+    return lambda a: f(enum, a["q"]), {"q": draw(qs)}
+
+
+@st.composite
+def virtual_self_dualities(draw):
+    q, _, counts = draw(st.sampled_from(ZETA_CASES))
+    enum = WeightEnumerator(len(counts) - 1, counts)
+    args = {"q": q, "sign": draw(st.sampled_from((1, -1)))}
+    return lambda a: is_virtually_self_dual(enum, a["q"], a["sign"]), args
+
+
+@st.composite
 def macwilliams_duals(draw):
     q, k, counts = draw(st.sampled_from(ZETA_CASES))
     enum = WeightEnumerator(len(counts) - 1, counts)
@@ -237,7 +267,8 @@ def macwilliams_duals(draw):
 def mds_basis_zetas(draw):
     q, k, counts = draw(st.sampled_from(ZETA_CASES))
     enum = WeightEnumerator(len(counts) - 1, counts)
-    return lambda a: zeta_from_mds_basis(enum, q, dimension=a["dimension"]), {"dimension": k}
+    args = {"q": q, "dimension": k}
+    return lambda a: zeta_from_mds_basis(enum, a["q"], dimension=a["dimension"]), args
 
 
 @st.composite
@@ -259,6 +290,17 @@ def amin_closed_forms(draw, f):
     n = draw(st.integers(2, 12))
     args = {"n": n, "k": draw(st.integers(1, n - 1)), "q": draw(qs)}
     return lambda a: f(a["n"], a["k"], a["q"]), args
+
+
+@st.composite
+def pole_bounds(draw):
+    return lambda a: one_point_basis(a["k"]), {"k": draw(st.integers(1, 12))}
+
+
+@st.composite
+def extremal_bounds(draw):
+    label = draw(st.sampled_from(("I", "II", "III", "IV")))
+    return lambda a: extremal_bound(label, a["n"]), {"n": draw(st.integers(1, 96))}
 
 
 @st.composite
@@ -293,13 +335,19 @@ ENTRY_POINTS = {
     "Divisor.of": divisors(),
     "grs_code": grs_codes(),
     "elliptic_code": elliptic_codes(),
+    "one_point_basis": pole_bounds(),
     "zeta_from_point_counts": curve_zetas(),
     "fiber_counts": fibers(),
     "solve_macwilliams": macwilliams_solutions(),
     "elliptic_distribution_from_amin": amin_distributions(),
     "macwilliams_dual": macwilliams_duals(),
+    "macwilliams_substitute": enumerator_transforms(macwilliams_substitute),
+    "is_virtually_self_dual": virtual_self_dualities(),
+    "classify": enumerator_transforms(classify),
+    "extremal_bound": extremal_bounds(),
     "mds_enumerator": mds_enumerators(),
     "WeightEnumerator": weight_enumerators(),
+    "WeightEnumerator.__pow__": enumerator_powers(),
     "zeta_from_mds_basis": mds_basis_zetas(),
     "weight_distribution": code_budgets(weight_distribution),
     "distance_distribution": code_budgets(distance_distribution),
@@ -313,6 +361,16 @@ ENTRY_POINTS = {
     "bl_coefficients": bl_coefficient_lists(),
     "bl_bounds": bl_bound_lists(),
 }
+
+# the entry points whose argument "q" is a field order, and the ints that
+# are not one
+FIELD_ORDER_ENTRIES = ("GF", "zeta_from_point_counts", "solve_macwilliams",
+                       "elliptic_distribution_from_amin", "macwilliams_dual",
+                       "macwilliams_substitute", "is_virtually_self_dual", "classify",
+                       "mds_enumerator", "zeta_from_mds_basis", "roots_on_circle_verdict",
+                       "functional_equation_holds", "amin_coprime", "amin_onepoint",
+                       "within_hasse_bound", "bl_bounds")
+NOT_FIELD_ORDERS = (-4, 0, 1, 6, 10, 12, 1000)
 
 # the non-int stand-ins for an int v; the first three equal v
 EQUAL = {"bool": lambda v: bool(v), "float": float, "numpy": np.int64}
@@ -354,6 +412,7 @@ def _outcome(call, args):
 def test_a_non_int_is_refused_or_acts_as_the_equal_int(name, data):
     """Each argument of a valid call in turn takes each stand-in for its int."""
     call, args = data.draw(ENTRY_POINTS[name])
+    assert ("q" in args) == (name in FIELD_ORDER_ENTRIES)
     expected = _outcome(call, args)
     for slot, v in args.items():
         valid = NOT_A_STAND_IN.get((name, slot.rstrip("0123456789")))
@@ -366,6 +425,22 @@ def test_a_non_int_is_refused_or_acts_as_the_equal_int(name, data):
                 continue
             assert kind in EQUAL, f"{name} took {slot}={bad!r}: {got}"
             assert got == expected, f"{name} with {slot}={bad!r}"
+
+
+@pytest.mark.parametrize("name", FIELD_ORDER_ENTRIES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_an_int_that_is_not_a_prime_power_is_refused_as_a_field_order(name, data):
+    """q takes each int that is not a prime power in turn; gf refuses it by
+    its own message, and the valid call's answer stays the same after."""
+    call, args = data.draw(ENTRY_POINTS[name])
+    expected = _outcome(call, args)
+    for q in NOT_FIELD_ORDERS:
+        message = f"{q} is not a prime power" if q >= 2 else f"field order must be at least 2, got {q}"
+        with pytest.raises(ValueError) as refused:
+            call({**args, "q": q})
+        assert str(refused.value) == message, name
+    assert _outcome(call, args) == expected
 
 
 def test_every_entry_point_names_the_argument_it_refuses():
@@ -383,6 +458,10 @@ def test_every_entry_point_names_the_argument_it_refuses():
         (lambda: grs_code(spec, [0.9, 2], [1, 1], 1), "evaluation point"),
         (lambda: grs_code(spec, [0, 2], [1, 1], True), "k"),
         (lambda: elliptic_code(e, np.int64(2)), "k"),
+        (lambda: one_point_basis(True), "k"),
+        (lambda: extremal_bound("I", 8.0), "n"),
+        (lambda: WeightEnumerator(2, (1, 0, 1)) ** True, "e"),
+        (lambda: is_virtually_self_dual(WeightEnumerator(2, (1, 0, 1)), 2, 1.0), "sign"),
         (lambda: zeta_from_point_counts(5, 1, [6.5]), "point count"),
         (lambda: fiber_counts(e, Divisor.of({}), [], 1e6), "budget"),
         (lambda: solve_macwilliams(7, 4, 2.0, 3, 4, [7]), "q"),

@@ -23,7 +23,6 @@ from zetacode.linear_code import (
     BudgetExceededError,
     LinearCode,
     Matrix,
-    _codeword_matrix,
     _gram,
     _weight_blocks,
     distance_distribution,
@@ -294,7 +293,7 @@ def reference_distribution(words, n: int) -> tuple[int, ...]:
 
 def assert_matches_reference(c: LinearCode):
     words = list(reference_codewords(c))
-    assert _codeword_matrix(c, c.spec.q**c.k).tolist() == words
+    assert linear_code._span(c, 0, c.k).tolist() == words
     assert weight_distribution(c).nums == reference_distribution(words, c.n)
 
 
@@ -373,7 +372,7 @@ def test_enumeration_leaves_no_cyclic_garbage(q, n, k):
     gc.disable()
     try:
         weight_distribution(c, budget=q**k)
-        _codeword_matrix(c, budget=q**k)
+        linear_code._span(c, 0, k)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -394,8 +393,8 @@ def test_budget_checked_before_any_span(monkeypatch):
     message = "[8, 4]_2 code has 16 words, over budget 15"
     with pytest.raises(BudgetExceededError, match=re.escape(message)):
         weight_distribution(c, budget=15)
-    with pytest.raises(BudgetExceededError, match=re.escape(message)):
-        _codeword_matrix(c, budget=15)
+    with pytest.raises(BudgetExceededError, match="q\\^2k = 256 exceeds budget 255"):
+        distance_distribution(c, budget=255)
     assert spans == []
 
 
