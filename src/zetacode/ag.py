@@ -137,9 +137,16 @@ class EllipticCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def discriminant(self) -> int:
-        s = self.spec
+        p, tab = self.spec.p, self.spec.tables
         a1, a2, a3, a4, a6 = self.coefficient_indices()
-        mul, addi, sub, im = s.mul_idx, s.add_idx, s.sub_idx, s.int_mul_idx
+        mul, addi, neg = tab.mul.item, tab.add.item, tab.neg.item
+
+        def sub(a, b):
+            return addi(a, neg(b))
+
+        def im(n, a):  # n a for an ordinary integer n
+            return mul(n % p, a)
+
         b2 = addi(mul(a1, a1), im(4, a2))
         b4 = addi(im(2, a4), mul(a1, a3))
         b6 = addi(mul(a3, a3), im(4, a6))
@@ -514,6 +521,8 @@ def elliptic_distribution_from_amin(
     sum to q^k; a count that would come out negative raises (it signals
     an invalid A_(n-k)).
     """
+    for name, value in (("n", n), ("k", k)):
+        check_int(value, name)
     check_order(q)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")

@@ -63,8 +63,7 @@ class RunConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tolerance must be a positive finite number, got {self.tol}")
+        zeta.check_tolerance(self.tol)
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":

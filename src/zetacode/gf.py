@@ -8,12 +8,14 @@ encoding used by every file format in this package.
 
 There is no element object: every function takes and returns plain int
 indices, and :meth:`FieldSpec.element` is the one range-checked way in.
-Multiplication, inversion and powers run on discrete-log tables built on
-first use and kept on the field spec; addition is digit-wise modular
-arithmetic.  The q x q addition and multiplication tables hold indices in
-the narrowest unsigned dtype that fits q - 1 and are filled a block of rows
-at a time.  Field specs and tables are immutable after construction, so
-they can be shared between threads without locking.
+Arithmetic runs on operation tables built on first use and kept on the
+field spec.  Addition is digit-wise modular arithmetic.  Multiplication is
+GF(p)-linear, so the multiplication table is filled from the products by
+x^j, a block of rows at a time; inverses and powers are read off it by
+square-and-multiply.  The q x q addition and multiplication tables hold
+indices in the narrowest unsigned dtype that fits q - 1, and no temporary
+of their build is q x q.  Field specs and tables are immutable after
+construction, so they can be shared between threads without locking.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def _digits(index: int, p: int, m: int) -> tuple[int, ...]:
     return tuple((index // p**j) % p for j in range(m))
-
-
-def _undigits(digits, p: int) -> int:
-    return sum(int(d) * p**j for j, d in enumerate(digits))
 
 
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -137,32 +135,34 @@ class FieldSpec:
         return _Tables(self)
 
     def add_idx(self, a: int, b: int) -> int:
-        return int(self.tables.add[a, b])
+        return self.tables.add.item(self.element(a), self.element(b))
 
     def sub_idx(self, a: int, b: int) -> int:
-        return int(self.tables.add[a, self.tables.neg[b]])
+        tab = self.tables
+        return tab.add.item(self.element(a), tab.neg.item(self.element(b)))
 
     def mul_idx(self, a: int, b: int) -> int:
-        return int(self.tables.mul[a, b])
+        return self.tables.mul.item(self.element(a), self.element(b))
 
     def inv_idx(self, a: int) -> int:
-        if a == 0:
+        if self.element(a) == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        return int(self.tables.inv[a])
+        return self.tables.inv.item(a)
 
     def pow_idx(self, a: int, e: int) -> int:
+        """a^e for any int e, by square-and-multiply with e reduced mod
+        q - 1; 0^0 is 1 and a negative power of 0 is a ZeroDivisionError."""
+        a, e = self.element(a), check_int(e, "exponent")
         if a == 0:
-            if e == 0:
-                return 1
             if e < 0:
                 raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-            return 0
-        tab = self.tables
-        return int(tab.exp[(int(tab.log[a]) * e) % (self.q - 1)])
-
-    def int_mul_idx(self, n: int, a: int) -> int:
-        """n * a for an ordinary integer n (reduced through the prime subfield)."""
-        return self.mul_idx(n % self.p, a)
+            return 0 if e else 1
+        mul, r, e = self.tables.mul.item, 1, e % (self.q - 1)
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a, e = mul(a, a), e >> 1
+        return r
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GF({self.q})"
@@ -175,10 +175,18 @@ class _Tables:
     """Dense operation tables for one field; built once, then read only.
 
     ``add`` and ``mul`` hold indices in the narrowest unsigned dtype
-    (uint8 up to GF(256), uint16 up to GF(65536)); ``neg``, ``inv``, ``exp``
-    and ``log`` stay int32, since the log of 0 is stored as -1."""
+    (uint8 up to GF(256), uint16 up to GF(65536)); ``neg`` and ``inv`` are
+    int32.  ``mul`` is filled by GF(p)-linearity in its first factor, as
+    ``linear_code._span`` fills a span.  Rows [0, p^j) hold a b for every a
+    of degree < j.  For c < p the index of a + c x^j is a + c p^j, so its
+    row is row a plus the row c x^j b: the rows of c in [n, 2n) are those
+    of c in [0, n) plus the row n x^j b, one field addition per cell (an
+    in-place XOR in characteristic 2, else a take from the flattened
+    ``add`` table, a chunk of rows at a time).  ``inv`` is a^(q - 2), by
+    square-and-multiply on every a at once, checked: a inv[a] = 1 for
+    every a != 0."""
 
-    __slots__ = ("add", "neg", "mul", "inv", "exp", "log")
+    __slots__ = ("add", "neg", "mul", "inv")
 
     def __init__(self, spec: FieldSpec):
         p, m, q = spec.p, spec.m, spec.q
@@ -187,40 +195,44 @@ class _Tables:
         if p == 2:
             # digit-wise addition mod 2 of little-endian bits is XOR
             narrow = idx.astype(dtype)
-            self.add = narrow[:, None] ^ narrow[None, :]
+            self.add = add = narrow[:, None] ^ narrow[None, :]
             self.neg = idx
+            plus = np.bitwise_xor
         else:
             wide = np.min_scalar_type(2 * (q - 1))  # holds a sum of two indices
             digits = [(idx // p**j % p).astype(wide) for j in range(m)]
-            self.add = _fill_rows(q, dtype, lambda lo, hi: sum(
+            self.add = add = _fill_rows(q, dtype, lambda lo, hi: sum(
                 (d[lo:hi, None] + d[None, :]) % p * p**j for j, d in enumerate(digits)
             ))
             self.neg = sum(-d.astype(np.int32) % p * p**j for j, d in enumerate(digits))
 
-        gen = _find_generator(spec)
-        order = q - 1
-        exp = np.zeros(order, dtype=np.int32)
-        log = np.full(q, -1, dtype=np.int32)
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            log[x] = i
-            x = _raw_mul(spec, x, gen)
-        if x != 1:
-            raise RuntimeError(f"generator {gen} of GF({q}) has wrong order")
-        self.exp = exp
-        self.log = log
+            def plus(rows, row, out=None):
+                return np.take(add.ravel(), row.astype(np.intp) * q + rows, out=out)
 
-        # a * b = ext[log a + log b], where ext is exp twice (so no sum of
-        # two logs needs reducing mod q - 1) followed by zeros; 0 gets the
-        # stand-in log 2(q - 1), so every sum with a 0 operand lands there
-        ext = np.concatenate([exp, exp, np.zeros(2 * order + 1, dtype=np.int32)]).astype(dtype)
-        logs = np.where(log < 0, 2 * order, log).astype(np.min_scalar_type(4 * order))
-        self.mul = _fill_rows(q, dtype, lambda lo, hi: ext[logs[lo:hi, None] + logs[None, :]])
+        self.mul = mul = np.zeros((q, q), dtype=dtype)
+        step = max(1, _TABLE_CHUNK // q)
+        xb = add[0]  # x^j b for every b; row 0 of add is the identity
+        for j in range(m):
+            if j:  # shift the digits up one place, fold the top one back in
+                top, x_m = p ** (m - 1), sum(-c % p * p**i for i, c in enumerate(spec.modulus[:m]))
+                xb = add[xb % top * p, mul[xb // top, x_m]]
+            row, size, c = xb, p**j, 1
+            while c < p:  # row is c x^j b
+                stop = min(c, p - c) * size
+                for lo in range(0, stop, step):
+                    hi = min(lo + step, stop)
+                    plus(mul[lo:hi], row, out=mul[c * size + lo:c * size + hi])
+                row, c = plus(row, row), 2 * c
 
-        inv = np.zeros(q, dtype=np.int32)
-        inv[exp] = exp[(order - np.arange(order)) % order]
-        self.inv = inv
+        inv, a, e = np.ones(q, dtype=np.int32), idx, q - 2
+        while e:
+            if e & 1:
+                inv = mul[inv, a]
+            a, e = mul[a, a], e >> 1
+        self.inv = inv.astype(np.int32)
+        self.inv[0] = 0
+        if (mul[idx[1:], self.inv[1:]] != 1).any():
+            raise RuntimeError(f"a^(q - 2) is not the inverse of every a != 0 in GF({q})")
 
 
 def _fill_rows(q: int, dtype, rows) -> np.ndarray:
@@ -231,59 +243,6 @@ def _fill_rows(q: int, dtype, rows) -> np.ndarray:
     for lo in range(0, q, step):
         out[lo:lo + step] = rows(lo, min(q, lo + step))
     return out
-
-
-def _raw_mul(spec: FieldSpec, a: int, b: int) -> int:
-    """Table-free product, used only while bootstrapping the exp table."""
-    p, m = spec.p, spec.m
-    if m == 1:
-        return (a * b) % spec.q
-    da, db = _digits(a, p, m), _digits(b, p, m)
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(da):
-        if ai:
-            for j, bj in enumerate(db):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    mod = spec.modulus
-    for i in range(2 * m - 2, m - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(m + 1):
-                prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-    return _undigits(prod[:m], p)
-
-
-def _raw_pow(spec: FieldSpec, a: int, e: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _raw_mul(spec, r, a)
-        a = _raw_mul(spec, a, a)
-        e >>= 1
-    return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _find_generator(spec: FieldSpec) -> int:
-    order = spec.q - 1
-    factors = _prime_factors(order)
-    for g in range(1, spec.q):
-        if all(_raw_pow(spec, g, order // f) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"GF({spec.q}) has no multiplicative generator")
 
 
 def GF(q: int) -> FieldSpec:

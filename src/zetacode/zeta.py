@@ -489,6 +489,13 @@ def _companion_roots(monic: list[float]):
     return roots, mirrored
 
 
+def check_tolerance(tol) -> float:
+    """``tol`` if it is a positive finite number: the one tolerance rule."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+    return tol
+
+
 def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> RhVerdict:
     """Locate the roots of a polynomial and test |root| sqrt(q) = 1.
 
@@ -511,8 +518,7 @@ def roots_on_circle_verdict(coeffs, q: int, tol: float = 1e-8, den: int = 1) -> 
     residuals.
     """
     check_order(q)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+    check_tolerance(tol)
     nums, lcd = _exact(coeffs)
     den *= lcd
     while len(nums) > 1 and nums[-1] == 0:

@@ -842,6 +842,10 @@ def test_invalid_config_values(capsys, hamming_file):
     assert rc == 1
     rc, _ = run(capsys, ["zeta", hamming_file, "--tol", "-1"])
     assert rc == 1
+    # a command that finds no roots still refuses a bad tolerance, by zeta's rule
+    rc, out, err = run_with_err(capsys, ["wdist", hamming_file, "--tol", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: tolerance must be a positive finite number, got -1.0\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

@@ -3,15 +3,41 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zetacode import gf
-from zetacode.gf import GF, MAX_ORDER, FieldSpec, _digits, _raw_mul, check_order
+from zetacode.gf import GF, MAX_ORDER, FieldSpec, _digits, check_order
 from test_divisor_counting import reference_extension_field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81)
+
+
+def _undigits(digits, p: int) -> int:
+    return sum(int(d) * p**j for j, d in enumerate(digits))
+
+
+def _raw_mul(spec: FieldSpec, a: int, b: int) -> int:
+    """The product a b by schoolbook polynomial multiplication and
+    reduction by the modulus, sharing no code with the field tables."""
+    p, m = spec.p, spec.m
+    if m == 1:
+        return (a * b) % spec.q
+    da, db = _digits(a, p, m), _digits(b, p, m)
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    mod = spec.modulus
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        if c:
+            for j in range(m + 1):
+                prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
+    return _undigits(prod[:m], p)
 
 
 def test_gf2_addition():
@@ -65,6 +91,57 @@ def test_mul_table_matches_raw_product(q):
         assert mul[a, b] == _raw_mul(spec, a, b)
 
 
+def _fresh(q: int) -> FieldSpec:
+    """GF(q) on a spec of its own, so that its tables are freed with it."""
+    spec = GF(q)
+    return FieldSpec(p=spec.p, m=spec.m, q=q, modulus=spec.modulus)
+
+
+def test_every_field_multiplies_inverts_and_raises_to_powers():
+    # every field up to the cap: sampled products against the schoolbook
+    # oracle, every inverse, and pow_idx against repeated multiplication
+    orders = []
+    for q in range(2, MAX_ORDER + 1):
+        try:
+            orders.append(check_order(q))
+        except ValueError:
+            pass
+    assert len(orders) == 198
+    rng = random.Random(34)
+    for q in orders:
+        spec = _fresh(q)
+        mul, inv = spec.tables.mul, spec.tables.inv
+        for a, b in [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]:
+            assert mul[a, b] == _raw_mul(spec, a, b), (q, a, b)
+        a = np.arange(1, q)
+        assert (mul[a, inv[a]] == 1).all() and inv[0] == 0, q
+        for x in (1, q - 1, rng.randrange(1, q)):
+            powers = [1]  # x^0, x^1, ... up to the order of x
+            while (y := mul.item(powers[-1], x)) != 1:
+                powers.append(y)
+            for e in (-2, -1, 0, 1, q - 2, q - 1, q, 10**18):
+                assert spec.pow_idx(x, e) == powers[e % len(powers)], (q, x, e)
+        assert [spec.pow_idx(0, e) for e in (0, 1, q - 1, 10**18)] == [1, 0, 0, 0]
+        with pytest.raises(ZeroDivisionError):
+            spec.pow_idx(0, -1)
+
+
+@pytest.mark.parametrize("q", [625, 729, 1024])
+def test_table_build_makes_no_q_by_q_temporaries(q):
+    # numpy's allocations are traced too: beyond the tables it keeps, a
+    # build holds at most 1 MB at any one time
+    spec = _fresh(q)
+    tracemalloc.start()
+    try:
+        tab = gf._Tables(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(tab, name).nbytes for name in tab.__slots__)
+    assert kept >= 2 * q * q * tab.mul.itemsize
+    assert peak - kept <= 10**6
+
+
 @pytest.mark.parametrize("q, cap, dtype", [
     (256, MAX_ORDER, np.uint8),
     (512, MAX_ORDER, np.uint16),
@@ -72,15 +149,13 @@ def test_mul_table_matches_raw_product(q):
 ])
 def test_narrow_tables_at_the_dtype_boundary(q, cap, dtype):
     # add and mul in the narrowest unsigned dtype, mul built in row chunks;
-    # neg, inv, exp and log stay signed (log of 0 is -1); uint16 covers
-    # every field up to the cap
+    # neg and inv stay signed; uint16 covers every field up to the cap
     assert q <= cap
     spec = GF(q)
     tab = spec.tables
     assert tab.add.dtype == tab.mul.dtype == dtype
     assert tab.add.shape == tab.mul.shape == (q, q)
-    assert all(t.dtype == np.int32 for t in (tab.neg, tab.inv, tab.exp, tab.log))
-    assert tab.log[0] == -1
+    assert all(t.dtype == np.int32 for t in (tab.neg, tab.inv))
     rng = random.Random(q)
     rows = [0, 1, 2, q - 2, q - 1] + [rng.randrange(q) for _ in range(3)]
     for a in rows:

@@ -123,6 +123,20 @@ def _rows(args: dict, cols: int) -> list[list]:
 
 
 @st.composite
+def field_products(draw):
+    spec = GF(draw(qs))
+    args = {"a": draw(st.integers(0, spec.q - 1)), "b": draw(st.integers(0, spec.q - 1))}
+    return lambda a: spec.mul_idx(a["a"], a["b"]), args
+
+
+@st.composite
+def field_powers(draw):
+    spec = GF(draw(qs))
+    args = {"a": draw(st.integers(0, spec.q - 1)), "e": draw(st.integers(-3, 3 * spec.q))}
+    return lambda a: spec.pow_idx(a["a"], a["e"]), args
+
+
+@st.composite
 def matrices(draw):
     spec, cols, args = draw(index_rows())
     return lambda a: Matrix(spec, np.array(_rows(a, cols))), args
@@ -326,6 +340,8 @@ def bl_bound_lists(draw):
 ENTRY_POINTS = {
     "GF": field_orders(),
     "FieldSpec.element": elements(),
+    "FieldSpec.mul_idx": field_products(),
+    "FieldSpec.pow_idx": field_powers(),
     "Matrix": matrices(),
     "Matrix.from_indices": matrices_from_indices(),
     "EllipticCurve": elliptic_curves(),
@@ -466,6 +482,14 @@ def test_every_entry_point_names_the_argument_it_refuses():
         (lambda: fiber_counts(e, Divisor.of({}), [], 1e6), "budget"),
         (lambda: solve_macwilliams(7, 4, 2.0, 3, 4, [7]), "q"),
         (lambda: elliptic_distribution_from_amin(8, 2, 5, "16"), "minimum-weight count"),
+        (lambda: elliptic_distribution_from_amin(8, "2", 5, 16), "^k must be an int"),
+        (lambda: elliptic_distribution_from_amin("8", 2, 5, 16), "^n must be an int"),
+        (lambda: elliptic_distribution_from_amin(8.0, 0, 5, 16), "^n must be an int"),
+        (lambda: spec.pow_idx(2, True), "^exponent must be an int"),
+        (lambda: spec.pow_idx(2, 2.5), "^exponent must be an int"),
+        (lambda: spec.pow_idx(0, 1.0), "^exponent must be an int"),
+        (lambda: spec.mul_idx(np.int64(2), 3), "^index must be an int"),
+        (lambda: spec.inv_idx(False), "^index must be an int"),
         (lambda: mds_enumerator(4, 2, np.int64(3)), "q"),
         (lambda: macwilliams_dual(WeightEnumerator(1, [1, 1]), np.int64(9), 1), "q"),
         (lambda: WeightEnumerator(1, [1, True]), "coefficient"),
@@ -483,6 +507,23 @@ def test_every_entry_point_names_the_argument_it_refuses():
     for call, name in cases:
         with pytest.raises(TypeError, match=name):
             call()
+
+
+def test_field_methods_refuse_an_index_outside_the_field():
+    # numpy reads a negative index from the end of a table: GF(5).inv_idx(-1)
+    # answered 4, mul_idx(-1, 2) 3 and pow_idx(-1, 2) 1
+    spec = GF(5)
+    calls = [
+        lambda i: spec.add_idx(i, 2), lambda i: spec.add_idx(2, i),
+        lambda i: spec.sub_idx(i, 2), lambda i: spec.sub_idx(2, i),
+        lambda i: spec.mul_idx(i, 2), lambda i: spec.mul_idx(2, i),
+        spec.inv_idx, lambda i: spec.pow_idx(i, 2), lambda i: spec.pow_idx(i, -1),
+    ]
+    for call in calls:
+        for bad in (-1, -5, 5, 2**70):
+            with pytest.raises(ValueError, match=rf"^index {bad} out of range for GF\(5\)$"):
+                call(bad)
+    assert (spec.inv_idx(4), spec.mul_idx(4, 2), spec.pow_idx(4, 2)) == (4, 3, 1)
 
 
 def test_a_bad_field_order_leaves_the_interned_fields_alone(monkeypatch, capsys, tmp_path):
