@@ -200,7 +200,7 @@ def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
     root = np.full(q, -1)
     if spec.p != 2:
         # (2y + b)^2 = 4c + b^2; the roots of a nonzero square are +-s
-        root[mul[xs, xs]] = xs
+        root[x2] = xs
         s = root[add[mul[4 % spec.p, c], mul[b, b]]]
         has = s >= 0
         half = int(tab.inv[2])
@@ -210,10 +210,10 @@ def _affine_point_indices(spec: FieldSpec, coeffs) -> list[tuple[int, int]]:
     else:
         # b != 0: y = b z with z^2 + z = c / b^2, roots z0 and z0 + 1;
         # b == 0: y is the one square root of c
-        root[add[mul[xs, xs], xs]] = xs
+        root[add[x2, xs]] = xs
         z = root[mul[c, tab.inv[mul[b, b]]]]
         sqrt = np.empty(q, dtype=np.int64)
-        sqrt[mul[xs, xs]] = xs
+        sqrt[x2] = xs
         has = (b == 0) | (z >= 0)
         y0 = np.where(b == 0, sqrt[c], mul[b, z])
         y1 = mul[b, z ^ 1]

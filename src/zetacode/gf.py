@@ -9,13 +9,15 @@ encoding used by every file format in this package.
 There is no element object: every function takes and returns plain int
 indices, and :meth:`FieldSpec.element` is the one range-checked way in.
 Arithmetic runs on operation tables built on first use and kept on the
-field spec.  Addition is digit-wise modular arithmetic.  Multiplication is
-GF(p)-linear, so the multiplication table is filled from the products by
-x^j, a block of rows at a time; inverses and powers are read off it by
-square-and-multiply.  The q x q addition and multiplication tables hold
-indices in the narrowest unsigned dtype that fits q - 1, and no temporary
-of their build is q x q.  Field specs and tables are immutable after
-construction, so they can be shared between threads without locking.
+field spec.  Addition and multiplication are both GF(p)-linear, so both
+q x q tables are filled the same way, a block of rows at a time from the
+rows before; negation is multiplication by -1, and inverses and powers
+are read off the multiplication table by square-and-multiply.  The
+tables' ``plus`` is the one helper that adds two index arrays.  The
+q x q tables hold indices in the narrowest unsigned dtype that fits
+q - 1, and no temporary of their build is q x q.  Field specs and tables
+are immutable after construction, so they can be shared between threads
+without locking.
 """
 
 from __future__ import annotations
@@ -176,53 +178,48 @@ class _Tables:
 
     ``add`` and ``mul`` hold indices in the narrowest unsigned dtype
     (uint8 up to GF(256), uint16 up to GF(65536)); ``neg`` and ``inv`` are
-    int32.  ``mul`` is filled by GF(p)-linearity in its first factor, as
-    ``linear_code._span`` fills a span.  Rows [0, p^j) hold a b for every a
-    of degree < j.  For c < p the index of a + c x^j is a + c p^j, so its
-    row is row a plus the row c x^j b: the rows of c in [n, 2n) are those
-    of c in [0, n) plus the row n x^j b, one field addition per cell (an
-    in-place XOR in characteristic 2, else a take from the flattened
-    ``add`` table, a chunk of rows at a time).  ``inv`` is a^(q - 2), by
-    square-and-multiply on every a at once, checked: a inv[a] = 1 for
-    every a != 0."""
+    int32.  ``plus(x, y, out=None)`` adds index arrays that broadcast, x
+    the smaller: XOR in characteristic 2, else one take from the flattened
+    ``add`` table at x q + y.
 
-    __slots__ = ("add", "neg", "mul", "inv")
+    ``add`` and ``mul`` are GF(p)-linear in the first operand, so
+    ``_double`` fills both, one gather per cell: row a + n x^j of ``add``
+    is row a read at the columns b + n x^j, and of ``mul`` it is row a
+    plus the row n x^j b.  ``neg`` is row p - 1 of ``mul``.  ``inv`` is
+    a^(q - 2), by square-and-multiply on every a at once, checked:
+    a inv[a] = 1 for every a != 0."""
+
+    __slots__ = ("add", "neg", "mul", "inv", "plus")
 
     def __init__(self, spec: FieldSpec):
         p, m, q = spec.p, spec.m, spec.q
         dtype = np.min_scalar_type(q - 1)
-        idx = np.arange(q, dtype=np.int32)
+        idx = np.arange(q, dtype=dtype)
+        self.add = add = np.empty((q, q), dtype=dtype)
+        add[0] = idx
         if p == 2:
-            # digit-wise addition mod 2 of little-endian bits is XOR
-            narrow = idx.astype(dtype)
-            self.add = add = narrow[:, None] ^ narrow[None, :]
-            self.neg = idx
             plus = np.bitwise_xor
         else:
-            wide = np.min_scalar_type(2 * (q - 1))  # holds a sum of two indices
-            digits = [(idx // p**j % p).astype(wide) for j in range(m)]
-            self.add = add = _fill_rows(q, dtype, lambda lo, hi: sum(
-                (d[lo:hi, None] + d[None, :]) % p * p**j for j, d in enumerate(digits)
-            ))
-            self.neg = sum(-d.astype(np.int32) % p * p**j for j, d in enumerate(digits))
+            flat, wide = add.ravel(), np.min_scalar_type(q * q - 1)
 
-            def plus(rows, row, out=None):
-                return np.take(add.ravel(), row.astype(np.intp) * q + rows, out=out)
+            def plus(x, y, out=None):
+                return flat.take(np.multiply(x, q, dtype=wide) + y, out=out)
 
+        self.plus = plus
+
+        def columns(cols, rows, out=None):  # rows read at the columns cols
+            return np.take(rows, cols, axis=-1, out=out)
+
+        for j in range(m):  # b + x^j steps digit j of b up by one, mod p
+            _double(add, p**j, p, np.roll(idx.reshape(-1, p, p**j), -1, axis=1).ravel(), columns)
         self.mul = mul = np.zeros((q, q), dtype=dtype)
-        step = max(1, _TABLE_CHUNK // q)
-        xb = add[0]  # x^j b for every b; row 0 of add is the identity
+        xb = idx  # x^j b for every b
         for j in range(m):
             if j:  # shift the digits up one place, fold the top one back in
                 top, x_m = p ** (m - 1), sum(-c % p * p**i for i, c in enumerate(spec.modulus[:m]))
-                xb = add[xb % top * p, mul[xb // top, x_m]]
-            row, size, c = xb, p**j, 1
-            while c < p:  # row is c x^j b
-                stop = min(c, p - c) * size
-                for lo in range(0, stop, step):
-                    hi = min(lo + step, stop)
-                    plus(mul[lo:hi], row, out=mul[c * size + lo:c * size + hi])
-                row, c = plus(row, row), 2 * c
+                xb = plus(xb % top * p, mul[xb // top, x_m])
+            _double(mul, p**j, p, xb, plus)
+        self.neg = mul[p - 1].astype(np.int32)
 
         inv, a, e = np.ones(q, dtype=np.int32), idx, q - 2
         while e:
@@ -235,18 +232,26 @@ class _Tables:
             raise RuntimeError(f"a^(q - 2) is not the inverse of every a != 0 in GF({q})")
 
 
-def _fill_rows(q: int, dtype, rows) -> np.ndarray:
-    """A q x q table of ``dtype`` filled from rows(lo, hi), a chunk of rows
-    at a time, so that no temporary is ever q x q."""
-    out = np.empty((q, q), dtype=dtype)
-    step = max(1, _TABLE_CHUNK // q)
-    for lo in range(0, q, step):
-        out[lo:lo + step] = rows(lo, min(q, lo + step))
-    return out
+def _double(table: np.ndarray, size: int, p: int, row: np.ndarray, step) -> None:
+    """Fill rows [size, p size) of ``table`` from rows [0, size), where
+    size = p^j and rows [0, size) are those of every a of degree < j.
+    For c < p the index of a + c x^j is a + c p^j, so the rows of c in
+    [n, 2n) are step(row, rows of c in [0, n)), with ``row`` the one for
+    n x^j, doubled by step(row, row).  A chunk of rows at a time, so that
+    no temporary is ever q x q."""
+    q = table.shape[1]
+    chunk, c = max(1, _TABLE_CHUNK // q), 1
+    while c < p:
+        stop = min(c, p - c) * size
+        for lo in range(0, stop, chunk):
+            hi = min(lo + chunk, stop)
+            step(row, table[lo:hi], out=table[c * size + lo:c * size + hi])
+        row, c = step(row, row), 2 * c
 
 
 def GF(q: int) -> FieldSpec:
-    """Return the interned field of order q, a prime power <= MAX_ORDER.
+    """Return the interned field of order q, a prime power <= MAX_ORDER;
+    the cap is checked first, so no q past it is ever factored.
 
     For m > 1 the modulus is the first monic irreducible of degree m over
     GF(p) as its lower coefficients, read as a little-endian base-p number,
@@ -255,9 +260,9 @@ def GF(q: int) -> FieldSpec:
     """
     spec = _FIELDS.get(check_int(q, "field order"))
     if spec is None:
-        p, m = _prime_power(q)
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the cap {MAX_ORDER}")
+        p, m = _prime_power(q)
         mod = None if m == 1 else _smallest_irreducible(p, m)
         spec = _FIELDS.setdefault(q, FieldSpec(p=p, m=m, q=q, modulus=mod))
     return spec

@@ -1,16 +1,20 @@
 """Linear codes over GF(q): generator matrices, duals, and exhaustive
 weight and distance statistics.
 
+Row reduction and the span add index arrays by the field tables'
+``plus``, so this module reads no ``add`` table and has no branch on the
+characteristic.
+
 Row reduction swaps no rows and costs a fixed handful of whole-matrix
-gathers per pivot: one from a row of the ``mul`` table scales the pivot
-row, and one from each of the flattened ``mul`` and ``add`` tables, at
-indices x q + y, clears the pivot column in every row; the rows are put
-in order once, at the end.
+operations per pivot: one gather from a row of the ``mul`` table scales
+the pivot row, and one gather from the flattened ``mul`` table, at
+indices x q + y, and one ``plus`` clear the pivot column in every row;
+the rows are put in order once, at the end.
 
 One weight-counting kernel serves every q.  The message digits split in
 two halves.  One gather from the ``mul`` table reads every multiple of the
-rows of a half, and its span is built by doubling, at one field addition
-per word and coordinate.  The weight of each of the q^k codewords is the
+rows of a half, and its span is built by doubling, at one ``plus`` per
+word and coordinate.  The weight of each of the q^k codewords is the
 number of coordinates where a low-half word and a high-half word differ,
 so no field table is read per codeword.  Counts are merged per block of
 high words: results are deterministic and the working set small.  The
@@ -87,16 +91,17 @@ def rref(mat: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     One pass per column, with no row swaps.  The column is read once, and
     its first nonzero entry in a row not yet used as a pivot picks the
     pivot row, which one gather from a row of the ``mul`` table scales to
-    a leading 1.  Every row i then adds -a_ic times the pivot row as two
-    gathers over the whole matrix at flat indices x q + y, one from the
-    ``mul`` table and one from the ``add`` table (XOR in characteristic 2);
-    this clears the pivot row too, and it is written back.  The pivot rows
-    in pivot order, then the other rows, all zero by then, are the RREF."""
+    a leading 1.  Every row i then adds -a_ic times the pivot row: one
+    gather over the whole matrix from the flattened ``mul`` table at
+    x q + y, then one field addition per entry, in place, by the tables'
+    ``plus``.  This clears the pivot row too, and it is written back.  The
+    pivot rows in pivot order, then the other rows, all zero by then, are
+    the RREF."""
     spec = mat.spec
     tab, q = spec.tables, spec.q
     a = mat.array.astype(tab.mul.dtype)
     wide = np.min_scalar_type(q * q - 1)
-    mul, add = tab.mul.ravel(), tab.add.ravel()
+    mul = tab.mul.ravel()
     free = list(range(a.shape[0]))  # rows not yet used as pivots, in order
     used: list[int] = []
     pivots: list[int] = []
@@ -109,15 +114,10 @@ def rref(mat: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             continue
         inv = int(tab.inv[col[r]])
         row = tab.mul[inv].take(a[r])
-        neg_row = row if spec.p == 2 else tab.mul[tab.neg[inv]].take(a[r])
+        neg_row = tab.mul[tab.neg[inv]].take(a[r])
         # row_i - a_ic row_r = row_i + a_ic (-row_r)
         prod = mul.take(np.multiply(a[:, c, None], q, dtype=wide) + neg_row)
-        if spec.p == 2:
-            a ^= prod
-        else:
-            idx = np.multiply(a, q, dtype=wide)
-            idx += prod
-            add.take(idx, out=a)
+        tab.plus(a, prod, out=a)
         a[r] = row
         free.remove(r)
         used.append(r)
@@ -195,26 +195,15 @@ def _span(code: LinearCode, first: int, stop: int) -> np.ndarray:
 
     One gather from the ``mul`` table reads every multiple of every row in
     the range.  The span is then built by doubling from the last row, one
-    field addition per word and coordinate: XOR of indices in
-    characteristic 2, else one take from the flattened ``add`` table at
-    x q + y.  An empty range spans the zero word alone.  Entries keep the
-    dtype of the field tables (uint8 up to GF(256))."""
-    spec, n = code.spec, code.n
-    tab = spec.tables
+    field addition per word and coordinate by the tables' ``plus``, the
+    multiples as its smaller operand.  An empty range spans the zero word
+    alone.  Entries keep the dtype of the field tables (uint8 up to
+    GF(256))."""
+    tab, n = code.spec.tables, code.n
     mults = tab.mul[:, code.gen.array[first:stop]]  # [c, j] = c G[first + j]
-    if spec.p == 2:
-        add = np.bitwise_xor
-    else:
-        flat = tab.add.ravel()
-        # each multiple x times q: the start of its row in the flat table
-        mults = np.multiply(mults, spec.q, dtype=np.min_scalar_type(spec.q**2 - 1))
-
-        def add(small, big):
-            return flat.take(small + big)
-
     span = np.zeros((1, n), dtype=tab.mul.dtype)
     for j in range(stop - first - 1, -1, -1):
-        span = add(mults[:, j, None], span[None]).reshape(-1, n)
+        span = tab.plus(mults[:, j, None], span[None]).reshape(-1, n)
     return span
 
 

@@ -67,16 +67,53 @@ def test_gf5_inverse():
     assert f.inv_idx(3) == 2
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 256, 1024])
-def test_add_and_neg_tables_are_digitwise(q):
+def _fresh(q: int) -> FieldSpec:
+    """GF(q) on a spec of its own, so that its tables are freed with it."""
     spec = GF(q)
-    p, m = spec.p, spec.m
-    dig = np.array([_digits(i, p, m) for i in range(q)], dtype=np.int64)
-    place = p ** np.arange(m)
-    tab = spec.tables
-    for a in range(q):
-        assert (tab.add[a] == (dig[a] + dig) % p @ place).all()
-    assert (tab.neg == (-dig) % p @ place).all()
+    return FieldSpec(p=spec.p, m=spec.m, q=q, modulus=spec.modulus)
+
+
+def _is_order(q: int) -> bool:
+    try:
+        return check_order(q) == q
+    except ValueError:
+        return False
+
+
+ORDERS = tuple(filter(_is_order, range(2, MAX_ORDER + 1)))  # every field GF builds
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_add_and_neg_tables_are_digitwise(q):
+    # the oracle adds and negates digit by digit, one q x q array per digit
+    spec = _fresh(q)
+    p, m, tab = spec.p, spec.m, spec.tables
+    i = np.arange(q, dtype=np.int32)
+    add, neg = np.zeros((q, q), dtype=np.int32), np.zeros(q, dtype=np.int32)
+    for j in range(m):
+        d = i // p**j % p
+        add += (d[:, None] + d) % p * p**j
+        neg += -d % p * p**j
+    assert tab.add.dtype == np.min_scalar_type(q - 1) and tab.neg.dtype == np.int32
+    assert (tab.add == add).all() and (tab.neg == neg).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 729, 1021, 1024])
+def test_plus_adds_index_arrays_like_the_add_table(q):
+    tab = _fresh(q).tables
+    dtype, rng = tab.add.dtype, np.random.default_rng(q)
+    i = np.arange(q, dtype=dtype)
+    assert (tab.plus(i[:, None], i) == tab.add).all()
+    x = rng.integers(q, size=(3, 1, 5)).astype(dtype)
+    y = rng.integers(q, size=(4, 5)).astype(dtype)
+    got = tab.plus(x, y)
+    assert got.shape == (3, 4, 5) and got.dtype == dtype
+    assert (got == tab.add[x, y]).all()
+    # in place, out aliased to the first operand, as rref adds
+    a, b = (rng.integers(q, size=(6, 7)).astype(dtype) for _ in range(2))
+    want = tab.add[a, b]
+    assert tab.plus(a, b, out=a) is a
+    assert (a == want).all()
 
 
 @pytest.mark.parametrize("q", [8, 9, 1024])
@@ -91,24 +128,12 @@ def test_mul_table_matches_raw_product(q):
         assert mul[a, b] == _raw_mul(spec, a, b)
 
 
-def _fresh(q: int) -> FieldSpec:
-    """GF(q) on a spec of its own, so that its tables are freed with it."""
-    spec = GF(q)
-    return FieldSpec(p=spec.p, m=spec.m, q=q, modulus=spec.modulus)
-
-
 def test_every_field_multiplies_inverts_and_raises_to_powers():
     # every field up to the cap: sampled products against the schoolbook
     # oracle, every inverse, and pow_idx against repeated multiplication
-    orders = []
-    for q in range(2, MAX_ORDER + 1):
-        try:
-            orders.append(check_order(q))
-        except ValueError:
-            pass
-    assert len(orders) == 198
+    assert len(ORDERS) == 198
     rng = random.Random(34)
-    for q in orders:
+    for q in ORDERS:
         spec = _fresh(q)
         mul, inv = spec.tables.mul, spec.tables.inv
         for a, b in [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]:
@@ -137,7 +162,7 @@ def test_table_build_makes_no_q_by_q_temporaries(q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(getattr(tab, name).nbytes for name in tab.__slots__)
+    kept = sum(getattr(tab, name).nbytes for name in ("add", "neg", "mul", "inv"))
     assert kept >= 2 * q * q * tab.mul.itemsize
     assert peak - kept <= 10**6
 
@@ -270,6 +295,18 @@ def test_order_cap():
     with pytest.raises(ValueError, match="cap"):
         GF(2048)
     assert GF(MAX_ORDER).q == 1024
+
+
+@pytest.mark.parametrize("q", [10**16 + 61, 2 * (10**16 + 61)])
+def test_order_cap_checked_before_factoring(q):
+    # factoring a 17-digit prime by trial division takes seconds; an order
+    # past the cap is refused by the cap, prime power or not
+    before = dict(gf._FIELDS)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^field order {q} exceeds the cap {MAX_ORDER}$"):
+        GF(q)
+    assert time.perf_counter() - start < 0.1
+    assert gf._FIELDS == before
 
 
 @pytest.mark.parametrize("q", [1031, 2048, 3**7])

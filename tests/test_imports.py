@@ -2,7 +2,9 @@
 module, every import in ``src/zetacode`` is top-level, and every private
 name of ``src/zetacode``, at module level or as a method, property or
 cached property of a module-level class, is read somewhere in
-``src/zetacode``.
+``src/zetacode``.  No module but ``gf`` adds index arrays its own way,
+by ``bitwise_xor`` or through a flattened ``add`` table: ``gf``'s
+tables own that rule, as ``plus``.
 
 No linter ships with the project, so these stdlib-``ast`` checks catch an
 import or a helper that a deletion left behind.  ``from __future__``
@@ -207,3 +209,44 @@ def test_checker_flags_unread_private_methods():
         "b.py": "def count(curve):\n    return len(curve._points)\n",
     }
     assert unread_private_names(sources) == ["a.py: line 5: Curve._walk", "a.py: line 8: Curve._size"]
+
+
+def field_additions(source: str) -> list[str]:
+    """``line N: what`` for each ``bitwise_xor`` and each flattening of an
+    ``add`` table (``.add.ravel``, ``.flatten``, ``.flat`` or ``.reshape``)
+    in ``source``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "bitwise_xor" or (
+            isinstance(node, ast.Attribute) and node.attr == "bitwise_xor"
+        ):
+            found.append((node.lineno, "bitwise_xor"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("ravel", "flatten", "flat", "reshape")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "add"
+        ):
+            found.append((node.lineno, f"add.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "gf.py"], ids=lambda p: p.name)
+def test_only_gf_adds_index_arrays(path):
+    # gf's tables own the one rule for adding index arrays, their plus
+    assert field_additions(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_field_additions():
+    source = (
+        "import numpy as np\n"
+        "from numpy import bitwise_xor\n"
+        "flat = spec.tables.add.reshape(-1)\n"
+        "a = np.bitwise_xor(x, y)\n"
+        "b = bitwise_xor(x, tab.add.ravel()[0])\n"
+        "c = z ^ 1\n"
+        "d = tab.mul.ravel() + tab.add[x, y]\n"
+    )
+    assert field_additions(source) == [
+        "line 3: add.reshape", "line 4: bitwise_xor", "line 5: add.ravel", "line 5: bitwise_xor",
+    ]
