@@ -432,7 +432,11 @@ def curve_rh(z: CurveZeta, tol: float = 1e-8) -> RhVerdict:
 
 
 def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
-    """Generalized Reed-Solomon code: rows v_j alpha_j^i, i = 0..k-1."""
+    """Generalized Reed-Solomon code: rows v_j alpha_j^i, i = 0..k-1.
+
+    The rows are independent, so no RREF checks their rank: any k columns
+    form a Vandermonde matrix on distinct points times nonzero multipliers,
+    which is invertible."""
     alphas = list(alphas)
     multipliers = list(multipliers)
     n = len(alphas)
@@ -453,7 +457,7 @@ def grs_code(spec: FieldSpec, alphas, multipliers, k: int) -> LinearCode:
     rows = [np.array(multipliers)]
     for _ in range(k - 1):
         rows.append(mul[rows[-1], alpha])
-    return LinearCode(Matrix(spec, np.array(rows)))
+    return LinearCode._full_rank(Matrix(spec, np.array(rows)))
 
 
 def one_point_basis(k: int) -> list[tuple[int, int]]:
@@ -478,7 +482,9 @@ def elliptic_code(
 
     Evaluation points default to every rational point except infinity.
     The dimension is exactly k, and the minimum distance is n - k or
-    n - k + 1.
+    n - k + 1.  No RREF checks the rank: a nonzero f in L(kO) has at most
+    k zeros, so it cannot vanish on all n > k distinct points, and the k
+    basis rows are independent.
     """
     spec = curve.spec
     if eval_points is None:
@@ -507,7 +513,7 @@ def elliptic_code(
         while len(x_pows) <= i:
             x_pows.append(mul[x_pows[-1], xs])
         rows.append(mul[x_pows[i], ys] if j else x_pows[i])
-    return LinearCode(Matrix(spec, np.array(rows)))
+    return LinearCode._full_rank(Matrix(spec, np.array(rows)))
 
 
 def elliptic_distribution_from_amin(

@@ -9,11 +9,11 @@ every float is printed with 17 significant digits, so identical inputs
 produce byte-identical reports.  JSON is written by ``_json_text``, which
 gives the bytes of ``json.dumps(report, indent=2)`` but renders a list by
 its shape: a list of one scalar type is joined in one pass, integers from
-a table of the texts of small ones, and a list of more than a few records
-that share their keys and hold only strings, such as the roots of an RH
-block, by one format string.  A report value it does not know, such as a
-float, is an internal error.  Input files are read as UTF-8, a leading
-byte-order mark dropped.
+a table of the texts of small ones, a matrix of ints one join per row, and
+a list of more than a few records that share their keys and hold only
+strings, such as the roots of an RH block, by one format string.  A report
+value it does not know, such as a float, is an internal error.  Input
+files are read as UTF-8, a leading byte-order mark dropped.
 
 Exit codes: 0 ok, 1 invalid input (usage errors included), 2 enumeration
 budget exceeded, 3 internal invariant violation.  The environment variable
@@ -23,8 +23,11 @@ smaller of it and its dual.  ``dual`` checks the MacWilliams transform
 only when both sides fit.
 
 The argument parser is built once per process, on the first ``main`` call,
-and every call parses its own ``argv`` against it; ZETACODE_BUDGET is still
-read on every call.
+and ZETACODE_BUDGET is still read on every call.  A call whose ``argv``
+starts with a subcommand is parsed once, by that subcommand's parser; the
+top-level parser reads only the other calls, which ask for help or are
+usage errors.  Either way the Namespace, messages and exit code are those
+of ``build_parser().parse_args(argv)``.
 """
 
 from __future__ import annotations
@@ -493,9 +496,10 @@ def _json_text(value, pad: str = "") -> str:
     """The text ``json.dumps(value, indent=2)`` gives for a report value:
     dicts with str keys, lists, tuples, str, int, bool and None.  A list
     whose items all have one of these scalar types is joined in one pass
-    (``[1, True]`` is not: bool is not int here).  A longer list of dicts
-    that all have the first one's keys, in its order, and only str values,
-    such as the roots of an RH block, is rendered by one format string.
+    (``[1, True]`` is not: bool is not int here), and a list of nonempty
+    lists of ints in one pass per row.  A longer list of dicts that all
+    have the first one's keys, in its order, and only str values, such as
+    the roots of an RH block, is rendered by one format string.
     Anything else, a float or a ``Fraction`` included, is a TypeError:
     reports carry floats and rationals as strings."""
     kind = type(value)
@@ -529,7 +533,16 @@ def _json_text(value, pad: str = "") -> str:
                     map(encode_basestring_ascii, texts)
                 )
                 return f"[\n{inner}{body}\n{pad}]"
-        items = map(scalar, value) if scalar else (_json_text(v, inner) for v in value)
+        if scalar:
+            items = map(scalar, value)
+        elif one is list and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            # a matrix, such as a report's generator or dual rows
+            row_pad = inner + "  "
+            row_sep = ",\n" + row_pad
+            text = _JSON_SCALARS[int]
+            items = (f"[\n{row_pad}{row_sep.join(map(text, row))}\n{inner}]" for row in value)
+        else:
+            items = (_json_text(v, inner) for v in value)
         opening, closing = "[", "]"
     else:
         raise TypeError(f"a report value must not be a {kind.__name__}: {value!r}")
@@ -553,7 +566,10 @@ def _emit(payload: dict, config: RunConfig) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1 (invalid input), keeping 2 for the budget."""
+    """Usage errors exit 1 (invalid input), keeping 2 for the budget.  The
+    top-level parser keeps each subcommand's parser in ``commands``."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -567,6 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact weight-enumerator, zeta-polynomial and AG-code analyses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def command(name, func, help):
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     def common(p):
         p.add_argument("--budget", type=int, default=None, help="codeword budget")
@@ -574,69 +596,82 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
-    p = sub.add_parser("wdist", help="weight distribution of a generator-matrix file")
+    p = command("wdist", _cmd_wdist, "weight distribution of a generator-matrix file")
     p.add_argument("matrix")
     common(p)
-    p.set_defaults(func=_cmd_wdist)
 
-    p = sub.add_parser("dual", help="dual code of a generator-matrix file")
+    p = command("dual", _cmd_dual, "dual code of a generator-matrix file")
     p.add_argument("matrix")
     common(p)
-    p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("zeta", help="zeta polynomial, functional equation, RH verdict")
+    p = command("zeta", _cmd_zeta, "zeta polynomial, functional equation, RH verdict")
     p.add_argument("matrix")
     common(p)
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("rh", help="root-circle check for explicit coefficients")
+    p = command("rh", _cmd_rh, "root-circle check for explicit coefficients")
     p.add_argument("--q", type=int, required=True)
     p.add_argument(
         "coeffs", nargs="+", help="ascending rationals; after -- if any is negative, like -1/2"
     )
     common(p)
-    p.set_defaults(func=_cmd_rh)
 
-    p = sub.add_parser("classify", help="divisibility type and extremality of an enumerator file")
+    p = command(
+        "classify", _cmd_classify, "divisibility type and extremality of an enumerator file"
+    )
     p.add_argument("enumerator")
     p.add_argument("q", type=int)
     common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("mds", help="closed-form MDS weight enumerator")
+    p = command("mds", _cmd_mds, "closed-form MDS weight enumerator")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("q", type=int)
     common(p)
-    p.set_defaults(func=_cmd_mds)
 
-    p = sub.add_parser("grs", help="generalized Reed-Solomon code and its checks")
+    p = command("grs", _cmd_grs, "generalized Reed-Solomon code and its checks")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="defaults to q (all points)")
     p.add_argument("--alphas", default=None, help="comma-separated evaluation points")
     p.add_argument("--multipliers", default=None, help="comma-separated column multipliers")
     common(p)
-    p.set_defaults(func=_cmd_grs)
 
-    p = sub.add_parser("elliptic", help="one-point elliptic code from a curve file")
+    p = command("elliptic", _cmd_elliptic, "one-point elliptic code from a curve file")
     p.add_argument("curve")
     p.add_argument("k", type=int)
     common(p)
-    p.set_defaults(func=_cmd_elliptic)
 
-    p = sub.add_parser("curve-zeta", help="curve zeta numerator from point counts")
+    p = command("curve-zeta", _cmd_curve_zeta, "curve zeta numerator from point counts")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("counts", type=int, nargs="*", help="N_1 .. N_g")
     common(p)
-    p.set_defaults(func=_cmd_curve_zeta)
 
     return parser
 
 
+def _parse_args(argv=None) -> argparse.Namespace:
+    """The Namespace, exit code and messages of ``build_parser().parse_args``,
+    from one parse: a call that names a subcommand first is parsed by that
+    subcommand's parser alone, so the top-level parser runs only on help
+    requests and usage errors.  Arguments the subcommand does not know get
+    the top-level parser's "unrecognized arguments" error, as in a nested
+    parse."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = RunConfig.from_args(args)
         payload = {"schema": SCHEMA, "command": args.command, **args.func(args, config)}

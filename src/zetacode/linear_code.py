@@ -230,12 +230,20 @@ def _weight_blocks(code: LinearCode, budget: int):
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Exact weight counts A_0 .. A_n, as the code's enumerator, by full
-    enumeration of the q^k codewords."""
+    enumeration of the q^k codewords.
+
+    The q^k messages reach the zero word q^(k - rank) times, so A_0 = 1
+    checks that the generator rows are independent; otherwise this raises
+    RuntimeError (a code built with ``_full_rank`` on dependent rows)."""
     _require_regular(code, "the weight distribution")
     n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
     for weights in _weight_blocks(code, budget):
         counts += np.bincount(weights.ravel(), minlength=n + 1)
+    if counts[0] != 1:
+        raise RuntimeError(
+            f"generator rows are dependent: {counts[0]} messages give the zero word"
+        )
     return WeightEnumerator._over(counts.tolist(), 1, n=n)
 
 
@@ -282,13 +290,17 @@ def dual(code: LinearCode) -> LinearCode:
     """The dual code; the full space dualizes to the zero code and back.
 
     From the RREF [I | A] (up to column order) the dual is [-A^T | I]: one
-    row per free column, with a 1 there and -A^T on the pivot columns."""
+    row per free column, with a 1 there and -A^T on the pivot columns.  An
+    RREF with fewer than k pivots, from a code built with ``_full_rank`` on
+    dependent rows, raises RuntimeError."""
     spec, n, k = code.spec, code.n, code.k
     if code.is_zero:
         return LinearCode._full_rank(Matrix(spec, np.eye(n, dtype=np.int64)))
     if k == n:
         return LinearCode.zero(spec, n)
     red, pivots = code._echelon
+    if len(pivots) != k:
+        raise RuntimeError(f"generator rows are dependent: rank {len(pivots)} < {k} rows")
     pivots = list(pivots)
     free = np.delete(np.arange(n), pivots)
     h = np.zeros((n - k, n), dtype=np.int64)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
 
-from zetacode import enumerator, linear_code
+from zetacode import cli, enumerator, linear_code
 from zetacode.gf import GF
 from zetacode.linear_code import LinearCode, Matrix
 
@@ -46,6 +48,22 @@ def build_corpus(seed: int, per_q: int, max_words: int) -> list[LinearCode]:
             codes.append(make_random_code(rng, q, n, k))
             made += 1
     return codes
+
+
+def parse_outcomes(argv) -> list[tuple]:
+    """(Namespace or exit code, stdout, stderr) of ``cli._parse_args(argv)``
+    and of ``cli.build_parser().parse_args(argv)``, the nested parse it
+    stands for."""
+    outcomes = []
+    for parse in (cli._parse_args, cli.build_parser().parse_args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+        outcomes.append((result, out.getvalue(), err.getvalue()))
+    return outcomes
 
 
 @pytest.fixture(scope="session")

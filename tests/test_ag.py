@@ -15,6 +15,7 @@ from zetacode.linear_code import (
     BudgetExceededError,
     dual,
     is_formally_self_dual,
+    rref,
     weight_distribution,
 )
 from zetacode.zeta import zeta_from_mds_basis
@@ -336,6 +337,7 @@ def test_grs_every_case_is_mds():
         spec = GF(q)
         for k in range(1, min(q, 5)):
             c = grs_code(spec, range(q), [1] * q, k)
+            assert rref(c.gen)[1] == k
             wd = weight_distribution(c)
             assert wd.min_distance == q - k + 1
             if k == 1:  # repetition code, d = n
@@ -401,6 +403,7 @@ def test_elliptic_code_dimension_and_distance(corpus_curves):
         for k in range(1, min(n, 5)):
             c = elliptic_code(e, k)
             assert (c.n, c.k) == (n, k)
+            assert rref(c.gen)[1] == k
             d = weight_distribution(c).min_distance
             assert n - k <= d <= n - k + 1  # designed distance n - deg G
             assert n + 1 - 1 <= k + d <= n + 1

@@ -17,6 +17,8 @@ from zetacode import ag, cli, enumerator, linear_code, zeta
 from zetacode.cli import main
 from zetacode.gf import GF
 
+from conftest import parse_outcomes
+
 HAMMING8 = "2 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n"
 HAMMING7 = "2 7 4\n1 0 0 0 0 1 1\n0 1 0 0 1 0 1\n0 0 1 0 1 1 0\n0 0 0 1 1 1 1\n"
 TETRA = "3 4 2\n1 1 1 0\n0 1 2 1\n"
@@ -962,6 +964,43 @@ def test_determinism_all_commands(capsys, tmp_path, hamming_file, tetra_file):
 
 
 # -- one parser per process ---------------------------------------------------
+
+
+def test_parsed_matrix_with_dependent_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "dependent.txt"
+    path.write_text("3 4 2\n1 0 1 2\n2 0 2 1\n")  # row 2 = 2 row 1
+    for command in ("wdist", "dual", "zeta"):
+        rc, out, err = run_with_err(capsys, [command, str(path)])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: generator rows are dependent")
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        ([], 1),
+        (["-h"], 0),
+        (["bogus"], 1),
+        (["wdist", "-h"], 0),
+        (["wdist", "f", "--bogus"], 1),
+        (["wdist", "f", "--bud", "9"], None),
+        (["rh", "--q", "4", "--", "-1", "2"], None),
+        (["rh", "--q", "2", "1", "-1/2"], 1),
+    ],
+)
+def test_one_parse_matches_the_nested_parse(argv, exit_code):
+    ours, nested = parse_outcomes(argv)
+    assert ours == nested
+    result, out, err = ours
+    if exit_code is None:
+        assert result.command == argv[0] and not out and not err
+    else:
+        assert result == exit_code
+        assert ("usage: zetacode" in out) if exit_code == 0 else ("error:" in err)
+    if argv == ["wdist", "f", "--bud", "9"]:
+        assert result.budget == 9
+    if argv == ["rh", "--q", "2", "1", "-1/2"]:
+        assert err.endswith("zetacode: error: unrecognized arguments: -1/2\n")
 
 
 def test_main_calls_share_no_parsed_state(capsys, monkeypatch, hamming_file):

@@ -20,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import parse_outcomes
 from zetacode import cli
 from zetacode.gf import GF
 from zetacode.linear_code import LinearCode, Matrix, parse_matrix_text
@@ -132,6 +133,22 @@ def invocations(draw):
     return argv + list(map(str, counts)), None
 
 
+# tokens a call may carry by mistake: help, unknown and abbreviated options,
+# a negative rational read as an option, a stray word
+stray_tokens = st.sampled_from(["-h", "--help", "--bogus", "--bud", "9", "--", "-1/2", "bogus"])
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations(), st.lists(st.tuples(st.integers(0, 12), stray_tokens), max_size=3),
+       st.booleans())
+def test_one_parse_matches_the_nested_parse(case, strays, drop_command):
+    argv = case[0][drop_command:]
+    for pos, token in strays:
+        argv.insert(min(pos, len(argv)), token)
+    ours, nested = parse_outcomes(argv)
+    assert ours == nested, argv
+
+
 @pytest.fixture(scope="module")
 def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_property") / "input.txt"
@@ -203,6 +220,10 @@ json_values = st.recursive(
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
         st.lists(st.one_of(table_ints, st.booleans()), min_size=1, max_size=8),
         st.lists(st.booleans(), max_size=4),
+        # matrices of ints, and lists of lists that are not: an empty row,
+        # a bool among the ints
+        st.lists(st.lists(table_ints, min_size=1, max_size=6), min_size=1, max_size=6),
+        st.lists(st.lists(st.one_of(table_ints, st.booleans()), max_size=4), max_size=4),
         st.lists(st.none(), max_size=3),
         # same-keyed dicts, short and past cli._FEW_RECORDS: str values
         # only, or of mixed types

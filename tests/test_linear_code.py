@@ -195,6 +195,23 @@ def test_dependent_generator_rows_rejected():
         code(2, [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "q, rows",
+    [
+        (3, [[1, 0, 1, 2], [2, 0, 2, 1]]),  # row 2 = 2 row 1, n - k > k
+        (2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]),  # row 3 = rows 1 + 2, n - k < k
+    ],
+)
+def test_full_rank_code_on_dependent_rows_fails_its_rank_checks(q, rows, rref_calls):
+    # built without the rank check, as grs_code and elliptic_code build theirs
+    c = LinearCode._full_rank(Matrix.from_indices(GF(q), rows))
+    assert not rref_calls
+    with pytest.raises(RuntimeError, match="generator rows are dependent"):
+        weight_distribution(c)
+    with pytest.raises(RuntimeError, match="generator rows are dependent"):
+        dual(c)
+
+
 # -- distributions -----------------------------------------------------------
 
 
